@@ -13,7 +13,7 @@ from .pencil import (Closures, ModePencil, assemble_mode_pencil, closure_residua
                      ghost_values, gram_matrix, interface_trace, membrane_subpencil)
 from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, StateVector,
                         default_dt, dissipation, energy, graph_norm, make_initial_data,
-                        matrix_exponential, matrix_exponential_reference,
+                        matrix_exponential_reference,
                         pencil_dissipation, simulate, step_crank_nicolson)
 from .spectral import (ResolventScan, SpectrumResult, SweepResult, eigenvalues,
                        membrane_band_edge, project_resolvable, resolvent_norm,
@@ -33,7 +33,7 @@ __all__ = [
     "ghost_values", "gram_matrix", "interface_trace", "membrane_subpencil",
     "DissipationChannels", "EnergyReport", "SimulationTrace", "StateVector",
     "default_dt", "dissipation", "energy", "graph_norm", "make_initial_data",
-    "matrix_exponential", "matrix_exponential_reference", "pencil_dissipation",
+    "matrix_exponential_reference", "pencil_dissipation",
     "simulate", "step_crank_nicolson",
     "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",
     "membrane_band_edge", "project_resolvable", "resolvent_norm",

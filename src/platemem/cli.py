@@ -44,7 +44,7 @@ def _default_t_end(cfg: RunConfig) -> float:
 def _default_dt(cfg: RunConfig, pencil, t_end: float) -> float:
     if cfg.dt is not None:
         return cfg.dt
-    return max(default_dt(pencil), t_end / 20000.0)
+    return default_dt(pencil, t_end)
 
 
 def _pencil(cfg: RunConfig, mode: int):
@@ -145,7 +145,7 @@ def cmd_render(cfg: RunConfig, t: float) -> int:
         pencil = _pencil(cfg, mode)
         state = _initial(pencil, cfg)
         if t > 0.0:
-            dt = _default_dt(cfg, pencil, max(t, 1e-12))
+            dt = _default_dt(cfg, pencil, t)
             state = final_state(pencil, state, dt, t)
         return mode, pencil, state
 

@@ -111,6 +111,14 @@ def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
+@dataclass(frozen=True)
+class Form:
+    """Quadratic form stored on its support: w* F w = w[support]* block w[support]."""
+
+    support: np.ndarray
+    block: np.ndarray
+
+
 @dataclass
 class ModePencil:
     """Discrete generator pencil, Gram matrix, and bookkeeping for one mode."""
@@ -123,8 +131,8 @@ class ModePencil:
     grid: RadialGrid
     params: PhysicalParams
     closures: Closures
-    energy_parts: dict[str, np.ndarray]
-    dissipation_parts: dict[str, np.ndarray]
+    energy_parts: dict[str, Form]
+    dissipation_parts: dict[str, Form]
     _cache: dict[Any, Any] = field(default_factory=dict, repr=False)
 
     @property
@@ -138,71 +146,75 @@ class ModePencil:
         raise KeyError(name)
 
 
-def gram_matrix(p: PhysicalParams, grid: RadialGrid, closures: Closures) -> np.ndarray:
-    """Discrete energy inner product: symmetric positive definite G with
-    w* G w equal to twice the physical energy."""
-    G = np.zeros((3 * grid.n_plate + 2 * grid.n_mem,) * 2)
-    for part in _energy_parts(p, grid, closures).values():
-        G += part
-    return 0.5 * (G + G.T)
+def _layout(grid: RadialGrid, fields: tuple[str, ...] = FIELDS) -> tuple[tuple[str, int, int], ...]:
+    """(name, start, stop) of each field's contiguous block, in the given order."""
+    sizes = [grid.n_mem if name in ("v", "v_t") else grid.n_plate for name in fields]
+    stops = np.cumsum(sizes)
+    return tuple((name, int(b - n), int(b)) for name, n, b in zip(fields, sizes, stops))
 
 
-def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
-    """Energy component matrices over the full dof vector.
+def gram_matrix(parts: dict[str, Form], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete energy inner product from the energy parts.
 
-    The six quadratic terms of the inner product (bending, plate kinetic,
-    rotational, thermal, membrane potential, membrane kinetic); their sum is
-    the Gram matrix G.  Gradient seminorms use the staggered edge quadrature
-    dual to the conservative stencils, so each term is the exact dual of the
-    matching operator block.
+    Returns (G, S): S is the parts scattered into one dim x dim matrix, in
+    order, and G = (S + S^T)/2 is the symmetric positive definite Gram matrix
+    with w* G w equal to twice the physical energy.  The conservative rows of
+    the generator read S, before symmetrization.
     """
-    np_, nm = grid.n_plate, grid.n_mem
-    n = 3 * np_ + 2 * nm
-    o_u, o_ut, o_th, o_v, o_vt = 0, np_, 2 * np_, 3 * np_, 3 * np_ + nm
-    Wp, Wm = grid.plate_weights, grid.membrane_weights
-    Lp = laplacian_mode(grid, "plate")
-    Lm = laplacian_mode(grid, "membrane")
+    S = np.zeros((dim, dim))
+    for form in parts.values():
+        S[np.ix_(form.support, form.support)] += form.block
+    return 0.5 * (S + S.T), S
 
+
+def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
+                  blocks: dict[str, slice], Lp: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
+    """The six quadratic terms of the inner product, each on its own support.
+
+    Bending, plate kinetic, rotational, thermal, membrane potential, membrane
+    kinetic; their sum is the Gram matrix G.  Gradient seminorms use the
+    staggered edge quadrature dual to the conservative stencils, so each term
+    is the exact dual of the matching operator block.  The membrane potential
+    reads the plate dofs of the interface trace as well as v.
+    """
+    nm = grid.n_mem
+    Wp, Wm = grid.plate_weights, grid.membrane_weights
     Le = _closed(Lp, closures.u_inner, closures.u_outer)
-    L2 = _closed(Lp, closures.ut_inner, closures.ut_outer)
     mirror = np.zeros(nm)
     mirror[nm - 1] = 1.0
-    Lm0 = _closed(Lm, closures.v_origin, mirror)  # zero-flux interface edge
-    K2 = _dual(L2, Wp)
+    # zero-flux interface edge
+    Lm0 = _closed(laplacian_mode(grid, "membrane"), closures.v_origin, mirror)
     # Km is the interior-edge Dirichlet form only; the interface half-edge
     # enters exclusively through the jump term below
     Km = _dual(Lm0, Wm)
-
-    parts = {k: np.zeros((n, n)) for k in ENERGY_PARTS}
-    parts["E_bend"][o_u:o_u + np_, o_u:o_u + np_] = p.beta1 * Le.T @ (Wp[:, None] * Le)
-    parts["E_kin_plate"][o_ut:o_ut + np_, o_ut:o_ut + np_] = p.rho1 * np.diag(Wp)
-    parts["E_rot"][o_ut:o_ut + np_, o_ut:o_ut + np_] = p.gamma * K2
-    parts["E_thermal"][o_th:o_th + np_, o_th:o_th + np_] = p.rho0 * np.diag(Wp)
     # membrane gradient: interior edges plus the interface half-edge, whose
     # boundary value is the plate-side trace U; the jump row is U(u) - v[-1]
-    mem = np.zeros((n, n))
-    mem[o_v:o_v + nm, o_v:o_v + nm] = Km
-    ej = np.zeros(n)
-    ej[o_u:o_u + np_] = closures.trace_u
-    ej[o_v + nm - 1] = -1.0
+    trace = np.flatnonzero(closures.trace_u)
+    nt = len(trace)
+    mem = np.zeros((nt + nm, nt + nm))
+    mem[nt:, nt:] = Km
+    ej = np.zeros(nt + nm)
+    ej[:nt] = closures.trace_u[trace]
+    ej[-1] = -1.0
     mem += (2.0 * TWO_PI * grid.r_interface / grid.h_mem) * np.outer(ej, ej)
-    parts["E_mem_pot"] = p.beta2 * mem
-    parts["E_mem_kin"][o_vt:o_vt + nm, o_vt:o_vt + nm] = p.rho2 * np.diag(Wm)
-    return parts
+    u, ut, th, v, vt = (np.r_[blocks[name]] for name in FIELDS)
+    return {
+        "E_bend": Form(u, p.beta1 * Le.T @ (Wp[:, None] * Le)),
+        "E_kin_plate": Form(ut, p.rho1 * np.diag(Wp)),
+        "E_rot": Form(ut, p.gamma * K2),
+        "E_thermal": Form(th, p.rho0 * np.diag(Wp)),
+        "E_mem_pot": Form(np.concatenate([u[trace], v]), p.beta2 * mem),
+        "E_mem_kin": Form(vt, p.rho2 * np.diag(Wm)),
+    }
 
 
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Build (M, A, G) for one Fourier mode."""
     np_, nm = grid.n_plate, grid.n_mem
-    n = 3 * np_ + 2 * nm
-    o_u, o_ut, o_th, o_v, o_vt = 0, np_, 2 * np_, 3 * np_, 3 * np_ + nm
-    layout = (
-        ("u", o_u, o_u + np_),
-        ("u_t", o_ut, o_ut + np_),
-        ("theta", o_th, o_th + np_),
-        ("v", o_v, o_v + nm),
-        ("v_t", o_vt, o_vt + nm),
-    )
+    layout = _layout(grid)
+    n = layout[-1][2]
+    blocks = {name: slice(a, b) for name, a, b in layout}
+    u, ut, th, v, vt = (blocks[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     Lp = laplacian_mode(grid, "plate")
@@ -211,43 +223,39 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     K2 = _dual(L2, Wp)
     Kth = _dual(Lth, Wp)
 
-    parts = _energy_parts(p, grid, closures)
-    G = np.zeros((n, n))
-    for m_ in parts.values():
-        G += m_
-    G = 0.5 * (G + G.T)
-
-    # Q: the (w1, w4) pair form = bending + membrane potential
-    pair = parts["E_bend"] + parts["E_mem_pot"]
+    parts = _energy_parts(p, grid, closures, blocks, Lp, K2)
+    G, S = gram_matrix(parts, n)
 
     A = np.zeros((n, n))
-    A[o_u:o_u + np_, o_ut:o_ut + np_] = np.eye(np_)
-    A[o_v:o_v + nm, o_vt:o_vt + nm] = np.eye(nm)
-    # conservative rows: minus the weighted dual of the pair form
-    A[o_ut:o_ut + np_, :] -= pair[o_u:o_u + np_, :] / Wp[:, None]
-    A[o_vt:o_vt + nm, :] -= pair[o_v:o_v + nm, :] / Wm[:, None]
+    A[u, ut] = np.eye(np_)
+    A[v, vt] = np.eye(nm)
+    # conservative rows: minus the weighted dual of the (w1, w4) pair form,
+    # bending + membrane potential, which are the only parts on those rows
+    A[ut, :] -= S[u, :] / Wp[:, None]
+    A[vt, :] -= S[v, :] / Wm[:, None]
     # structural damping and thermo-coupling on the plate
-    A[o_ut:o_ut + np_, o_ut:o_ut + np_] += p.rho_damp * L2
-    A[o_ut:o_ut + np_, o_th:o_th + np_] += -p.mu * L2
-    A[o_th:o_th + np_, o_ut:o_ut + np_] = p.mu * L2
-    A[o_th:o_th + np_, o_th:o_th + np_] = p.beta0 * Lth
-    A[o_vt:o_vt + nm, o_vt:o_vt + nm] += -p.m_damp * np.eye(nm)
+    A[ut, ut] += p.rho_damp * L2
+    A[ut, th] += -p.mu * L2
+    A[th, ut] = p.mu * L2
+    A[th, th] = p.beta0 * Lth
+    A[vt, vt] += -p.m_damp * np.eye(nm)
 
     M = np.eye(n)
-    M[o_ut:o_ut + np_, o_ut:o_ut + np_] = p.rho1 * np.eye(np_) - p.gamma * L2
-    M[o_th:o_th + np_, o_th:o_th + np_] *= p.rho0
-    M[o_vt:o_vt + nm, o_vt:o_vt + nm] *= p.rho2
+    M[ut, ut] = p.rho1 * np.eye(np_) - p.gamma * L2
+    M[th, th] *= p.rho0
+    M[vt, vt] *= p.rho2
 
     # dissipation channel forms (exact split of -Re <M^-1 A w, w>_G)
     robin_edge = Wp[-1] * (1.0 / grid.h_plate**2 + 1.0 / (2.0 * grid.h_plate * grid.plate_nodes[-1]))
     robin_coef = robin_edge * (1.0 - closures.robin_ghost_factor)
-    diss = {k: np.zeros((n, n)) for k in DISSIPATION_CHANNELS}
-    diss["D_struct"][o_ut:o_ut + np_, o_ut:o_ut + np_] = p.rho_damp * K2
     th_bdry = np.zeros((np_, np_))
     th_bdry[np_ - 1, np_ - 1] = robin_coef
-    diss["D_thermal_bulk"][o_th:o_th + np_, o_th:o_th + np_] = p.beta0 * (Kth - th_bdry)
-    diss["D_thermal_bdry"][o_th:o_th + np_, o_th:o_th + np_] = p.beta0 * th_bdry
-    diss["D_membrane"][o_vt:o_vt + nm, o_vt:o_vt + nm] = p.m_damp * np.diag(Wm)
+    diss = {
+        "D_struct": Form(np.r_[ut], p.rho_damp * K2),
+        "D_thermal_bulk": Form(np.r_[th], p.beta0 * (Kth - th_bdry)),
+        "D_thermal_bdry": Form(np.r_[th], p.beta0 * th_bdry),
+        "D_membrane": Form(np.r_[vt], p.m_damp * np.diag(Wm)),
+    }
 
     pencil = ModePencil(
         mode=grid.mode,
@@ -340,36 +348,32 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
     Freezing u pins the shared trace to zero, so the interface closure
     degenerates to a Dirichlet condition; used by the Bessel-frequency
-    validation and the near-resonance resolvent checks.
+    validation and the near-resonance resolvent checks.  Only the membrane
+    energy parts and dissipation channel are present.
     """
     nm = grid.n_mem
-    n = 2 * nm
+    layout = _layout(grid, ("v", "v_t"))
+    n = layout[-1][2]
+    v, vt = (slice(a, b) for _, a, b in layout)
     Wm = grid.membrane_weights
-    Lm = laplacian_mode(grid, "membrane")
     origin = np.zeros(nm)
     origin[0] = 1.0 if grid.mode == 0 else -1.0
     dirichlet = np.zeros(nm)
     dirichlet[nm - 1] = -1.0
-    LmD = _closed(Lm, origin, dirichlet)
-    Km = _dual(LmD, Wm)
+    LmD = _closed(laplacian_mode(grid, "membrane"), origin, dirichlet)
 
     A = np.zeros((n, n))
-    A[:nm, nm:] = np.eye(nm)
-    A[nm:, :nm] = p.beta2 * LmD
-    A[nm:, nm:] = -p.m_damp * np.eye(nm)
+    A[v, vt] = np.eye(nm)
+    A[vt, v] = p.beta2 * LmD
+    A[vt, vt] = -p.m_damp * np.eye(nm)
     M = np.eye(n)
-    M[nm:, nm:] *= p.rho2
-    G = np.zeros((n, n))
-    G[:nm, :nm] = p.beta2 * Km
-    G[nm:, nm:] = p.rho2 * np.diag(Wm)
-    layout = (("v", 0, nm), ("v_t", nm, n))
-    parts = {k: np.zeros((n, n)) for k in ENERGY_PARTS}
-    parts["E_mem_pot"][:nm, :nm] = p.beta2 * Km
-    parts["E_mem_kin"][nm:, nm:] = p.rho2 * np.diag(Wm)
-    diss = {k: np.zeros((n, n)) for k in DISSIPATION_CHANNELS}
-    diss["D_membrane"][nm:, nm:] = p.m_damp * np.diag(Wm)
-    closures = make_closures(p, grid)
+    M[vt, vt] *= p.rho2
+    parts = {
+        "E_mem_pot": Form(np.r_[v], p.beta2 * _dual(LmD, Wm)),
+        "E_mem_kin": Form(np.r_[vt], p.rho2 * np.diag(Wm)),
+    }
+    diss = {"D_membrane": Form(np.r_[vt], p.m_damp * np.diag(Wm))}
     return ModePencil(
-        mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
-        closures=closures, energy_parts=parts, dissipation_parts=diss,
+        mode=grid.mode, M=M, A=A, G=gram_matrix(parts, n)[0], dof_layout=layout, grid=grid,
+        params=p, closures=make_closures(p, grid), energy_parts=parts, dissipation_parts=diss,
     )

@@ -10,14 +10,17 @@ is pure round-off and the energy can only decrease.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
+from .grid import laplacian_mode
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, _closed
 
 EXPM_DIM_CAP = 400
+MAX_DEFAULT_STEPS = 20000
 
 
 @dataclass
@@ -101,23 +104,28 @@ def step_crank_nicolson(pencil: ModePencil, state: StateVector, dt: float) -> St
     return StateVector(state.mode, sla.lu_solve(lu, Mp @ w))
 
 
+def _quadratic(block: np.ndarray, w: np.ndarray) -> float:
+    """Re w* block w."""
+    return float(np.real(np.conj(w) @ (block @ w)))
+
+
+def _form_values(forms: dict[str, Form], names: tuple[str, ...], w: np.ndarray) -> list[float]:
+    """w* F w for each named form; a form the pencil does not carry is zero."""
+    return [_quadratic(forms[k].block, w[forms[k].support]) if k in forms else 0.0 for k in names]
+
+
 def energy(pencil: ModePencil, state: StateVector) -> EnergyReport:
     """Total energy w* G w / 2 and its six components (they sum exactly)."""
     w = _check_state(pencil, state)
-    breakdown = {}
-    for name in ENERGY_PARTS:
-        breakdown[name] = 0.5 * float(np.real(np.conj(w) @ (pencil.energy_parts[name] @ w)))
-    total = 0.5 * float(np.real(np.conj(w) @ (pencil.G @ w)))
-    return EnergyReport(total=total, breakdown=breakdown)
+    parts = _form_values(pencil.energy_parts, ENERGY_PARTS, w)
+    return EnergyReport(total=0.5 * _quadratic(pencil.G, w),
+                        breakdown={k: 0.5 * v for k, v in zip(ENERGY_PARTS, parts)})
 
 
 def dissipation(pencil: ModePencil, state: StateVector) -> DissipationChannels:
     """The four physical dissipation channels, with the Gram's own norms."""
     w = _check_state(pencil, state)
-    vals = []
-    for name in DISSIPATION_CHANNELS:
-        vals.append(float(np.real(np.conj(w) @ (pencil.dissipation_parts[name] @ w))))
-    return DissipationChannels(*vals)
+    return DissipationChannels(*_form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, w))
 
 
 def pencil_dissipation(pencil: ModePencil, state: StateVector) -> float:
@@ -129,38 +137,56 @@ def pencil_dissipation(pencil: ModePencil, state: StateVector) -> float:
 def graph_norm(pencil: ModePencil, state: StateVector) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
     w = _check_state(pencil, state)
-    gn = lambda x: float(np.sqrt(max(np.real(np.conj(x) @ (pencil.G @ x)), 0.0)))
+    gn = lambda x: float(np.sqrt(max(_quadratic(pencil.G, x), 0.0)))
     return gn(w) + gn(_generator_apply(pencil, w))
 
 
-def default_dt(pencil: ModePencil, floor: float = 1e-3) -> float:
-    """Accuracy heuristic min(h)^2/4 scaled by rho1/beta1, floored for long runs."""
+def default_dt(pencil: ModePencil, t_end: float) -> float:
+    """t_end / steps, steps from the accuracy heuristic min(h)^2/4 scaled by
+    rho1/beta1 and floored at 1e-3, capped at MAX_DEFAULT_STEPS."""
     p = pencil.params
     h = min(pencil.grid.h_plate, pencil.grid.h_mem)
-    return max(floor, h * h / 4.0 / max(1.0, p.beta1 / p.rho1))
+    dt = max(1e-3, h * h / 4.0 / max(1.0, p.beta1 / p.rho1))
+    return t_end / min(MAX_DEFAULT_STEPS, max(1, math.ceil(t_end / dt)))
+
+
+def _step_count(dt: float, t_end: float) -> int:
+    if t_end <= 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    ratio = t_end / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
+    return steps
+
+
+def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
+    """Crank-Nicolson states w_1, ..., w_steps from w_0 = w."""
+    lu, Mp = _cn_factorization(pencil, dt)
+    for _ in range(steps):
+        w = sla.lu_solve(lu, Mp @ w)
+        yield w
 
 
 def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> SimulationTrace:
     """Crank-Nicolson trajectory with per-step energy/dissipation bookkeeping.
 
-    The recorded residual is r_k = (E_{k+1} - E_k)/dt + D(w_mid) with D the
-    pencil-consistent dissipation form; it is an algebraic identity of the
-    trapezoidal rule and stays at round-off level.
+    t_end must be an integer multiple of dt.  The recorded residual is
+    r_k = (E_{k+1} - E_k)/dt + D(w_mid) with D the pencil-consistent
+    dissipation form; it is an algebraic identity of the trapezoidal rule and
+    stays at round-off level.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    w = _check_state(pencil, initial).copy()
-    n_steps = max(1, int(round(t_end / dt)))
-    lu, Mp = _cn_factorization(pencil, dt)
-
-    times = np.empty(n_steps + 1)
+    n_steps = _step_count(dt, t_end)
+    w = _check_state(pencil, initial)
+    times = dt * np.arange(n_steps + 1)
     etotal = np.empty(n_steps + 1)
     breakdown = {k: np.empty(n_steps + 1) for k in ENERGY_PARTS}
     diss = {k: np.empty(n_steps + 1) for k in DISSIPATION_CHANNELS}
     residuals = np.zeros(n_steps + 1)
 
-    def record(i, t, wi):
-        times[i] = t
+    def record(i, wi):
         rep = energy(pencil, StateVector(initial.mode, wi))
         etotal[i] = rep.total
         for k in ENERGY_PARTS:
@@ -169,13 +195,11 @@ def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) 
         for k, val in zip(DISSIPATION_CHANNELS, ch.as_tuple()):
             diss[k][i] = val
 
-    record(0, 0.0, w)
+    record(0, w)
     g0 = graph_norm(pencil, initial)
-    for k in range(n_steps):
-        wn = sla.lu_solve(lu, Mp @ w)
-        wmid = 0.5 * (w + wn)
-        d_mid = pencil_dissipation(pencil, StateVector(initial.mode, wmid))
-        record(k + 1, (k + 1) * dt, wn)
+    for k, wn in enumerate(_cn_states(pencil, w, dt, n_steps)):
+        d_mid = pencil_dissipation(pencil, StateVector(initial.mode, 0.5 * (w + wn)))
+        record(k + 1, wn)
         residuals[k + 1] = (etotal[k + 1] - etotal[k]) / dt + d_mid
         w = wn
 
@@ -191,56 +215,21 @@ def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) 
 
 def final_state(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> StateVector:
     """State at t_end without trace bookkeeping (used by field rendering)."""
-    w = _check_state(pencil, initial).copy()
-    n_steps = max(1, int(round(t_end / dt)))
-    lu, Mp = _cn_factorization(pencil, dt)
-    for _ in range(n_steps):
-        w = sla.lu_solve(lu, Mp @ w)
+    w = _check_state(pencil, initial)
+    for w in _cn_states(pencil, w, dt, _step_count(dt, t_end)):
+        pass
     return StateVector(initial.mode, w)
 
 
-# ---------------------------------------------------------------------------
-# matrix exponential reference (test oracle)
-
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-
-
-def matrix_exponential(X: np.ndarray) -> np.ndarray:
-    """exp(X) by scaling-and-squaring with the fixed [13/13] rational approximant."""
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    norm = np.linalg.norm(X, 1)
-    theta13 = 4.25
-    s = max(0, int(np.ceil(np.log2(norm / theta13))) if norm > theta13 else 0)
-    Xs = X / (2.0 ** s)
-    b = _PADE13
-    I = np.eye(X.shape[0], dtype=Xs.dtype)
-    X2 = Xs @ Xs
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = Xs @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-              + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I)
-    P = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        P = P @ P
-    return P
-
-
 def matrix_exponential_reference(pencil: ModePencil, t: float) -> np.ndarray:
-    """Dense propagator exp(t M^-1 A); dense method, capped at dim 400."""
+    """Dense propagator exp(t M^-1 A) (test oracle), capped at dim 400."""
     if pencil.dim > EXPM_DIM_CAP:
         raise ValueError(f"pencil dimension {pencil.dim} exceeds the dense cap {EXPM_DIM_CAP}")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return np.eye(pencil.dim)
-    X = np.linalg.solve(pencil.M, pencil.A)
-    return matrix_exponential(t * X)
+    return sla.expm(t * np.linalg.solve(pencil.M, pencil.A))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +281,6 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> StateV
     elif profile == "rough":
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(pencil.dim)
-        from .grid import laplacian_mode
-        from .pencil import _closed
         Lp = laplacian_mode(grid, "plate")
         Lm = laplacian_mode(grid, "membrane")
         c = pencil.closures

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import build_radial_grid
-from .model import AnnulusGeometry, PhysicalParams, RegimeLabel, classify_regime
+from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationError,
+                    classify_regime)
 from .pencil import assemble_mode_pencil
 from .semigroup import SimulationTrace, default_dt, make_initial_data, simulate
 from .spectral import project_resolvable, resolvent_scan, spectral_abscissa_sweep
@@ -167,7 +168,7 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
         scan_fine = resolvent_scan(pencil0f, 0.25, lam_max, 160)
 
         if dt is None:
-            dt = max(default_dt(pencil0), t_end / 20000.0)
+            dt = default_dt(pencil0, t_end)
         fits: dict[str, DecayFit] = {}
         poly_fits: dict[str, DecayFit] = {}
         max_residual = 0.0
@@ -181,9 +182,10 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
                 lines.append(f"profile {profile}: exponential fit skipped ({exc})")
             if predicted in NOT_EXP_LABELS:
                 poly_fits[profile] = fit_polynomial_rate(trace)
-    except Exception as exc:  # partial evidence: inconclusive, never a crash
+    except (FitError, ValidationError, np.linalg.LinAlgError, RuntimeError) as exc:
+        # partial evidence: inconclusive; any other exception is a bug and raises
         lines.append(f"experiment incomplete: {type(exc).__name__}: {exc}")
-        report.verdict = "inconclusive"
+        report.measured = {"error": type(exc).__name__}
         return report
 
     absc = sweep.global_abscissa

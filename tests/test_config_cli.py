@@ -204,3 +204,53 @@ def test_cli_regimes_inconclusive_on_unfittable_horizon(tmp_path):
     assert main(["regimes", cfg]) == 3
     report = (tmp_path / "out" / "regime_report.txt").read_text()
     assert "verdict: inconclusive" in report
+    assert "experiment incomplete: FitError" in report
+
+
+@pytest.mark.parametrize("t", [0.0015, 1e-4])
+def test_cli_render_lands_on_requested_time(tmp_path, t):
+    # default dt is 1e-3 at n=64; neither time is a multiple of it, and the
+    # fields must still be those at t, not at the nearest multiple of 1e-3
+    from platemem import matrix_exponential_reference
+    from platemem.cli import RENDER_N_THETA, _initial, _pencil
+    path = write_cfg(tmp_path, "")
+    assert main(["render", path, "--t", repr(t)]) == 0
+    cfg = parse_config(open(path).read())
+    thetas = np.linspace(0.0, 2.0 * np.pi, RENDER_N_THETA, endpoint=False)
+    exact = {"u": 0.0, "v": 0.0}
+    for mode in cfg.modes:
+        pencil = _pencil(cfg, mode)
+        w = matrix_exponential_reference(pencil, t) @ _initial(pencil, cfg).coefficients
+        for name in exact:
+            exact[name] = exact[name] + np.real(np.outer(w[pencil.block(name)],
+                                                         np.exp(1j * mode * thetas)))
+    # Crank-Nicolson error at these steps: 1e-3 (u) and 1e-8 (v) relative;
+    # the fields at 0.002 and 1e-3 are 1e-2 (u) and 2e-5 (v) away
+    for name, rtol in (("u", 3e-3), ("v", 1e-6)):
+        got = np.loadtxt(tmp_path / "out" / f"field_{name}.csv", delimiter=",",
+                         skiprows=1)[:, 2]
+        ref = exact[name].ravel()
+        assert np.abs(got - ref).max() <= rtol * np.abs(ref).max(), name
+
+
+def test_regime_experiment_raises_bugs_and_records_expected_failures(monkeypatch):
+    import platemem.stability as stability
+    from platemem import AnnulusGeometry, PhysicalParams
+
+    def failing(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    def experiment():
+        return stability.run_regime_experiment(PhysicalParams(rho_damp=1.0), AnnulusGeometry(),
+                                               16, range(2), ["plate_bump"], t_end=1.0, dt=0.02)
+
+    monkeypatch.setattr(stability, "spectral_abscissa_sweep", failing(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        experiment()
+    monkeypatch.setattr(stability, "spectral_abscissa_sweep",
+                        failing(np.linalg.LinAlgError("singular")))
+    report = experiment()
+    assert report.verdict == "inconclusive"
+    assert report.measured == {"error": "LinAlgError"}

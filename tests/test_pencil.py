@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
-                      build_radial_grid, closure_residuals, interface_trace,
-                      membrane_subpencil)
+from platemem import (AnnulusGeometry, PhysicalParams, StateVector, assemble_mode_pencil,
+                      build_radial_grid, closure_residuals, energy, gram_matrix,
+                      interface_trace, membrane_subpencil)
 
 from oracles import dense_eigenvalues_oracle
 
@@ -75,18 +75,25 @@ def test_gram_and_mass_positive_definite(name, mode):
 
 def test_energy_parts_sum_to_gram():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=2)
-    total = sum(pencil.energy_parts.values())
-    assert np.abs(total - pencil.G).max() <= 1e-13 * np.abs(pencil.G).max()
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
+    rep = energy(pencil, StateVector(2, w))
+    assert abs(sum(rep.breakdown.values()) - rep.total) <= 1e-13 * rep.total
+    # each form is a block on its own support, never a dim x dim array
+    forms = {**pencil.energy_parts, **pencil.dissipation_parts}
+    for name, form in forms.items():
+        assert form.block.shape == (len(form.support),) * 2, name
+        assert len(form.support) < pencil.dim // 2, name
+    u, v = pencil.block("u"), pencil.block("v")
+    np.testing.assert_array_equal(pencil.energy_parts["E_mem_pot"].support,
+                                  np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)])
 
 
 def test_gram_matrix_operation_matches_pencil():
-    from platemem import build_radial_grid, gram_matrix
-    from platemem.pencil import make_closures
-    p = CELLS["exp_rho_gamma"]
-    grid = build_radial_grid(GEO, 12, 12, 1)
-    G = gram_matrix(p, grid, make_closures(p, grid))
-    pencil = assemble_mode_pencil(p, grid)
+    pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
+    G, S = gram_matrix(pencil.energy_parts, pencil.dim)
     np.testing.assert_array_equal(G, pencil.G)
+    np.testing.assert_array_equal(G, 0.5 * (S + S.T))
     assert np.abs(G - G.T).max() == 0.0
     np.linalg.cholesky(G)
 
@@ -96,7 +103,8 @@ def test_gram_gamma_zero_velocity_block_is_weighted_identity():
     pencil = make_pencil(p, n=12)
     blk = blocks(pencil, pencil.G)["u_t"]
     np.testing.assert_array_equal(blk, 2.5 * np.diag(pencil.grid.plate_weights))
-    assert np.abs(pencil.energy_parts["E_rot"]).max() == 0.0
+    w = np.random.default_rng(5).standard_normal(pencil.dim)
+    assert energy(pencil, StateVector(0, w)).breakdown["E_rot"] == 0.0
 
 
 def test_closure_residuals_vanish_on_random_states():

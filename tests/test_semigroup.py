@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from platemem import (AnnulusGeometry, PhysicalParams, StateVector,
-                      assemble_mode_pencil, build_radial_grid, dissipation, energy,
-                      graph_norm, make_initial_data, matrix_exponential,
-                      matrix_exponential_reference, membrane_subpencil,
-                      pencil_dissipation, simulate, step_crank_nicolson)
+                      assemble_mode_pencil, build_radial_grid, default_dt, dissipation,
+                      energy, graph_norm, make_initial_data, matrix_exponential_reference,
+                      membrane_subpencil, pencil_dissipation, simulate, step_crank_nicolson)
 from platemem.pencil import ModePencil
+from platemem.semigroup import final_state
 
 from oracles import expm_series_squaring
 
@@ -187,6 +187,33 @@ def test_simulate_linearity_in_energy():
     np.testing.assert_allclose(tr3.energy, 9.0 * tr1.energy, rtol=1e-12)
 
 
+def test_final_state_matches_last_simulated_energy():
+    pencil = make_pencil(n=10)
+    state = make_initial_data(pencil, "plate_bump")
+    trace = simulate(pencil, state, 1e-2, 0.5)
+    last = energy(pencil, final_state(pencil, state, 1e-2, 0.5)).total
+    assert last == pytest.approx(trace.energy[-1], rel=1e-12)
+
+
+def test_non_integral_step_count_rejected():
+    pencil = make_pencil(n=8)
+    state = make_initial_data(pencil, "plate_bump")
+    for run in (simulate, final_state):
+        with pytest.raises(ValueError, match=r"t_end=0\.0015 .* dt=0\.001"):
+            run(pencil, state, 1e-3, 0.0015)
+        with pytest.raises(ValueError, match=r"t_end=0\.0001 .* dt=0\.001"):
+            run(pencil, state, 1e-3, 1e-4)
+
+
+def test_default_dt_divides_t_end():
+    pencil = make_pencil(n=64)  # heuristic step 1e-3 (the floor)
+    assert default_dt(pencil, 0.0015) == 0.0015 / 2
+    assert default_dt(pencil, 1e-4) == 1e-4
+    assert default_dt(pencil, 50.0) == 50.0 / 20000   # step cap
+    assert len(simulate(pencil, make_initial_data(pencil, "plate_bump"),
+                        default_dt(pencil, 0.0015), 0.0015).times) == 3
+
+
 def test_crank_nicolson_vs_matrix_exponential_second_order():
     pencil = make_pencil(n=8)  # dimension 40
     rng = np.random.default_rng(4)
@@ -211,20 +238,10 @@ def test_matrix_exponential_identity_at_t_zero():
                                   np.eye(pencil.dim))
 
 
-def test_matrix_exponential_nilpotent():
-    N = np.zeros((4, 4))
-    N[0, 1] = 2.0
-    N[2, 3] = -1.0
-    out = matrix_exponential(N)
-    np.testing.assert_allclose(out, np.eye(4) + N, rtol=0, atol=1e-15)
-
-
-def test_matrix_exponential_vs_series_oracle():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((6, 6))
-    X = X - 3.0 * np.eye(6)  # stable
-    ref = expm_series_squaring(X)
-    out = matrix_exponential(X)
+def test_matrix_exponential_reference_vs_series_oracle():
+    pencil = make_pencil(n=8)  # dimension 40
+    ref = expm_series_squaring(np.linalg.solve(pencil.M, pencil.A))
+    out = matrix_exponential_reference(pencil, 1.0)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
