@@ -69,6 +69,8 @@ def _check_state(pencil: ModePencil, state: StateVector) -> np.ndarray:
     w = np.asarray(state.coefficients)
     if w.shape != (pencil.dim,):
         raise ValueError(f"state length {w.shape} does not match pencil dimension {pencil.dim}")
+    if not np.isfinite(w).all():
+        raise ValueError("state has non-finite coefficients")
     return w.astype(complex, copy=False)
 
 

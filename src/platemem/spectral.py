@@ -1,8 +1,11 @@
 """Spectra of the generator pencil and energy-norm resolvent scans.
 
-Everything here is desk-scale dense linear algebra: full QZ spectra per
-mode, spectral abscissa across modes, and ||(i*lam - M^-1 A)^-1|| measured in
-the G inner product through the Cholesky similarity of G.
+Everything here is desk-scale dense linear algebra on one real Schur
+factorization per pencil: with F the Cholesky factor of G (G = F^T F), the
+generator M^-1 A is similar to B = F M^-1 A F^-1 = Z T Z^T, and the G-norm of
+a state is the 2-norm of F times it.  The spectrum, the spectral abscissa
+across modes, ||(i*lam - M^-1 A)^-1|| in the G inner product and the
+G-orthogonal projection off the undamped modes are all read from (T, Z).
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsen
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
@@ -23,8 +27,8 @@ COLLISION_NUDGE = 1e-9
 
 # The cell-centered polar grid supports origin-localized membrane modes (the
 # n^2/r^2 barrier at the first cell) whose interface coupling is below machine
-# epsilon, so for the undamped membrane they sit exactly on the axis at QZ
-# round-off (|Re| ~ 1e-12) at every resolution, while the least-damped
+# epsilon, so for the undamped membrane they sit on the axis at eigensolver
+# round-off (|Re| <~ 1e-12) at every resolution, while the least-damped
 # resolved modes stay above ~1e-4.  Eigenvalues with |Re| below this floor
 # (relative to max |lambda|) are classified as numerically undamped; the
 # approach-to-zero diagnostics read the abscissa of the resolvably damped set.
@@ -75,23 +79,51 @@ def membrane_band_edge(pencil: ModePencil) -> float:
     return 2.0 * np.sqrt(p.beta2 / p.rho2) / pencil.grid.h_mem
 
 
+def _gram_factor(pencil: ModePencil) -> np.ndarray:
+    key = "chol_G"
+    if key not in pencil._cache:
+        L = np.linalg.cholesky(pencil.G)
+        pencil._cache[key] = L.T      # F with G = F^T F, ||x||_G = ||F x||_2
+    return pencil._cache[key]
+
+
+def _schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, Z, eigenvalues): real Schur form B = Z T Z^T of B = F M^-1 A F^-1.
+
+    Computed once per pencil and cached.  The eigenvalues are in Schur order,
+    read off the diagonal of T and its standardized 2x2 blocks
+    [[a, b], [c, a]] (b c < 0), whose pair is a +- i sqrt|b| sqrt|c|.
+    """
+    key = "schur"
+    if key not in pencil._cache:
+        if pencil.dim > EIG_DIM_CAP:
+            raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
+        F = _gram_factor(pencil)
+        # B^T = F^-T (M^-1 A)^T F^T; its transpose is Fortran-ordered, so
+        # LAPACK overwrites B with T instead of copying it
+        Bt = sla.solve_triangular(F, np.linalg.solve(pencil.M, pencil.A).T, trans="T",
+                                  overwrite_b=True) @ F.T
+        try:
+            T, Z = sla.schur(Bt.T, output="real", overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"Schur factorization failed for mode {pencil.mode}, "
+                               f"dim {pencil.dim}") from exc
+        lam = np.diag(T).astype(complex)
+        k = np.flatnonzero(np.diag(T, -1))                   # first row of each 2x2 block
+        im = np.sqrt(np.abs(T[k + 1, k])) * np.sqrt(np.abs(T[k, k + 1]))
+        lam[k] += 1j * im
+        lam[k + 1] -= 1j * im
+        pencil._cache[key] = (T, Z, lam)
+    return pencil._cache[key]
+
+
 def eigenvalues(pencil: ModePencil) -> SpectrumResult:
-    """All finite pencil eigenvalues A x = lambda M x (dense QZ)."""
+    """All pencil eigenvalues A x = lambda M x, sorted by imaginary part."""
     if "spectrum" in pencil._cache:
         return pencil._cache["spectrum"]
-    if pencil.dim > EIG_DIM_CAP:
-        raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
-    try:
-        lam = sla.eig(pencil.A, pencil.M, right=False)
-    except sla.LinAlgError as exc:
-        raise RuntimeError(
-            f"generalized eigensolver failed for mode {pencil.mode}, dim {pencil.dim}"
-        ) from exc
-    lam = lam[np.isfinite(lam)]
-    scale = np.median(np.abs(lam)) if len(lam) else 1.0
-    lam = lam[np.abs(lam) < 1e12 * max(scale, 1.0)]   # constraint-bookkeeping infinities
+    lam = _schur(pencil)[2]
     lam = lam[np.argsort(lam.imag, kind="stable")]
-    mx = float(np.abs(lam).max()) if len(lam) else 0.0
+    mx = float(np.abs(lam).max())
     tol = AXIS_TOL_REL * mx
     damped = lam.real <= -NOISE_FLOOR_REL * mx
     resolved = float(lam.real[damped].max()) if damped.any() else float(lam.real.max())
@@ -152,57 +184,40 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     The polynomial-decay experiments need generator-domain-smooth data; the
     discrete stand-in removes the origin-artifact modes (|Re lambda| below
     the noise floor), whose lack of damping would otherwise floor every long
-    energy trace at the overlap level.  G-orthogonal projection off the span
-    of the offending right eigenvectors; a no-op when every mode is damped.
+    energy trace at the overlap level.  G-orthogonal projection off their
+    invariant subspace: the Schur form is reordered to put them first, and
+    Q = F^-1 Z[:, :k] is a G-orthonormal basis of it.  A no-op when every
+    mode is damped.
     """
     key = "undamped_basis"
     if key not in pencil._cache:
-        lam, V = sla.eig(pencil.A, pencil.M)
-        mx = np.abs(lam).max()
-        bad = np.abs(lam.real) <= NOISE_FLOOR_REL * mx
+        T, Z, lam = _schur(pencil)
+        bad = np.abs(lam.real) <= NOISE_FLOOR_REL * np.abs(lam).max()
         if not bad.any():
             pencil._cache[key] = None
         else:
-            B = V[:, bad]
-            # G-orthonormalize the basis (modified Gram-Schmidt in the G metric)
-            G = pencil.G
-            cols = []
-            for j in range(B.shape[1]):
-                b = B[:, j].astype(complex)
-                for q in cols:
-                    b = b - q * (np.conj(q) @ (G @ b))
-                nrm = np.sqrt(max(np.real(np.conj(b) @ (G @ b)), 0.0))
-                if nrm > 1e-10:
-                    cols.append(b / nrm)
-            pencil._cache[key] = np.column_stack(cols) if cols else None
+            _, Zs, _, _, k, _, _, info = dtrsen(bad, T, Z, job="N")
+            if info != 0:
+                raise RuntimeError(f"Schur reordering failed (info {info}) for mode "
+                                   f"{pencil.mode}, dim {pencil.dim}")
+            pencil._cache[key] = sla.solve_triangular(_gram_factor(pencil), Zs[:, :k])
     Q = pencil._cache[key]
     if Q is None:
         return w
-    return w - Q @ (np.conj(Q.T) @ (pencil.G @ w))
-
-
-def _gram_factor(pencil: ModePencil) -> np.ndarray:
-    key = "chol_G"
-    if key not in pencil._cache:
-        L = np.linalg.cholesky(pencil.G)
-        pencil._cache[key] = L.T      # F with G = F^T F, ||x||_G = ||F x||_2
-    return pencil._cache[key]
+    return w - Q @ (Q.T @ (pencil.G @ w))
 
 
 def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
-    Computed as the largest singular value of F (i lam M - A)^-1 M F^-1 with
-    F the Cholesky factor of G.
+    The G-norm is the 2-norm after the similarity by F, and Z is orthogonal, so
+    s(lam) = 1 / sigma_min(i lam I - T).
     """
-    F = _gram_factor(pencil)
-    shift = 1j * lam * pencil.M - pencil.A
-    try:
-        R = np.linalg.solve(shift, pencil.M.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil") from exc
-    Y = sla.solve_triangular(F.T, R.T, lower=True).T    # Y = R F^-1
-    return float(sla.svdvals(F @ Y)[0])
+    T = _schur(pencil)[0]
+    smin = sla.svdvals(1j * lam * np.eye(len(T)) - T, overwrite_a=True)[-1]
+    if smin == 0.0:
+        raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
+    return float(1.0 / smin)
 
 
 def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,

@@ -1,12 +1,14 @@
 """Independent numerical oracles used only by the tests.
 
 These deliberately avoid the code paths they are used to check: Bessel zeros
-come from a power series plus bisection, and the exponential cross-oracle is
-a scaled truncated Taylor series with repeated squaring.
+come from a power series plus bisection, the exponential cross-oracle is
+a scaled truncated Taylor series with repeated squaring, and the spectral
+oracles use the plain eigensolver and a dense solve instead of the Schur form.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def bessel_j0(x: float) -> float:
@@ -67,5 +69,17 @@ def expm_series_squaring(X: np.ndarray, terms: int = 60) -> np.ndarray:
 
 
 def dense_eigenvalues_oracle(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of M^-1 A by the plain dense solver (vs the QZ route)."""
+    """Eigenvalues of M^-1 A by the plain dense solver (vs the Schur route)."""
     return np.linalg.eigvals(np.linalg.solve(M, A))
+
+
+def resolvent_norm_dense_oracle(A: np.ndarray, M: np.ndarray, G: np.ndarray,
+                                lam: float) -> float:
+    """||(i lam - M^-1 A)^-1|| in the G norm by a dense solve and an SVD.
+
+    The largest singular value of F (i lam M - A)^-1 M F^-1, with F the
+    Cholesky factor of G (G = F^T F)."""
+    F = np.linalg.cholesky(G).T
+    R = np.linalg.solve(1j * lam * M - A, M.astype(complex))
+    Y = sla.solve_triangular(F.T, R.T, lower=True).T    # Y = R F^-1
+    return float(sla.svdvals(F @ Y)[0])

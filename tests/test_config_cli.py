@@ -157,17 +157,19 @@ def test_cli_render_at_time_zero(tmp_path):
 
 def test_thread_cap_respected_and_output_thread_independent(tmp_path, monkeypatch):
     from platemem.util import parallel_map, thread_cap
-    monkeypatch.setenv("PLATEMEM_THREADS", "1")
-    assert thread_cap() == 1
-    assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
     path = write_cfg(tmp_path, FAST)
-    assert main(["simulate", path]) == 0
-    single = (tmp_path / "out" / "trace_mode0.csv").read_bytes()
-    monkeypatch.setenv("PLATEMEM_THREADS", "4")
-    assert thread_cap() == 4
-    assert parallel_map(lambda x: x + 1, [3, 1, 2]) == [4, 2, 3]  # order preserved
-    assert main(["simulate", path]) == 0
-    assert (tmp_path / "out" / "trace_mode0.csv").read_bytes() == single
+    commands = (["simulate", path], ["spectrum", path],
+                ["scan", path, "--lmin", "0.5", "--lmax", "20", "--n", "8"])
+    outputs = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("PLATEMEM_THREADS", threads)
+        assert thread_cap() == int(threads)
+        assert parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]  # order preserved
+        for args in commands:
+            assert main(args) == 0
+        outputs[threads] = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+    assert len(outputs["1"]) == 2 + 3 + 2   # traces, spectra + summary, scans
+    assert outputs["4"] == outputs["1"]
 
 
 REGIME_FAST = """

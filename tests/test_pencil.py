@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from platemem import (AnnulusGeometry, PhysicalParams, StateVector, assemble_mode_pencil,
-                      build_radial_grid, closure_residuals, energy, gram_matrix,
+                      build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
 
 from oracles import dense_eigenvalues_oracle
@@ -42,17 +42,18 @@ def test_m_zero_makes_velocity_damping_block_zero():
 
 
 def test_tiny_pencil_eigenvalues_match_dense_oracle():
-    pencil = make_pencil(n=8)  # dimension 40
-    import scipy.linalg as sla
-    lam = sla.eig(pencil.A, pencil.M, right=False)
-    ref = dense_eigenvalues_oracle(pencil.A, pencil.M)
-    scale = np.abs(ref).max()
-    assert len(lam) == len(ref)
-    # nearest-neighbour pairing (sorting conjugate pairs is order-unstable)
-    for z in ref:
-        assert np.abs(lam - z).min() <= 1e-10 * scale
-    for z in lam:
-        assert np.abs(ref - z).min() <= 1e-10 * scale
+    # dimension 40, and dimension 320 with undamped origin artifacts
+    for name, n, mode in (("exp_rho", 8, 0), ("poly", 64, 1)):
+        pencil = make_pencil(CELLS[name], n=n, mode=mode)
+        lam = eigenvalues(pencil).eigenvalues
+        ref = dense_eigenvalues_oracle(pencil.A, pencil.M)
+        scale = np.abs(ref).max()
+        assert len(lam) == len(ref)
+        # nearest-neighbour pairing (sorting conjugate pairs is order-unstable)
+        for z in ref:
+            assert np.abs(lam - z).min() <= 1e-10 * scale
+        for z in lam:
+            assert np.abs(ref - z).min() <= 1e-10 * scale
 
 
 def test_gram_symmetric_exactly():

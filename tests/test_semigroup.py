@@ -47,6 +47,12 @@ def test_dimension_mismatch_rejected():
         step_crank_nicolson(pencil, StateVector(0, np.zeros(3)), 1e-2)
     with pytest.raises(ValueError, match="dt"):
         step_crank_nicolson(pencil, StateVector(0, np.zeros(pencil.dim)), -0.1)
+    for bad in (np.nan, np.inf):
+        w = np.zeros(pencil.dim, dtype=complex)
+        w[3] = bad
+        for call in (energy, lambda pen, s: simulate(pen, s, 0.1, 0.2)):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(pencil, StateVector(0, w))
 
 
 def test_energy_zero_state():

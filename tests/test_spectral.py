@@ -3,10 +3,12 @@ import pytest
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, membrane_subpencil,
-                      resolvent_norm, resolvent_scan, spectral_abscissa_sweep)
+                      project_resolvable, resolvent_norm, resolvent_scan,
+                      spectral_abscissa_sweep)
+from platemem import spectral
 from platemem.pencil import ModePencil
 
-from oracles import bessel_j0, bessel_j0_zeros
+from oracles import bessel_j0, bessel_j0_zeros, resolvent_norm_dense_oracle
 
 GEO = AnnulusGeometry()
 
@@ -99,6 +101,40 @@ def test_resolvent_scan_diagonal_pencil_matches_closed_form():
     np.testing.assert_allclose(scan.norms, expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", [0, 1])
+def test_resolvent_norm_matches_dense_oracle(mode):
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=64, mode=mode)
+    lam = eigenvalues(pencil).eigenvalues
+    mx = np.abs(lam).max()
+    undamped = np.abs(lam.real) <= spectral.NOISE_FLOOR_REL * mx
+    upper = lam[~undamped & (lam.imag > 0.0)]
+    least = upper[np.argsort(-upper.real, kind="stable")[:2]].imag
+    samples = [0.25, 7.3, 40.0, *least, *(least + 1e-6)]
+    for l in samples:
+        ref = resolvent_norm_dense_oracle(pencil.A, pencil.M, pencil.G, l)
+        assert resolvent_norm(pencil, l) == pytest.approx(ref, rel=1e-8)
+    # next to an undamped origin artifact both routes lose eps * cond
+    artifacts = lam[undamped & (lam.imag > 0.0)]
+    assert len(artifacts) == (1 if mode else 0)
+    for z in artifacts:
+        l = z.imag + 1e-9 * mx
+        ref = resolvent_norm_dense_oracle(pencil.A, pencil.M, pencil.G, l)
+        assert ref > 1e4
+        assert resolvent_norm(pencil, l) == pytest.approx(ref, rel=1e-6)
+
+
+def test_spectral_entry_points_reject_dimension_above_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "EIG_DIM_CAP", 2)
+    pencil = fake_diag_pencil(np.array([-1.0, -2.0, -0.5]))
+    calls = [lambda: eigenvalues(pencil), lambda: resolvent_norm(pencil, 1.0),
+             lambda: resolvent_scan(pencil, 0.5, 6.0, 12),
+             lambda: project_resolvable(pencil, np.ones(3))]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension 3 exceeds eigensolver cap 2"):
+            call()
+    assert pencil._cache == {}    # nothing was factorized
+
+
 def test_resolvent_distance_inequality():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=10)
     lam_all = eigenvalues(pencil).eigenvalues
@@ -147,7 +183,6 @@ def test_scan_nudges_samples_off_eigenvalues():
 
 
 def test_project_resolvable_removes_undamped_components():
-    from platemem import project_resolvable
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
     import scipy.linalg as sla
     lam, V = sla.eig(pencil.A, pencil.M)
@@ -162,6 +197,9 @@ def test_project_resolvable_removes_undamped_components():
         phin = phi / np.sqrt(np.real(np.conj(phi) @ (pencil.G @ phi)))
         overlap = abs(np.conj(phin) @ (pencil.G @ wp))
         assert overlap <= 1e-8 * np.sqrt(scale)
+    # a projection: applying it again changes nothing
+    d = project_resolvable(pencil, wp) - wp
+    assert np.sqrt(np.real(np.conj(d) @ (pencil.G @ d))) <= 1e-12 * np.sqrt(scale)
     # damped cells are untouched
     pencil2 = make_pencil(PhysicalParams(m_damp=1.0), n=10, mode=1)
     w2 = rng.standard_normal(pencil2.dim).astype(complex)
