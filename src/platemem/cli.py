@@ -81,13 +81,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return mode, trace
 
     for mode, trace in parallel_map(run, list(cfg.modes)):
-        rows = []
-        for i, t in enumerate(trace.times):
-            row = [float(t), float(trace.energy[i])]
-            row += [float(trace.breakdown[k][i]) for k in ENERGY_PARTS]
-            row += [float(trace.dissipation[k][i]) for k in DISSIPATION_CHANNELS]
-            row.append(float(trace.residuals[i]))
-            rows.append(row)
+        rows = np.column_stack((trace.times, trace.energy,
+                                *(trace.breakdown[k] for k in ENERGY_PARTS),
+                                *(trace.dissipation[k] for k in DISSIPATION_CHANNELS),
+                                trace.residuals)).tolist()
         write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER, rows)
     return 0
 

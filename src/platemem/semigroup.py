@@ -7,6 +7,9 @@ the trapezoidal step satisfies the exact identity
 
 so with the energy-compatible pencil the per-step residual of that identity
 is pure round-off and the energy can only decrease.
+
+M, A, G and every form block are real, so a complex state is stepped and
+evaluated as the two real columns [Re w, Im w].
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, _close
 
 EXPM_DIM_CAP = 400
 MAX_DEFAULT_STEPS = 20000
+BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
 
 
 @dataclass
@@ -66,12 +70,17 @@ class SimulationTrace:
 
 
 def _check_state(pencil: ModePencil, state: StateVector) -> np.ndarray:
+    """The state as a dim x 2 float array [Re w, Im w]."""
     w = np.asarray(state.coefficients)
     if w.shape != (pencil.dim,):
         raise ValueError(f"state length {w.shape} does not match pencil dimension {pencil.dim}")
     if not np.isfinite(w).all():
         raise ValueError("state has non-finite coefficients")
-    return w.astype(complex, copy=False)
+    return np.stack((w.real, w.imag), axis=1).astype(float, copy=False)
+
+
+def _complex(X: np.ndarray) -> np.ndarray:
+    return X[:, 0] + 1j * X[:, 1]
 
 
 def _cn_factorization(pencil: ModePencil, dt: float):
@@ -91,56 +100,88 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     return pencil._cache[key]
 
 
-def _generator_apply(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
-    """M^-1 A w with a cached LU of M."""
+def _generator_apply(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
+    """M^-1 A X with a cached LU of M."""
     key = "m_lu"
     if key not in pencil._cache:
         pencil._cache[key] = sla.lu_factor(pencil.M)
-    return sla.lu_solve(pencil._cache[key], pencil.A @ w)
+    return sla.lu_solve(pencil._cache[key], pencil.A @ X, check_finite=False)
+
+
+def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
+    """Crank-Nicolson states w_1, ..., w_steps from w_0, each as [Re w, Im w].
+
+    The pencil is real, so both parts step as the two columns of one real
+    solve.  The LU was checked for finiteness when it was factorized.
+    """
+    lu, Mp = _cn_factorization(pencil, dt)
+    for _ in range(steps):
+        X = sla.lu_solve(lu, Mp @ X, check_finite=False)
+        yield X
 
 
 def step_crank_nicolson(pencil: ModePencil, state: StateVector, dt: float) -> StateVector:
     """One trapezoidal step: (M - dt/2 A) w+ = (M + dt/2 A) w."""
-    w = _check_state(pencil, state)
-    lu, Mp = _cn_factorization(pencil, dt)
-    return StateVector(state.mode, sla.lu_solve(lu, Mp @ w))
+    X = next(_cn_states(pencil, _check_state(pencil, state), dt, 1))
+    return StateVector(state.mode, _complex(X))
 
 
-def _quadratic(block: np.ndarray, w: np.ndarray) -> float:
-    """Re w* block w."""
-    return float(np.real(np.conj(w) @ (block @ w)))
+# ---------------------------------------------------------------------------
+# column evaluators: k states are a dim x 2k float array, state j in columns
+# 2j (real part) and 2j+1 (imaginary part).  For a real F, symmetric or not,
+# Re w* F w = x^T F x + y^T F y, so every form is evaluated in real arithmetic.
+
+def _pair_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Re <u_j, v_j> per state j."""
+    d = np.einsum("ij,ij->j", U, V)
+    return d[0::2] + d[1::2]
 
 
-def _form_values(forms: dict[str, Form], names: tuple[str, ...], w: np.ndarray) -> list[float]:
-    """w* F w for each named form; a form the pencil does not carry is zero."""
-    return [_quadratic(forms[k].block, w[forms[k].support]) if k in forms else 0.0 for k in names]
+def _form_values(forms: dict[str, Form], names: tuple[str, ...], X: np.ndarray) -> np.ndarray:
+    """Re w* F w per state (columns) for each named form (rows); a form the
+    pencil does not carry reads zero."""
+    out = np.zeros((len(names), X.shape[1] // 2))
+    for row, name in zip(out, names):
+        if name in forms:
+            Xs = X[forms[name].support]
+            row[:] = _pair_dots(Xs, forms[name].block @ Xs)
+    return out
+
+
+def _energy_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
+    """Rows: total energy w* G w / 2, then its six parts."""
+    total = _pair_dots(X, pencil.G @ X)
+    return 0.5 * np.vstack((total, _form_values(pencil.energy_parts, ENERGY_PARTS, X)))
+
+
+def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
+    """-Re <M^-1 A w, w>_G per state."""
+    return -_pair_dots(_generator_apply(pencil, X), pencil.G @ X)
 
 
 def energy(pencil: ModePencil, state: StateVector) -> EnergyReport:
     """Total energy w* G w / 2 and its six components (they sum exactly)."""
-    w = _check_state(pencil, state)
-    parts = _form_values(pencil.energy_parts, ENERGY_PARTS, w)
-    return EnergyReport(total=0.5 * _quadratic(pencil.G, w),
-                        breakdown={k: 0.5 * v for k, v in zip(ENERGY_PARTS, parts)})
+    e = _energy_rows(pencil, _check_state(pencil, state))[:, 0].tolist()
+    return EnergyReport(total=e[0], breakdown=dict(zip(ENERGY_PARTS, e[1:])))
 
 
 def dissipation(pencil: ModePencil, state: StateVector) -> DissipationChannels:
     """The four physical dissipation channels, with the Gram's own norms."""
-    w = _check_state(pencil, state)
-    return DissipationChannels(*_form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, w))
+    X = _check_state(pencil, state)
+    channels = _form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, X)[:, 0]
+    return DissipationChannels(*channels.tolist())
 
 
 def pencil_dissipation(pencil: ModePencil, state: StateVector) -> float:
     """-Re <M^-1 A w, w>_G, the quadratic form of the exact step identity."""
-    w = _check_state(pencil, state)
-    return -float(np.real(np.conj(_generator_apply(pencil, w)) @ (pencil.G @ w)))
+    return float(_pencil_dissipation_row(pencil, _check_state(pencil, state))[0])
 
 
 def graph_norm(pencil: ModePencil, state: StateVector) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
-    w = _check_state(pencil, state)
-    gn = lambda x: float(np.sqrt(max(_quadratic(pencil.G, x), 0.0)))
-    return gn(w) + gn(_generator_apply(pencil, w))
+    X = _check_state(pencil, state)
+    gn = lambda Y: math.sqrt(max(float(_pair_dots(Y, pencil.G @ Y)[0]), 0.0))
+    return gn(X) + gn(_generator_apply(pencil, X))
 
 
 def default_dt(pencil: ModePencil, t_end: float) -> float:
@@ -164,52 +205,62 @@ def _step_count(dt: float, t_end: float) -> int:
     return steps
 
 
-def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
-    """Crank-Nicolson states w_1, ..., w_steps from w_0 = w."""
-    lu, Mp = _cn_factorization(pencil, dt)
-    for _ in range(steps):
-        w = sla.lu_solve(lu, Mp @ w)
-        yield w
+def _check_finite(first_step: int, states: np.ndarray, values: np.ndarray,
+                  residuals: np.ndarray) -> None:
+    """Raise naming the first step whose state, trace values or residual are not finite."""
+    ok = (np.isfinite(states).all(axis=0).reshape(-1, 2).all(axis=1)
+          & np.isfinite(values).all(axis=0) & np.isfinite(residuals))
+    if not ok.all():
+        step = first_step + int(np.argmin(ok))
+        raise ValueError(f"non-finite state, energy or residual at step {step}")
 
 
 def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> SimulationTrace:
-    """Crank-Nicolson trajectory with per-step energy/dissipation bookkeeping.
+    """Crank-Nicolson trajectory with energy/dissipation bookkeeping.
 
     t_end must be an integer multiple of dt.  The recorded residual is
     r_k = (E_{k+1} - E_k)/dt + D(w_mid) with D the pencil-consistent
     dissipation form; it is an algebraic identity of the trapezoidal rule and
     stays at round-off level.
+
+    The states are bookkept BLOCK_STEPS at a time: one multi-column pass per
+    block gives the energies, parts, channels and midpoint dissipations, so
+    only one block of states is ever held.  A non-finite state, energy or
+    residual raises ValueError naming its step.
     """
     n_steps = _step_count(dt, t_end)
-    w = _check_state(pencil, initial)
-    times = dt * np.arange(n_steps + 1)
-    etotal = np.empty(n_steps + 1)
-    breakdown = {k: np.empty(n_steps + 1) for k in ENERGY_PARTS}
-    diss = {k: np.empty(n_steps + 1) for k in DISSIPATION_CHANNELS}
-    residuals = np.zeros(n_steps + 1)
-
-    def record(i, wi):
-        rep = energy(pencil, StateVector(initial.mode, wi))
-        etotal[i] = rep.total
-        for k in ENERGY_PARTS:
-            breakdown[k][i] = rep.breakdown[k]
-        ch = dissipation(pencil, StateVector(initial.mode, wi))
-        for k, val in zip(DISSIPATION_CHANNELS, ch.as_tuple()):
-            diss[k][i] = val
-
-    record(0, w)
+    X = _check_state(pencil, initial)
     g0 = graph_norm(pencil, initial)
-    for k, wn in enumerate(_cn_states(pencil, w, dt, n_steps)):
-        d_mid = pencil_dissipation(pencil, StateVector(initial.mode, 0.5 * (w + wn)))
-        record(k + 1, wn)
-        residuals[k + 1] = (etotal[k + 1] - etotal[k]) / dt + d_mid
-        w = wn
+    n_e = 1 + len(ENERGY_PARTS)
+    rows = lambda S: np.vstack((_energy_rows(pencil, S),
+                                _form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, S)))
+    values = np.empty((n_e + len(DISSIPATION_CHANNELS), n_steps + 1))
+    residuals = np.zeros(n_steps + 1)
+    values[:, :1] = rows(X)
+    _check_finite(0, X, values[:, :1], residuals[:1])
+
+    block = np.empty((pencil.dim, 2 * BLOCK_STEPS + 2))
+    block[:, :2] = X
+    first = 0                       # step of the state held in block[:, :2]
+    for k, X in enumerate(_cn_states(pencil, X, dt, n_steps), 1):
+        j = k - first
+        block[:, 2 * j:2 * j + 2] = X
+        if j < BLOCK_STEPS and k < n_steps:
+            continue
+        new, done = block[:, 2:2 * j + 2], slice(first + 1, k + 1)
+        values[:, done] = rows(new)
+        mid = 0.5 * (block[:, :2 * j] + new)
+        residuals[done] = (np.diff(values[0, first:k + 1]) / dt
+                           + _pencil_dissipation_row(pencil, mid))
+        _check_finite(first + 1, new, values[:, done], residuals[done])
+        block[:, :2] = X
+        first = k
 
     return SimulationTrace(
-        times=times,
-        energy=etotal,
-        breakdown=breakdown,
-        dissipation=diss,
+        times=dt * np.arange(n_steps + 1),
+        energy=values[0],
+        breakdown=dict(zip(ENERGY_PARTS, values[1:n_e])),
+        dissipation=dict(zip(DISSIPATION_CHANNELS, values[n_e:])),
         residuals=residuals,
         graph_norm_initial=g0,
     )
@@ -217,10 +268,10 @@ def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) 
 
 def final_state(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> StateVector:
     """State at t_end without trace bookkeeping (used by field rendering)."""
-    w = _check_state(pencil, initial)
-    for w in _cn_states(pencil, w, dt, _step_count(dt, t_end)):
+    X = _check_state(pencil, initial)
+    for X in _cn_states(pencil, X, dt, _step_count(dt, t_end)):
         pass
-    return StateVector(initial.mode, w)
+    return StateVector(initial.mode, _complex(X))
 
 
 def matrix_exponential_reference(pencil: ModePencil, t: float) -> np.ndarray:

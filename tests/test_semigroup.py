@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from platemem import (AnnulusGeometry, PhysicalParams, StateVector,
                       assemble_mode_pencil, build_radial_grid, default_dt, dissipation,
                       energy, graph_norm, make_initial_data, matrix_exponential_reference,
                       membrane_subpencil, pencil_dissipation, simulate, step_crank_nicolson)
-from platemem.pencil import ModePencil
-from platemem.semigroup import final_state
+from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
+from platemem.semigroup import BLOCK_STEPS, final_state
 
 from oracles import expm_series_squaring
 
@@ -144,12 +146,65 @@ def test_dissipation_evaluations_agree_along_refined_trajectories():
 
 def test_simulate_residual_identity_and_monotonicity():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16)
-    state = make_initial_data(pencil, "plate_bump")
-    trace = simulate(pencil, state, 1e-2, 20.0)
-    e0 = trace.energy[0]
-    assert np.abs(trace.residuals).max() <= 1e-10 * e0 / 1e-2
-    assert np.all(np.diff(trace.energy) <= 1e-10 * e0)
-    assert trace.energy[-1] < trace.energy[0]
+    real = make_initial_data(pencil, "plate_bump")
+    x, y = real.coefficients.real, make_initial_data(pencil, "rough", seed=3).coefficients.real
+    mixed = StateVector(0, x + 1j * y)
+    dt, steps = 1e-2, 2 * BLOCK_STEPS + 3        # two full bookkeeping blocks and a partial one
+    for state, t_end in ((real, 20.0), (mixed, steps * dt)):
+        trace = simulate(pencil, state, dt, t_end)
+        e0 = trace.energy[0]
+        assert np.abs(trace.residuals).max() <= 1e-10 * e0 / dt
+        assert np.all(np.diff(trace.energy) <= 1e-10 * e0)
+        assert trace.energy[-1] < trace.energy[0]
+
+    # every trace column equals the one-state evaluations along step_crank_nicolson
+    states = [mixed]
+    for _ in range(steps):
+        states.append(step_crank_nicolson(pencil, states[-1], dt))
+    reports = [energy(pencil, st) for st in states]
+    channels = [dissipation(pencil, st) for st in states]
+    d_mid = [pencil_dissipation(pencil, StateVector(0, 0.5 * (a.coefficients + b.coefficients)))
+             for a, b in zip(states, states[1:])]
+    columns = [(trace.energy, [r.total for r in reports]),
+               (trace.residuals[1:] - np.diff(trace.energy) / dt, d_mid)]
+    columns += [(trace.breakdown[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
+    columns += [(trace.dissipation[k], [c.as_tuple()[i] for c in channels])
+                for i, k in enumerate(DISSIPATION_CHANNELS)]
+    # relative to each column's largest value: a decayed state's forms lose
+    # digits to the conditioning of the stiffness blocks, not to the batching
+    for got, want in columns:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    # E(x + iy) = E(x) + E(y) at every step
+    parts = [simulate(pencil, StateVector(0, z), dt, steps * dt).energy for z in (x, y)]
+    np.testing.assert_allclose(trace.energy, parts[0] + parts[1], rtol=1e-12,
+                               atol=1e-12 * trace.energy[0])
+
+
+def test_simulate_raises_on_non_finite_trace():
+    # finite states whose energy (2e154) or first midpoint dissipation (1e154)
+    # overflows: simulate used to return nan energies and residuals silently
+    pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16, mode=1)
+    for scale, step in ((2e154, 0), (1e154, 1)):
+        state = make_initial_data(pencil, "plate_bump")
+        state.coefficients *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"non-finite .* at step {step}$"):
+                simulate(pencil, state, 1e-2, 0.2)
+
+
+def test_simulate_memory_is_one_block_not_the_trajectory():
+    pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=64, mode=1)  # dim 320
+    state = make_initial_data(pencil, "rough")
+    dt, steps = 1e-2, 4000
+    simulate(pencil, state, dt, dt)             # caches the CN and M factorizations
+    tracemalloc.start()
+    try:
+        simulate(pencil, state, dt, steps * dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stored complex trajectory alone would be (steps + 1) * dim * 16 B = 20.5 MB
+    assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_membrane_only_undamped_conserves_energy():
