@@ -11,10 +11,10 @@ from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
 from .pencil import (Closures, ModePencil, assemble_mode_pencil, closure_residuals,
                      ghost_values, gram_matrix, interface_trace, membrane_subpencil)
-from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, StateVector,
-                        default_dt, dissipation, energy, graph_norm, make_initial_data,
-                        matrix_exponential_reference,
-                        pencil_dissipation, simulate, step_crank_nicolson)
+from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, default_dt,
+                        dissipation, energy, graph_norm, make_initial_data,
+                        matrix_exponential_reference, pencil_dissipation, simulate,
+                        step_crank_nicolson)
 from .spectral import (ResolventScan, SpectrumResult, SweepResult, eigenvalues,
                        membrane_band_edge, project_resolvable, resolvent_norm,
                        resolvent_scan, spectral_abscissa_sweep)
@@ -31,10 +31,9 @@ __all__ = [
     "RadialGrid", "build_radial_grid", "laplacian_mode",
     "Closures", "ModePencil", "assemble_mode_pencil", "closure_residuals",
     "ghost_values", "gram_matrix", "interface_trace", "membrane_subpencil",
-    "DissipationChannels", "EnergyReport", "SimulationTrace", "StateVector",
-    "default_dt", "dissipation", "energy", "graph_norm", "make_initial_data",
-    "matrix_exponential_reference", "pencil_dissipation",
-    "simulate", "step_crank_nicolson",
+    "DissipationChannels", "EnergyReport", "SimulationTrace", "default_dt", "dissipation",
+    "energy", "graph_norm", "make_initial_data", "matrix_exponential_reference",
+    "pencil_dissipation", "simulate", "step_crank_nicolson",
     "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",
     "membrane_band_edge", "project_resolvable", "resolvent_norm",
     "resolvent_scan", "spectral_abscissa_sweep",

@@ -100,27 +100,24 @@ def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> tuple[PhysicalPara
     return p, g
 
 
-def check_geometric_condition(g: AnnulusGeometry, n_theta: int = 256) -> GeometricCheck:
-    """Sample q(x) . nu(x) on the interface circle and test q . nu <= 0.
+def analytic_max_q_dot_nu(g: AnnulusGeometry) -> float:
+    """Exact maximum of q . nu over the interface: |x0| - r_interface.
 
     On the interface, the outward normal of the annulus points toward the
     disk center, nu = -(cos t, sin t), so with q(x) = x - x0 the product is
-    x0 . (cos t, sin t) - r_interface.  The equality case counts as
-    satisfied (the condition is a non-strict inequality).
+    x0 . (cos t, sin t) - r_interface, largest when (cos t, sin t) is x0/|x0|.
     """
-    if n_theta < 8:
-        raise ValidationError(f"n_theta must be at least 8, got {n_theta}")
-    x0x, x0y = g.x0
-    best = -math.inf
-    for k in range(n_theta):
-        t = 2.0 * math.pi * k / n_theta
-        best = max(best, x0x * math.cos(t) + x0y * math.sin(t) - g.r_interface)
-    return GeometricCheck(satisfied=best <= 0.0, max_q_dot_nu=best)
-
-
-def analytic_max_q_dot_nu(g: AnnulusGeometry) -> float:
-    """Exact maximum of q . nu over the interface: |x0| - r_interface."""
     return math.hypot(*g.x0) - g.r_interface
+
+
+def check_geometric_condition(g: AnnulusGeometry) -> GeometricCheck:
+    """Test q . nu <= 0 on the interface circle with its exact maximum.
+
+    The equality case counts as satisfied (the condition is a non-strict
+    inequality).
+    """
+    best = analytic_max_q_dot_nu(g)
+    return GeometricCheck(satisfied=best <= 0.0, max_q_dot_nu=best)
 
 
 def classify_regime(p: PhysicalParams, g: AnnulusGeometry) -> RegimeLabel:

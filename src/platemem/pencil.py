@@ -101,6 +101,24 @@ def _closed(L_ext: np.ndarray, inner_row: np.ndarray, outer_row: np.ndarray) -> 
     return L
 
 
+def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
+    """Each field's Laplacian with its ghost closures folded in.
+
+    v and v_t share the origin parity and the interface row over v alone,
+    which is the Dirichlet closure of a frozen plate (trace pinned to zero).
+    """
+    c = closures
+    Lp = laplacian_mode(grid, "plate")
+    Lm = _closed(laplacian_mode(grid, "membrane"), c.v_origin, c.v_interface_v)
+    return {
+        "u": _closed(Lp, c.u_inner, c.u_outer),
+        "u_t": _closed(Lp, c.ut_inner, c.ut_outer),
+        "theta": _closed(Lp, c.theta_inner, c.theta_outer),
+        "v": Lm,
+        "v_t": Lm,
+    }
+
+
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Exact Dirichlet form -W L of a conservatively closed Laplacian."""
     K = -(weights[:, None] * L_closed)
@@ -168,7 +186,7 @@ def gram_matrix(parts: dict[str, Form], dim: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
-                  blocks: dict[str, slice], Lp: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
+                  blocks: dict[str, slice], Le: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
     """The six quadratic terms of the inner product, each on its own support.
 
     Bending, plate kinetic, rotational, thermal, membrane potential, membrane
@@ -179,7 +197,6 @@ def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
     """
     nm = grid.n_mem
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    Le = _closed(Lp, closures.u_inner, closures.u_outer)
     mirror = np.zeros(nm)
     mirror[nm - 1] = 1.0
     # zero-flux interface edge
@@ -217,13 +234,12 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     u, ut, th, v, vt = (blocks[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    Lp = laplacian_mode(grid, "plate")
-    L2 = _closed(Lp, closures.ut_inner, closures.ut_outer)
-    Lth = _closed(Lp, closures.theta_inner, closures.theta_outer)
+    stencils = closed_laplacians(grid, closures)
+    L2, Lth = stencils["u_t"], stencils["theta"]
     K2 = _dual(L2, Wp)
     Kth = _dual(Lth, Wp)
 
-    parts = _energy_parts(p, grid, closures, blocks, Lp, K2)
+    parts = _energy_parts(p, grid, closures, blocks, stencils["u"], K2)
     G, S = gram_matrix(parts, n)
 
     A = np.zeros((n, n))
@@ -275,11 +291,9 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
 def _check_definiteness(pencil: ModePencil) -> None:
     """G and the weighted M must factor (positive definiteness)."""
-    w = np.concatenate([
-        pencil.grid.plate_weights, pencil.grid.plate_weights,
-        pencil.grid.plate_weights, pencil.grid.membrane_weights,
-        pencil.grid.membrane_weights,
-    ])
+    grid = pencil.grid
+    w = np.concatenate([grid.membrane_weights if name in ("v", "v_t") else grid.plate_weights
+                        for name, _, _ in pencil.dof_layout])
     WM = w[:, None] * pencil.M
     WM = 0.5 * (WM + WM.T)
     jitter = 1e-13 * (np.trace(pencil.G) / pencil.dim)
@@ -356,11 +370,8 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     n = layout[-1][2]
     v, vt = (slice(a, b) for _, a, b in layout)
     Wm = grid.membrane_weights
-    origin = np.zeros(nm)
-    origin[0] = 1.0 if grid.mode == 0 else -1.0
-    dirichlet = np.zeros(nm)
-    dirichlet[nm - 1] = -1.0
-    LmD = _closed(laplacian_mode(grid, "membrane"), origin, dirichlet)
+    closures = make_closures(p, grid)
+    LmD = closed_laplacians(grid, closures)["v"]
 
     A = np.zeros((n, n))
     A[v, vt] = np.eye(nm)
@@ -375,5 +386,5 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     diss = {"D_membrane": Form(np.r_[vt], p.m_damp * np.diag(Wm))}
     return ModePencil(
         mode=grid.mode, M=M, A=A, G=gram_matrix(parts, n)[0], dof_layout=layout, grid=grid,
-        params=p, closures=make_closures(p, grid), energy_parts=parts, dissipation_parts=diss,
+        params=p, closures=closures, energy_parts=parts, dissipation_parts=diss,
     )

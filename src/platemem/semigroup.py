@@ -8,7 +8,8 @@ the trapezoidal step satisfies the exact identity
 so with the energy-compatible pencil the per-step residual of that identity
 is pure round-off and the energy can only decrease.
 
-M, A, G and every form block are real, so a complex state is stepped and
+A state is the 1-D complex coefficient array w in the pencil's dof_layout
+order.  M, A, G and every form block are real, so a state is stepped and
 evaluated as the two real columns [Re w, Im w].
 """
 from __future__ import annotations
@@ -19,23 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import laplacian_mode
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, _closed
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, closed_laplacians
 
 EXPM_DIM_CAP = 400
 MAX_DEFAULT_STEPS = 20000
 BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
-
-
-@dataclass
-class StateVector:
-    """Complex coefficient vector in dof_layout order for one mode."""
-
-    mode: int
-    coefficients: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.mode, self.coefficients.copy())
 
 
 @dataclass
@@ -69,9 +58,9 @@ class SimulationTrace:
     graph_norm_initial: float
 
 
-def _check_state(pencil: ModePencil, state: StateVector) -> np.ndarray:
+def _check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     """The state as a dim x 2 float array [Re w, Im w]."""
-    w = np.asarray(state.coefficients)
+    w = np.asarray(w)
     if w.shape != (pencil.dim,):
         raise ValueError(f"state length {w.shape} does not match pencil dimension {pencil.dim}")
     if not np.isfinite(w).all():
@@ -120,10 +109,9 @@ def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
         yield X
 
 
-def step_crank_nicolson(pencil: ModePencil, state: StateVector, dt: float) -> StateVector:
+def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndarray:
     """One trapezoidal step: (M - dt/2 A) w+ = (M + dt/2 A) w."""
-    X = next(_cn_states(pencil, _check_state(pencil, state), dt, 1))
-    return StateVector(state.mode, _complex(X))
+    return _complex(next(_cn_states(pencil, _check_state(pencil, w), dt, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +147,27 @@ def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     return -_pair_dots(_generator_apply(pencil, X), pencil.G @ X)
 
 
-def energy(pencil: ModePencil, state: StateVector) -> EnergyReport:
+def energy(pencil: ModePencil, w: np.ndarray) -> EnergyReport:
     """Total energy w* G w / 2 and its six components (they sum exactly)."""
-    e = _energy_rows(pencil, _check_state(pencil, state))[:, 0].tolist()
+    e = _energy_rows(pencil, _check_state(pencil, w))[:, 0].tolist()
     return EnergyReport(total=e[0], breakdown=dict(zip(ENERGY_PARTS, e[1:])))
 
 
-def dissipation(pencil: ModePencil, state: StateVector) -> DissipationChannels:
+def dissipation(pencil: ModePencil, w: np.ndarray) -> DissipationChannels:
     """The four physical dissipation channels, with the Gram's own norms."""
-    X = _check_state(pencil, state)
+    X = _check_state(pencil, w)
     channels = _form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, X)[:, 0]
     return DissipationChannels(*channels.tolist())
 
 
-def pencil_dissipation(pencil: ModePencil, state: StateVector) -> float:
+def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
     """-Re <M^-1 A w, w>_G, the quadratic form of the exact step identity."""
-    return float(_pencil_dissipation_row(pencil, _check_state(pencil, state))[0])
+    return float(_pencil_dissipation_row(pencil, _check_state(pencil, w))[0])
 
 
-def graph_norm(pencil: ModePencil, state: StateVector) -> float:
+def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
-    X = _check_state(pencil, state)
+    X = _check_state(pencil, w)
     gn = lambda Y: math.sqrt(max(float(_pair_dots(Y, pencil.G @ Y)[0]), 0.0))
     return gn(X) + gn(_generator_apply(pencil, X))
 
@@ -215,7 +203,7 @@ def _check_finite(first_step: int, states: np.ndarray, values: np.ndarray,
         raise ValueError(f"non-finite state, energy or residual at step {step}")
 
 
-def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> SimulationTrace:
+def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> SimulationTrace:
     """Crank-Nicolson trajectory with energy/dissipation bookkeeping.
 
     t_end must be an integer multiple of dt.  The recorded residual is
@@ -266,12 +254,12 @@ def simulate(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) 
     )
 
 
-def final_state(pencil: ModePencil, initial: StateVector, dt: float, t_end: float) -> StateVector:
+def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> np.ndarray:
     """State at t_end without trace bookkeeping (used by field rendering)."""
     X = _check_state(pencil, initial)
     for X in _cn_states(pencil, X, dt, _step_count(dt, t_end)):
         pass
-    return StateVector(initial.mode, _complex(X))
+    return _complex(X)
 
 
 def matrix_exponential_reference(pencil: ModePencil, t: float) -> np.ndarray:
@@ -309,7 +297,7 @@ def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray, passes: int = 2
     return out
 
 
-def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> StateVector:
+def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.ndarray:
     """Named radial profile, unit-energy normalized.
 
     Bump profiles are compactly supported inside their subdomain, so every
@@ -334,25 +322,15 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> StateV
     elif profile == "rough":
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(pencil.dim)
-        Lp = laplacian_mode(grid, "plate")
-        Lm = laplacian_mode(grid, "membrane")
-        c = pencil.closures
-        smoothers = {
-            "u": (_closed(Lp, c.u_inner, c.u_outer), grid.h_plate),
-            "u_t": (_closed(Lp, c.ut_inner, c.ut_outer), grid.h_plate),
-            "theta": (_closed(Lp, c.theta_inner, c.theta_outer), grid.h_plate),
-            "v": (_closed(Lm, c.v_origin, c.v_interface_v), grid.h_mem),
-            "v_t": (_closed(Lm, c.v_origin, c.v_interface_v), grid.h_mem),
-        }
+        stencils = closed_laplacians(grid, pencil.closures)
         for name, a, b in pencil.dof_layout:
-            Lc, h = smoothers[name]
-            w[a:b] = _smooth_field(Lc, h, raw[a:b])
+            h = grid.h_mem if name in ("v", "v_t") else grid.h_plate
+            w[a:b] = _smooth_field(stencils[name], h, raw[a:b])
     else:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 
-    state = StateVector(pencil.mode, w.astype(complex))
-    e0 = energy(pencil, state).total
+    w = w.astype(complex)
+    e0 = energy(pencil, w).total
     if e0 <= 0.0 or not np.isfinite(e0):
         raise ValueError(f"profile {profile!r} has zero energy after construction")
-    state.coefficients /= np.sqrt(2.0 * e0)
-    return state
+    return w / np.sqrt(2.0 * e0)

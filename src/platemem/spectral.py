@@ -43,7 +43,6 @@ class SpectrumResult:
     imag_axis_gap: float
     zero_in_resolvent: bool
     resolved_abscissa: float     # abscissa of the resolvably damped set
-    band_edge: float
     tol: float
 
 
@@ -56,18 +55,9 @@ class ResolventScan:
 
 
 @dataclass
-class SweepModeReport:
-    mode: int
-    abscissa: float
-    resolved_abscissa: float
-    imag_axis_gap: float
-    zero_in_resolvent: bool
-
-
-@dataclass
 class SweepResult:
-    reports: list[SweepModeReport]          # at the requested resolution
-    reports_fine: list[SweepModeReport]     # at doubled resolution
+    spectra: list[SpectrumResult]           # at the requested resolution
+    spectra_fine: list[SpectrumResult]      # at doubled resolution
     global_abscissa: float
     global_abscissa_fine: float
     global_resolved_abscissa: float
@@ -134,24 +124,10 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
         imag_axis_gap=float(np.abs(lam.real).min()),
         zero_in_resolvent=bool(np.abs(lam).min() > tol),
         resolved_abscissa=resolved,
-        band_edge=membrane_band_edge(pencil),
         tol=tol,
     )
     pencil._cache["spectrum"] = result
     return result
-
-
-def _mode_report(p: PhysicalParams, g: AnnulusGeometry, n_plate: int, n_mem: int,
-                 mode: int) -> SweepModeReport:
-    grid = build_radial_grid(g, n_plate, n_mem, mode)
-    spec = eigenvalues(assemble_mode_pencil(p, grid))
-    return SweepModeReport(
-        mode=mode,
-        abscissa=spec.spectral_abscissa,
-        resolved_abscissa=spec.resolved_abscissa,
-        imag_axis_gap=spec.imag_axis_gap,
-        zero_in_resolvent=spec.zero_in_resolvent,
-    )
 
 
 def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
@@ -165,16 +141,16 @@ def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: i
     validate_params(p, g)
     modes = list(modes)
     modes_fine = list(range(min(modes), 2 * max(modes) + 1)) if modes else []
-    reports = parallel_map(lambda m: _mode_report(p, g, resolution, resolution, m), modes)
-    reports_fine = parallel_map(
-        lambda m: _mode_report(p, g, 2 * resolution, 2 * resolution, m), modes_fine)
+    spectrum = lambda n, m: eigenvalues(assemble_mode_pencil(p, build_radial_grid(g, n, n, m)))
+    spectra = parallel_map(lambda m: spectrum(resolution, m), modes)
+    spectra_fine = parallel_map(lambda m: spectrum(2 * resolution, m), modes_fine)
     return SweepResult(
-        reports=reports,
-        reports_fine=reports_fine,
-        global_abscissa=max(r.abscissa for r in reports),
-        global_abscissa_fine=max(r.abscissa for r in reports_fine),
-        global_resolved_abscissa=max(r.resolved_abscissa for r in reports),
-        global_resolved_abscissa_fine=max(r.resolved_abscissa for r in reports_fine),
+        spectra=spectra,
+        spectra_fine=spectra_fine,
+        global_abscissa=max(s.spectral_abscissa for s in spectra),
+        global_abscissa_fine=max(s.spectral_abscissa for s in spectra_fine),
+        global_resolved_abscissa=max(s.resolved_abscissa for s in spectra),
+        global_resolved_abscissa_fine=max(s.resolved_abscissa for s in spectra_fine),
     )
 
 

@@ -17,7 +17,8 @@ from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationErro
                     classify_regime)
 from .pencil import assemble_mode_pencil
 from .semigroup import SimulationTrace, default_dt, make_initial_data, simulate
-from .spectral import project_resolvable, resolvent_scan, spectral_abscissa_sweep
+from .spectral import (membrane_band_edge, project_resolvable, resolvent_scan,
+                       spectral_abscissa_sweep)
 from .util import parallel_map
 
 EXPONENTIAL_LABELS = (RegimeLabel.EXPONENTIAL_RHO_DAMPED, RegimeLabel.EXPONENTIAL_THERMAL_ONLY)
@@ -32,6 +33,7 @@ SUP_MATCH_RTOL = 0.10         # scan sup at doubled resolution
 SHRINK_FACTOR = 2.0           # band abscissa shrink on doubling
 POLY_R2_MIN = 0.95
 GROWTH_EXP_CEILING = 24.0     # weak sanity ceiling on the fitted exponent
+EXP_FIT_TAIL = 0.5            # exponential fits read the trailing half of the trace
 
 
 class FitError(ValueError):
@@ -47,65 +49,50 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(intercept), r2
-
-
-def fit_exponential_rate(trace: SimulationTrace, tail_fraction: float = 0.5) -> DecayFit:
-    """Least-squares line on (t, log E) over the trailing tail_fraction.
-
-    The decay rate is delta with E ~ C exp(-2 delta t), i.e. minus half the
-    fitted slope: ||S(t)|| <= C exp(-delta t) squares into the energy.
-    """
-    if not (0.0 < tail_fraction <= 1.0):
-        raise FitError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    n = len(trace.times)
-    start = min(n - 1, int(math.ceil((1.0 - tail_fraction) * n)))
-    t = trace.times[start:]
-    e = trace.energy[start:]
+def _decay_fit(model: str, t: np.ndarray, e: np.ndarray) -> DecayFit:
+    """Least-squares line of the model on the fit window (t, E): (t, log E)
+    for "exponential", (log t, log ||w||) with ||w|| = sqrt(2 E) for
+    "polynomial"."""
     if len(t) < 8:
         raise FitError(f"fit window has {len(t)} samples, need at least 8")
     if np.any(e <= 0.0):
         raise FitError("nonpositive energies in the fit window")
-    slope, intercept, r2 = _lsq_line(t, np.log(e))
-    return DecayFit(
-        model="exponential",
-        rate=-slope / 2.0,
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-    )
+    if model == "exponential":
+        x, y, rate_per_slope = t, np.log(e), -0.5
+    else:
+        x, y, rate_per_slope = np.log(t), 0.5 * np.log(2.0 * e), -1.0
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return DecayFit(model=model, rate=rate_per_slope * float(slope),
+                    prefactor=float(np.exp(intercept)),
+                    r_squared=1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0,
+                    window=(float(t[0]), float(t[-1])))
+
+
+def fit_exponential_rate(trace: SimulationTrace) -> DecayFit:
+    """Least-squares line on (t, log E) over the trailing EXP_FIT_TAIL of the trace.
+
+    The decay rate is delta with E ~ C exp(-2 delta t), i.e. minus half the
+    fitted slope: ||S(t)|| <= C exp(-delta t) squares into the energy.
+    """
+    n = len(trace.times)
+    start = min(n - 1, int(math.ceil((1.0 - EXP_FIT_TAIL) * n)))
+    return _decay_fit("exponential", trace.times[start:], trace.energy[start:])
 
 
 def fit_polynomial_rate(trace: SimulationTrace) -> DecayFit:
     """Least-squares line on (log t, log ||w||), ||w|| = sqrt(2 E), over
-    t in [t_end/10, t_end] (one decade).  alpha is minus the slope; the
-    caller normalizes against the recorded initial graph norm."""
+    t in [t_end/10, t_end] (one decade).  alpha is minus the slope.  The norm
+    is fitted as recorded, not normalized, so its initial value only shifts
+    the prefactor."""
     t_end = float(trace.times[-1])
     lo = t_end / 10.0
     positive = trace.times[trace.times > 0.0]
     if len(positive) == 0 or positive[0] > lo:
         raise FitError("fit window must span at least one decade of time")
     sel = trace.times >= lo
-    t = trace.times[sel]
-    e = trace.energy[sel]
-    if len(t) < 8:
-        raise FitError(f"fit window has {len(t)} samples, need at least 8")
-    if np.any(e <= 0.0):
-        raise FitError("nonpositive energies in the fit window")
-    slope, intercept, r2 = _lsq_line(np.log(t), 0.5 * np.log(2.0 * e))
-    return DecayFit(
-        model="polynomial",
-        rate=-slope,
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-    )
+    return _decay_fit("polynomial", trace.times[sel], trace.energy[sel])
 
 
 @dataclass
@@ -128,10 +115,10 @@ def _combined_trace(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
     def one(mode: int) -> SimulationTrace:
         grid = build_radial_grid(g, resolution, resolution, mode)
         pencil = assemble_mode_pencil(p, grid)
-        state = make_initial_data(pencil, profile, seed=seed)
+        w = make_initial_data(pencil, profile, seed=seed)
         if filter_undamped:
-            state.coefficients = project_resolvable(pencil, state.coefficients)
-        return simulate(pencil, state, dt, t_end)
+            w = project_resolvable(pencil, w)
+        return simulate(pencil, w, dt, t_end)
 
     traces = parallel_map(one, modes)
     base = traces[0]
@@ -161,7 +148,7 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
         grid0 = build_radial_grid(g, resolution, resolution, mode_list[0])
         pencil0 = assemble_mode_pencil(p, grid0)
         # scan the lowest configured mode up to 90% of the membrane band edge
-        lam_max = 0.9 * 2.0 * math.sqrt(p.beta2 / p.rho2) * resolution / g.r_interface
+        lam_max = 0.9 * membrane_band_edge(pencil0)
         scan = resolvent_scan(pencil0, 0.25, lam_max, 160)
         grid0f = build_radial_grid(g, 2 * resolution, 2 * resolution, mode_list[0])
         pencil0f = assemble_mode_pencil(p, grid0f)
@@ -191,8 +178,8 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
     absc = sweep.global_abscissa
     band = sweep.global_resolved_abscissa
     band_fine = sweep.global_resolved_abscissa_fine
-    gap_ok = all(r.imag_axis_gap > 0.0 for r in sweep.reports)
-    zero_ok = all(r.zero_in_resolvent for r in sweep.reports)
+    gap_ok = all(s.imag_axis_gap > 0.0 for s in sweep.spectra)
+    zero_ok = all(s.zero_in_resolvent for s in sweep.spectra)
     sup_dev = abs(scan_fine.sup_norm - scan.sup_norm) / scan.sup_norm
     lines.append(f"global spectral abscissa (modes {mode_list[0]}..{mode_list[-1]}, "
                  f"n={resolution}): {absc:.6e}")

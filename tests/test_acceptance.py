@@ -35,10 +35,9 @@ def criterion(number: int, summary: str):
         return run
     return wrap
 
-from platemem import (AnnulusGeometry, PhysicalParams, StateVector,
-                      assemble_mode_pencil, build_radial_grid, energy,
-                      eigenvalues, fit_exponential_rate, fit_polynomial_rate,
-                      make_initial_data, matrix_exponential_reference,
+from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
+                      build_radial_grid, energy, eigenvalues, fit_exponential_rate,
+                      fit_polynomial_rate, make_initial_data, matrix_exponential_reference,
                       membrane_subpencil, parse_config, resolvent_scan, simulate,
                       spectral_abscissa_sweep, step_crank_nicolson)
 from platemem.cli import main
@@ -78,10 +77,8 @@ def make_pencil(p, geo, res, mode):
 def all_profile_state(pencil, seed=7):
     w = np.zeros(pencil.dim, dtype=complex)
     for profile in ("plate_bump", "membrane_bump", "thermal_pulse", "rough"):
-        w += make_initial_data(pencil, profile, seed=seed).coefficients
-    st = StateVector(pencil.mode, w)
-    st.coefficients /= np.sqrt(2.0 * energy(pencil, st).total)
-    return st
+        w += make_initial_data(pencil, profile, seed=seed)
+    return w / np.sqrt(2.0 * energy(pencil, w).total)
 
 
 def combined_trace(p, geo, res, modes, profiles, dt, t_end, filter_undamped=False):
@@ -90,12 +87,11 @@ def combined_trace(p, geo, res, modes, profiles, dt, t_end, filter_undamped=Fals
         pencil = make_pencil(p, geo, res, mode)
         w = np.zeros(pencil.dim, dtype=complex)
         for profile in profiles:
-            w += make_initial_data(pencil, profile, seed=7).coefficients
-        st = StateVector(mode, w)
+            w += make_initial_data(pencil, profile, seed=7)
         if filter_undamped:
-            st.coefficients = project_resolvable(pencil, st.coefficients)
-        st.coefficients /= np.sqrt(2.0 * energy(pencil, st).total)
-        traces.append(simulate(pencil, st, dt, t_end))
+            w = project_resolvable(pencil, w)
+        w /= np.sqrt(2.0 * energy(pencil, w).total)
+        traces.append(simulate(pencil, w, dt, t_end))
     e = np.sum([t.energy for t in traces], axis=0)
     base = traces[0]
     return SimulationTrace(times=base.times, energy=e, breakdown=base.breakdown,
@@ -132,10 +128,10 @@ def test_criterion_2_crank_nicolson_vs_matrix_exponential():
     ref = matrix_exponential_reference(pencil, 1.0) @ w0
 
     def err(dt):
-        st = StateVector(0, w0.astype(complex))
+        st = w0.astype(complex)
         for _ in range(int(round(1.0 / dt))):
             st = step_crank_nicolson(pencil, st, dt)
-        d = st.coefficients - ref
+        d = st - ref
         return float(np.sqrt(np.real(np.conj(d) @ (pencil.G @ d))))
 
     errs = [err(dt) for dt in (4e-3, 2e-3, 1e-3)]   # the last is 1000 steps
@@ -201,7 +197,7 @@ def test_criterion_5_exponential_regimes():
         assert dev_sup <= 0.10, (name, sups)
         trace = combined_trace(p, GEO, 32, range(0, 5),
                                ["plate_bump", "membrane_bump"], 0.01, 60.0)
-        fit = fit_exponential_rate(trace, tail_fraction=0.5)
+        fit = fit_exponential_rate(trace)
         dev_rate = abs(fit.rate - (-absc)) / abs(absc)
         assert dev_rate <= 0.10, (name, fit.rate, absc)
         announce(f"  {name}: abscissa {absc:+.4f}, scan sup dev {dev_sup:.2%}, "

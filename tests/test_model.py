@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,20 +49,34 @@ def test_geometric_condition_boundary_counts_as_satisfied():
     assert check.max_q_dot_nu == pytest.approx(0.0, abs=1e-14)
 
 
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 2.5),
-       st.integers(8, 512))
-def test_geometric_condition_matches_analytic_maximum(x, y, r, n_theta):
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 2.5))
+def test_geometric_condition_matches_analytic_maximum(x, y, r):
     g = AnnulusGeometry(r_interface=r, r_outer=r + 1.0, x0=(x, y))
-    check = check_geometric_condition(g, n_theta=n_theta)
-    exact = analytic_max_q_dot_nu(g)
-    # sampled max never exceeds the true max; angular resolution bounds the gap
-    slack = math.hypot(x, y) * (1.0 - math.cos(math.pi / n_theta)) + 1e-12
-    assert check.max_q_dot_nu <= exact + 1e-12
-    assert check.max_q_dot_nu >= exact - slack
-    if exact <= -slack:
-        assert check.satisfied
-    if exact > slack:
-        assert not check.satisfied
+    check = check_geometric_condition(g)
+    assert check.max_q_dot_nu == analytic_max_q_dot_nu(g)
+    assert check.satisfied == (check.max_q_dot_nu <= 0.0)
+    # oracle: q . nu = x0 . (cos t, sin t) - r sampled densely on the circle;
+    # the samples never exceed the true maximum and miss it by at most
+    # |x0| (1 - cos(pi / n)) with n angles
+    n = 4096
+    t = 2.0 * np.pi * np.arange(n) / n
+    sampled = float(np.max(x * np.cos(t) + y * np.sin(t))) - r
+    slack = math.hypot(x, y) * (1.0 - math.cos(math.pi / n)) + 1e-12
+    assert sampled - 1e-12 <= check.max_q_dot_nu <= sampled + slack
+
+
+def test_geometric_condition_is_exact_between_sample_angles():
+    # x0 just outside the interface circle, half way between two of 256
+    # equally spaced angles: a 256-angle sample reads max q . nu = -7.5e-5
+    # (satisfied) while the exact maximum is +1e-7 (violated)
+    t = math.pi / 256
+    g = AnnulusGeometry(r_interface=1.0, x0=((1.0 + 1e-7) * math.cos(t),
+                                              (1.0 + 1e-7) * math.sin(t)))
+    check = check_geometric_condition(g)
+    assert not check.satisfied
+    assert check.max_q_dot_nu == pytest.approx(1e-7, rel=1e-6)
+    assert (classify_regime(PhysicalParams(rho_damp=1.0), g)
+            is RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS)
 
 
 @pytest.mark.parametrize("kw,label", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from platemem import (AnnulusGeometry, PhysicalParams, StateVector, assemble_mode_pencil,
+from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
 
@@ -78,7 +78,7 @@ def test_energy_parts_sum_to_gram():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=2)
     rng = np.random.default_rng(4)
     w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
-    rep = energy(pencil, StateVector(2, w))
+    rep = energy(pencil, w)
     assert abs(sum(rep.breakdown.values()) - rep.total) <= 1e-13 * rep.total
     # each form is a block on its own support, never a dim x dim array
     forms = {**pencil.energy_parts, **pencil.dissipation_parts}
@@ -105,7 +105,7 @@ def test_gram_gamma_zero_velocity_block_is_weighted_identity():
     blk = blocks(pencil, pencil.G)["u_t"]
     np.testing.assert_array_equal(blk, 2.5 * np.diag(pencil.grid.plate_weights))
     w = np.random.default_rng(5).standard_normal(pencil.dim)
-    assert energy(pencil, StateVector(0, w)).breakdown["E_rot"] == 0.0
+    assert energy(pencil, w).breakdown["E_rot"] == 0.0
 
 
 def test_closure_residuals_vanish_on_random_states():

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from platemem import (AnnulusGeometry, PhysicalParams, StateVector,
-                      assemble_mode_pencil, build_radial_grid, default_dt, dissipation,
-                      energy, graph_norm, make_initial_data, matrix_exponential_reference,
-                      membrane_subpencil, pencil_dissipation, simulate, step_crank_nicolson)
+from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
+                      build_radial_grid, default_dt, dissipation, energy, graph_norm,
+                      make_initial_data, matrix_exponential_reference, membrane_subpencil,
+                      pencil_dissipation, simulate, step_crank_nicolson)
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
 from platemem.semigroup import BLOCK_STEPS, final_state
 
@@ -32,34 +32,34 @@ def fake_pencil(A, M=None, G=None):
 
 def test_zero_state_stays_zero():
     pencil = make_pencil()
-    out = step_crank_nicolson(pencil, StateVector(0, np.zeros(pencil.dim)), 1e-2)
-    assert np.all(out.coefficients == 0.0)
+    out = step_crank_nicolson(pencil, np.zeros(pencil.dim), 1e-2)
+    assert np.all(out == 0.0)
 
 
 def test_zero_generator_is_identity_propagator():
     pencil = fake_pencil(np.zeros((6, 6)))
     w = np.arange(6.0)
-    out = step_crank_nicolson(pencil, StateVector(0, w), 0.3)
-    np.testing.assert_allclose(out.coefficients, w, rtol=0, atol=0)
+    out = step_crank_nicolson(pencil, w, 0.3)
+    np.testing.assert_allclose(out, w, rtol=0, atol=0)
 
 
 def test_dimension_mismatch_rejected():
     pencil = make_pencil()
     with pytest.raises(ValueError, match="dimension"):
-        step_crank_nicolson(pencil, StateVector(0, np.zeros(3)), 1e-2)
+        step_crank_nicolson(pencil, np.zeros(3), 1e-2)
     with pytest.raises(ValueError, match="dt"):
-        step_crank_nicolson(pencil, StateVector(0, np.zeros(pencil.dim)), -0.1)
+        step_crank_nicolson(pencil, np.zeros(pencil.dim), -0.1)
     for bad in (np.nan, np.inf):
         w = np.zeros(pencil.dim, dtype=complex)
         w[3] = bad
         for call in (energy, lambda pen, s: simulate(pen, s, 0.1, 0.2)):
             with pytest.raises(ValueError, match="non-finite"):
-                call(pencil, StateVector(0, w))
+                call(pencil, w)
 
 
 def test_energy_zero_state():
     pencil = make_pencil()
-    rep = energy(pencil, StateVector(0, np.zeros(pencil.dim)))
+    rep = energy(pencil, np.zeros(pencil.dim))
     assert rep.total == 0.0
     assert all(v == 0.0 for v in rep.breakdown.values())
 
@@ -69,7 +69,7 @@ def test_energy_theta_only_state():
     w = np.zeros(pencil.dim, dtype=complex)
     th = pencil.block("theta")
     w[th] = 1.0 + 0.5j
-    rep = energy(pencil, StateVector(0, w))
+    rep = energy(pencil, w)
     expect = 0.5 * pencil.params.rho0 * float(
         pencil.grid.plate_weights.sum()) * (1.0**2 + 0.5**2)
     assert rep.total == pytest.approx(expect, rel=1e-13)
@@ -83,7 +83,7 @@ def test_energy_components_sum_and_gamma_zero_has_no_rotational_term():
     pencil = make_pencil(PhysicalParams(gamma=0.0, m_damp=1.0))
     rng = np.random.default_rng(0)
     w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
-    rep = energy(pencil, StateVector(0, w))
+    rep = energy(pencil, w)
     assert rep.breakdown["E_rot"] == 0.0
     assert sum(rep.breakdown.values()) == pytest.approx(rep.total, rel=1e-12)
 
@@ -92,9 +92,9 @@ def test_dissipation_channels_zero_cases():
     pencil = make_pencil(PhysicalParams(rho_damp=0.0, m_damp=0.0, mu=1.0))
     rng = np.random.default_rng(1)
     w = rng.standard_normal(pencil.dim)
-    ch = dissipation(pencil, StateVector(0, w))
+    ch = dissipation(pencil, w)
     assert ch.structural == 0.0 and ch.membrane == 0.0
-    zero = dissipation(pencil, StateVector(0, np.zeros(pencil.dim)))
+    zero = dissipation(pencil, np.zeros(pencil.dim))
     assert zero.as_tuple() == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -103,7 +103,7 @@ def test_dissipation_linear_theta_profile_heats_bulk_and_boundary():
     w = np.zeros(pencil.dim)
     th = pencil.block("theta")
     w[th] = pencil.grid.plate_nodes - pencil.grid.r_interface  # vanishes at interface
-    ch = dissipation(pencil, StateVector(0, w))
+    ch = dissipation(pencil, w)
     assert ch.thermal_bulk > 0.0
     assert ch.thermal_boundary > 0.0
     # direct quadrature of beta0 |grad theta|^2 = beta0 * 2 pi (r_out^2-r_in^2)/2
@@ -121,10 +121,9 @@ def test_dissipation_channels_match_pencil_form_exactly():
         pencil = make_pencil(p, n=10, mode=2)
         rng = np.random.default_rng(5)
         w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
-        st = StateVector(2, w)
-        channels = dissipation(pencil, st)
-        scale = max(abs(pencil_dissipation(pencil, st)), 1.0)
-        assert abs(pencil_dissipation(pencil, st) - channels.total) <= 1e-10 * scale
+        channels = dissipation(pencil, w)
+        scale = max(abs(pencil_dissipation(pencil, w)), 1.0)
+        assert abs(pencil_dissipation(pencil, w) - channels.total) <= 1e-10 * scale
 
 
 def test_dissipation_evaluations_agree_along_refined_trajectories():
@@ -137,7 +136,7 @@ def test_dissipation_evaluations_agree_along_refined_trajectories():
         worst = 0.0
         for _ in range(40):
             nxt = step_crank_nicolson(pencil, st, dt)
-            mid = StateVector(0, 0.5 * (st.coefficients + nxt.coefficients))
+            mid = 0.5 * (st + nxt)
             mismatch = abs(pencil_dissipation(pencil, mid) - dissipation(pencil, mid).total)
             worst = max(worst, mismatch)
             st = nxt
@@ -147,8 +146,8 @@ def test_dissipation_evaluations_agree_along_refined_trajectories():
 def test_simulate_residual_identity_and_monotonicity():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16)
     real = make_initial_data(pencil, "plate_bump")
-    x, y = real.coefficients.real, make_initial_data(pencil, "rough", seed=3).coefficients.real
-    mixed = StateVector(0, x + 1j * y)
+    x, y = real.real, make_initial_data(pencil, "rough", seed=3).real
+    mixed = x + 1j * y
     dt, steps = 1e-2, 2 * BLOCK_STEPS + 3        # two full bookkeeping blocks and a partial one
     for state, t_end in ((real, 20.0), (mixed, steps * dt)):
         trace = simulate(pencil, state, dt, t_end)
@@ -163,8 +162,7 @@ def test_simulate_residual_identity_and_monotonicity():
         states.append(step_crank_nicolson(pencil, states[-1], dt))
     reports = [energy(pencil, st) for st in states]
     channels = [dissipation(pencil, st) for st in states]
-    d_mid = [pencil_dissipation(pencil, StateVector(0, 0.5 * (a.coefficients + b.coefficients)))
-             for a, b in zip(states, states[1:])]
+    d_mid = [pencil_dissipation(pencil, 0.5 * (a + b)) for a, b in zip(states, states[1:])]
     columns = [(trace.energy, [r.total for r in reports]),
                (trace.residuals[1:] - np.diff(trace.energy) / dt, d_mid)]
     columns += [(trace.breakdown[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
@@ -175,7 +173,7 @@ def test_simulate_residual_identity_and_monotonicity():
     for got, want in columns:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     # E(x + iy) = E(x) + E(y) at every step
-    parts = [simulate(pencil, StateVector(0, z), dt, steps * dt).energy for z in (x, y)]
+    parts = [simulate(pencil, z, dt, steps * dt).energy for z in (x, y)]
     np.testing.assert_allclose(trace.energy, parts[0] + parts[1], rtol=1e-12,
                                atol=1e-12 * trace.energy[0])
 
@@ -185,8 +183,7 @@ def test_simulate_raises_on_non_finite_trace():
     # overflows: simulate used to return nan energies and residuals silently
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16, mode=1)
     for scale, step in ((2e154, 0), (1e154, 1)):
-        state = make_initial_data(pencil, "plate_bump")
-        state.coefficients *= scale
+        state = scale * make_initial_data(pencil, "plate_bump")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"non-finite .* at step {step}$"):
                 simulate(pencil, state, 1e-2, 0.2)
@@ -211,7 +208,7 @@ def test_membrane_only_undamped_conserves_energy():
     grid = build_radial_grid(GEO, 8, 24, 0)
     sub = membrane_subpencil(PhysicalParams(m_damp=0.0), grid)
     rng = np.random.default_rng(2)
-    st = StateVector(0, rng.standard_normal(sub.dim).astype(complex))
+    st = rng.standard_normal(sub.dim).astype(complex)
     trace = simulate(sub, st, 1e-3, 1.0)  # one thousand steps
     e0 = trace.energy[0]
     assert np.abs(trace.energy - e0).max() <= 1e-10 * e0
@@ -243,7 +240,7 @@ def test_simulate_linearity_in_energy():
     pencil = make_pencil(n=10)
     state = make_initial_data(pencil, "membrane_bump")
     tr1 = simulate(pencil, state, 1e-2, 0.5)
-    scaled = StateVector(0, 3.0 * state.coefficients)
+    scaled = 3.0 * state
     tr3 = simulate(pencil, scaled, 1e-2, 0.5)
     np.testing.assert_allclose(tr3.energy, 9.0 * tr1.energy, rtol=1e-12)
 
@@ -283,10 +280,10 @@ def test_crank_nicolson_vs_matrix_exponential_second_order():
     ref = P @ w0
 
     def err(dt):
-        st = StateVector(0, w0.astype(complex))
+        st = w0.astype(complex)
         for _ in range(int(round(1.0 / dt))):
             st = step_crank_nicolson(pencil, st, dt)
-        d = st.coefficients - ref
+        d = st - ref
         return float(np.sqrt(np.real(np.conj(d) @ (pencil.G @ d))))
 
     e1, e2 = err(4e-3), err(2e-3)
@@ -318,17 +315,17 @@ def test_initial_data_unit_energy_and_support():
         st = make_initial_data(pencil, profile, seed=1)
         assert energy(pencil, st).total == pytest.approx(0.5, rel=1e-12)
     st = make_initial_data(pencil, "plate_bump")
-    assert np.all(st.coefficients[pencil.block("v")] == 0.0)
-    assert np.all(st.coefficients[pencil.block("theta")] == 0.0)
+    assert np.all(st[pencil.block("v")] == 0.0)
+    assert np.all(st[pencil.block("theta")] == 0.0)
 
 
 def test_initial_data_rough_deterministic():
     pencil = make_pencil(n=10)
     a = make_initial_data(pencil, "rough", seed=7)
     b = make_initial_data(pencil, "rough", seed=7)
-    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+    np.testing.assert_array_equal(a, b)
     c = make_initial_data(pencil, "rough", seed=8)
-    assert np.any(c.coefficients != a.coefficients)
+    assert np.any(c != a)
 
 
 def test_initial_data_unknown_profile():

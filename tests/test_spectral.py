@@ -60,8 +60,8 @@ def test_sweep_exponential_cell_has_negative_abscissa():
                                     resolution=12, modes=range(0, 3))
     assert sweep.global_abscissa < 0.0
     assert sweep.global_abscissa_fine < 0.0
-    assert len(sweep.reports) == 3
-    assert len(sweep.reports_fine) == 5  # doubled mode count
+    assert len(sweep.spectra) == 3
+    assert len(sweep.spectra_fine) == 5  # doubled mode count
 
 
 def test_conservative_decoupled_pencil_abscissa_zero():

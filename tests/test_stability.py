@@ -63,8 +63,6 @@ def test_fit_errors():
     e[-3] = -1.0
     with pytest.raises(FitError, match="nonpositive"):
         fit_exponential_rate(synth_trace(t, e))
-    with pytest.raises(FitError, match="tail_fraction"):
-        fit_exponential_rate(synth_trace(t, np.exp(-t)), tail_fraction=0.0)
     short = np.linspace(0.5, 2.0, 40)  # window spans less than a decade
     with pytest.raises(FitError, match="decade"):
         fit_polynomial_rate(synth_trace(short, np.exp(-short)))
