@@ -10,7 +10,7 @@ from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel
                     classify_regime, validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
 from .pencil import (Closures, ModePencil, assemble_mode_pencil, closure_residuals,
-                     ghost_values, gram_matrix, interface_trace, membrane_subpencil)
+                     gram_matrix, interface_trace, membrane_subpencil)
 from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, default_dt,
                         dissipation, energy, graph_norm, make_initial_data,
                         matrix_exponential_reference, pencil_dissipation, simulate,
@@ -30,7 +30,7 @@ __all__ = [
     "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
     "Closures", "ModePencil", "assemble_mode_pencil", "closure_residuals",
-    "ghost_values", "gram_matrix", "interface_trace", "membrane_subpencil",
+    "gram_matrix", "interface_trace", "membrane_subpencil",
     "DissipationChannels", "EnergyReport", "SimulationTrace", "default_dt", "dissipation",
     "energy", "graph_norm", "make_initial_data", "matrix_exponential_reference",
     "pencil_dissipation", "simulate", "step_crank_nicolson",

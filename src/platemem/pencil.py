@@ -310,7 +310,7 @@ def interface_trace(pencil: ModePencil, w: np.ndarray) -> complex:
     return complex(pencil.closures.trace_u @ u)
 
 
-def ghost_values(pencil: ModePencil, w: np.ndarray) -> dict[str, tuple[complex, complex]]:
+def _ghost_values(pencil: ModePencil, w: np.ndarray) -> dict[str, tuple[complex, complex]]:
     """Eliminated (inner, outer) ghost values for each field of a state."""
     c = pencil.closures
     u = w[pencil.block("u")]
@@ -332,7 +332,7 @@ def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
     reconstructed extended field; exact elimination makes them round-off
     small relative to the state magnitude.
     """
-    g = ghost_values(pencil, w)
+    g = _ghost_values(pencil, w)
     c = pencil.closures
     hp = pencil.grid.h_plate
     u = w[pencil.block("u")]

@@ -1,11 +1,14 @@
 """Spectra of the generator pencil and energy-norm resolvent scans.
 
-Everything here is desk-scale dense linear algebra on one real Schur
+Everything here is desk-scale dense linear algebra on one Schur
 factorization per pencil: with F the Cholesky factor of G (G = F^T F), the
 generator M^-1 A is similar to B = F M^-1 A F^-1 = Z T Z^T, and the G-norm of
 a state is the 2-norm of F times it.  The spectrum, the spectral abscissa
-across modes, ||(i*lam - M^-1 A)^-1|| in the G inner product and the
-G-orthogonal projection off the undamped modes are all read from (T, Z).
+across modes and the G-orthogonal projection off the undamped modes are read
+from the real form (T, Z).  ||(i*lam - M^-1 A)^-1|| in the G inner product is
+the 2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T,
+found by inverse Lanczos: O(dim^2) per sample after one O(dim^3)
+factorization.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsen
+from scipy.linalg.lapack import dtrsen, ztrtrs
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
@@ -183,17 +186,47 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     return w - Q @ (Q.T @ (pencil.G @ w))
 
 
+def _complex_schur(pencil: ModePencil) -> np.ndarray:
+    """T_c: the complex upper-triangular Schur form B = U T_c U^H.
+
+    Rotated out of the cached real form once per pencil, on the first
+    resolvent sample, and kept Fortran-ordered for the LAPACK solves.
+    """
+    key = "schur_complex"
+    if key not in pencil._cache:
+        T, Z, _ = _schur(pencil)
+        pencil._cache[key] = np.asfortranarray(sla.rsf2csf(T, Z)[0])
+    return pencil._cache[key]
+
+
 def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
-    The G-norm is the 2-norm after the similarity by F, and Z is orthogonal, so
-    s(lam) = 1 / sigma_min(i lam I - T).
+    The G-norm is the 2-norm after the similarity by F, and U is unitary, so
+    s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top
+    eigenvalue of K^H K, found by Lanczos (ARPACK, converged to machine
+    precision from a fixed start vector); each product is two triangular
+    solves with T_c - i lam.  Pencils of dimension below 3, too small for
+    ARPACK, take the smallest singular value of T_c - i lam instead.
     """
-    T = _schur(pencil)[0]
-    smin = sla.svdvals(1j * lam * np.eye(len(T)) - T, overwrite_a=True)[-1]
-    if smin == 0.0:
+    R = _complex_schur(pencil).copy(order="F")
+    n = len(R)
+    R[np.diag_indices(n)] -= 1j * lam
+    if not np.diag(R).all():
         raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
-    return float(1.0 / smin)
+    if n < 3:
+        return float(1.0 / sla.svdvals(R)[-1])
+    # imported here, so that runs which never sample a resolvent do not load
+    # scipy.sparse.linalg at start-up
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    def gram(x: np.ndarray) -> np.ndarray:      # K^H K x
+        return ztrtrs(R, ztrtrs(R, x)[0], trans=2)[0]
+
+    op = LinearOperator((n, n), matvec=gram, dtype=complex)
+    top = eigsh(op, k=1, which="LA", tol=0, v0=np.ones(n, dtype=complex),
+                return_eigenvectors=False)[0]
+    return float(np.sqrt(top))
 
 
 def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,

@@ -1,5 +1,8 @@
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +193,28 @@ def test_thread_cap_respected_and_output_thread_independent(tmp_path, monkeypatc
         outputs[threads] = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
     assert len(outputs["1"]) == 2 + 3 + 2   # traces, spectra + summary, scans
     assert outputs["4"] == outputs["1"]
+
+
+def test_scan_norms_agree_across_blas_thread_counts(tmp_path):
+    # BLAS kernels sum in a thread-dependent order, so the Schur form moves at
+    # round-off; the README's known limitations state this bound
+    body = "n_plate = 32\nn_mem = 32\nmode_min = 0\nmode_max = 1\nm = 0\nrho = 1\n"
+    src = str(Path(platemem.__file__).resolve().parents[1])
+    norms = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        cfg = tmp_path / f"blas{threads}.cfg"
+        cfg.write_text(body + f"output_dir = {out}\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PLATEMEM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "platemem.cli", "scan", str(cfg), "--lmin",
+                        "0.25", "--lmax", "57.6", "--n", "60"], env=env, check=True,
+                       capture_output=True)
+        norms[threads] = [np.loadtxt(out / f"resolvent_mode{m}.csv", delimiter=",",
+                                     skiprows=1) for m in (0, 1)]
+    for one, two in zip(norms["1"], norms["2"]):
+        np.testing.assert_array_equal(one[:, 0], two[:, 0])
+        assert (np.abs(one[:, 1] - two[:, 1]) / one[:, 1]).max() <= 1e-9
 
 
 REGIME_FAST = """

@@ -101,6 +101,22 @@ def test_resolvent_scan_diagonal_pencil_matches_closed_form():
     np.testing.assert_allclose(scan.norms, expect, rtol=1e-12)
 
 
+def test_resolvent_norm_raises_on_an_eigenvalue():
+    pencil = fake_diag_pencil(np.array([0.0, -1.0, -2.0]))
+    with pytest.raises(RuntimeError, match="is \\(numerically\\) an eigenvalue"):
+        resolvent_norm(pencil, 0.0)
+
+
+def test_resolvent_samples_are_independent_of_each_other():
+    p = PhysicalParams(rho_damp=1.0)
+    pencil = make_pencil(p, n=32, mode=1)
+    scan = resolvent_scan(pencil, 0.25, 57.6, 24)
+    reverse = [resolvent_norm(pencil, float(l)) for l in scan.lambdas[::-1]]
+    np.testing.assert_array_equal(scan.norms, reverse[::-1])
+    again = resolvent_scan(make_pencil(p, n=32, mode=1), 0.25, 57.6, 24)
+    np.testing.assert_array_equal(again.norms, scan.norms)
+
+
 @pytest.mark.parametrize("mode", [0, 1])
 def test_resolvent_norm_matches_dense_oracle(mode):
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=64, mode=mode)
