@@ -13,8 +13,7 @@ from .pencil import (Closures, ModePencil, assemble_mode_pencil, closure_residua
                      gram_matrix, interface_trace, membrane_subpencil)
 from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, default_dt,
                         dissipation, energy, graph_norm, make_initial_data,
-                        matrix_exponential_reference, pencil_dissipation, simulate,
-                        step_crank_nicolson)
+                        pencil_dissipation, simulate, step_crank_nicolson)
 from .spectral import (ResolventScan, SpectrumResult, SweepResult, eigenvalues,
                        membrane_band_edge, project_resolvable, resolvent_norm,
                        resolvent_scan, spectral_abscissa_sweep)
@@ -32,8 +31,8 @@ __all__ = [
     "Closures", "ModePencil", "assemble_mode_pencil", "closure_residuals",
     "gram_matrix", "interface_trace", "membrane_subpencil",
     "DissipationChannels", "EnergyReport", "SimulationTrace", "default_dt", "dissipation",
-    "energy", "graph_norm", "make_initial_data", "matrix_exponential_reference",
-    "pencil_dissipation", "simulate", "step_crank_nicolson",
+    "energy", "graph_norm", "make_initial_data", "pencil_dissipation", "simulate",
+    "step_crank_nicolson",
     "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",
     "membrane_band_edge", "project_resolvable", "resolvent_norm",
     "resolvent_scan", "spectral_abscissa_sweep",

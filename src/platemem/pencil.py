@@ -24,16 +24,26 @@ The interface value is owned by the plate side, U = (9 u[0] - u[1])/8, and
 the membrane's interface half-edge gradient term in the Gram couples v's
 last node to U; that single term carries both the u = v continuity and the
 flux balance of the transmission conditions.
+
+M, A and G are scipy.sparse CSR arrays: every block is built from
+three-point stencils and closure rows, so a pencil has a few nonzeros per
+row and a narrow band after reverse Cuthill-McKee.  The energy and
+dissipation forms stay dense on their supports.  scipy.sparse is imported at
+first use, so that importing the package does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+import scipy.linalg as sla
 
 from .grid import TWO_PI, RadialGrid, laplacian_mode
 from .model import PhysicalParams
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 FIELDS = ("u", "u_t", "theta", "v", "v_t")
 
@@ -142,9 +152,9 @@ class ModePencil:
     """Discrete generator pencil, Gram matrix, and bookkeeping for one mode."""
 
     mode: int
-    M: np.ndarray
-    A: np.ndarray
-    G: np.ndarray
+    M: csr_array
+    A: csr_array
+    G: csr_array
     dof_layout: tuple[tuple[str, int, int], ...]
     grid: RadialGrid
     params: PhysicalParams
@@ -171,22 +181,44 @@ def _layout(grid: RadialGrid, fields: tuple[str, ...] = FIELDS) -> tuple[tuple[s
     return tuple((name, int(b - n), int(b)) for name, n, b in zip(fields, sizes, stops))
 
 
-def gram_matrix(parts: dict[str, Form], dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _block(rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
+    """(row, col, value) triplets of the nonzero entries of a dense block
+    placed on rows x cols."""
+    i, j = np.nonzero(block)
+    return rows[i], cols[j], block[i, j]
+
+
+def _identity(rows: np.ndarray, cols: np.ndarray, value: float):
+    """Triplets of value times the identity placed on rows x cols."""
+    return rows, cols, np.full(len(rows), float(value))
+
+
+def _csr(triplets, dim: int) -> csr_array:
+    """dim x dim CSR array from (row, col, value) triplets, zeros dropped and
+    repeated positions summed."""
+    from scipy import sparse
+
+    r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
+    keep = v != 0.0
+    return sparse.csr_array((v[keep], (r[keep], c[keep])), shape=(dim, dim))
+
+
+def gram_matrix(parts: dict[str, Form], dim: int) -> tuple[csr_array, csr_array]:
     """Discrete energy inner product from the energy parts.
 
-    Returns (G, S): S is the parts scattered into one dim x dim matrix, in
-    order, and G = (S + S^T)/2 is the symmetric positive definite Gram matrix
-    with w* G w equal to twice the physical energy.  The conservative rows of
-    the generator read S, before symmetrization.
+    Returns (G, S): S is the parts scattered into one dim x dim matrix, and
+    G = (S + S^T)/2 is the symmetric positive definite Gram matrix with
+    w* G w equal to twice the physical energy.  The conservative rows of the
+    generator read S, before symmetrization.  Both are CSR.  Entries that
+    parts share are summed; the pencil's parts share an entry at most
+    pairwise, and a sum of two does not depend on its order.
     """
-    S = np.zeros((dim, dim))
-    for form in parts.values():
-        S[np.ix_(form.support, form.support)] += form.block
+    S = _csr([_block(f.support, f.support, f.block) for f in parts.values()], dim)
     return 0.5 * (S + S.T), S
 
 
 def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
-                  blocks: dict[str, slice], Le: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
+                  index: dict[str, np.ndarray], Le: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
     """The six quadratic terms of the inner product, each on its own support.
 
     Bending, plate kinetic, rotational, thermal, membrane potential, membrane
@@ -214,7 +246,7 @@ def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
     ej[:nt] = closures.trace_u[trace]
     ej[-1] = -1.0
     mem += (2.0 * TWO_PI * grid.r_interface / grid.h_mem) * np.outer(ej, ej)
-    u, ut, th, v, vt = (np.r_[blocks[name]] for name in FIELDS)
+    u, ut, th, v, vt = (index[name] for name in FIELDS)
     return {
         "E_bend": Form(u, p.beta1 * Le.T @ (Wp[:, None] * Le)),
         "E_kin_plate": Form(ut, p.rho1 * np.diag(Wp)),
@@ -227,11 +259,11 @@ def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
 
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Build (M, A, G) for one Fourier mode."""
-    np_, nm = grid.n_plate, grid.n_mem
+    np_ = grid.n_plate
     layout = _layout(grid)
     n = layout[-1][2]
-    blocks = {name: slice(a, b) for name, a, b in layout}
-    u, ut, th, v, vt = (blocks[name] for name in FIELDS)
+    index = {name: np.arange(a, b) for name, a, b in layout}
+    u, ut, th, v, vt = (index[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     stencils = closed_laplacians(grid, closures)
@@ -239,27 +271,36 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     K2 = _dual(L2, Wp)
     Kth = _dual(Lth, Wp)
 
-    parts = _energy_parts(p, grid, closures, blocks, stencils["u"], K2)
+    parts = _energy_parts(p, grid, closures, index, stencils["u"], K2)
     G, S = gram_matrix(parts, n)
 
-    A = np.zeros((n, n))
-    A[u, ut] = np.eye(np_)
-    A[v, vt] = np.eye(nm)
+    # velocity identities, structural damping and thermo-coupling on the
+    # plate, membrane damping
+    entries = [
+        _identity(u, ut, 1.0),
+        _identity(v, vt, 1.0),
+        _block(ut, ut, p.rho_damp * L2),
+        _block(ut, th, -p.mu * L2),
+        _block(th, ut, p.mu * L2),
+        _block(th, th, p.beta0 * Lth),
+        _identity(vt, vt, -p.m_damp),
+    ]
     # conservative rows: minus the weighted dual of the (w1, w4) pair form,
     # bending + membrane potential, which are the only parts on those rows
-    A[ut, :] -= S[u, :] / Wp[:, None]
-    A[vt, :] -= S[v, :] / Wm[:, None]
-    # structural damping and thermo-coupling on the plate
-    A[ut, ut] += p.rho_damp * L2
-    A[ut, th] += -p.mu * L2
-    A[th, ut] = p.mu * L2
-    A[th, th] = p.beta0 * Lth
-    A[vt, vt] += -p.m_damp * np.eye(nm)
+    Sc = S.tocoo()
+    for src, dst, W in ((u, ut, Wp), (v, vt, Wm)):
+        k = (Sc.row >= src[0]) & (Sc.row <= src[-1])
+        r = Sc.row[k] - src[0]
+        entries.append((dst[r], Sc.col[k], -(Sc.data[k] / W[r])))
+    A = _csr(entries, n)
 
-    M = np.eye(n)
-    M[ut, ut] = p.rho1 * np.eye(np_) - p.gamma * L2
-    M[th, th] *= p.rho0
-    M[vt, vt] *= p.rho2
+    M = _csr([
+        _identity(u, u, 1.0),
+        _block(ut, ut, p.rho1 * np.eye(np_) - p.gamma * L2),
+        _identity(th, th, p.rho0),
+        _identity(v, v, 1.0),
+        _identity(vt, vt, p.rho2),
+    ], n)
 
     # dissipation channel forms (exact split of -Re <M^-1 A w, w>_G)
     robin_edge = Wp[-1] * (1.0 / grid.h_plate**2 + 1.0 / (2.0 * grid.h_plate * grid.plate_nodes[-1]))
@@ -267,10 +308,10 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     th_bdry = np.zeros((np_, np_))
     th_bdry[np_ - 1, np_ - 1] = robin_coef
     diss = {
-        "D_struct": Form(np.r_[ut], p.rho_damp * K2),
-        "D_thermal_bulk": Form(np.r_[th], p.beta0 * (Kth - th_bdry)),
-        "D_thermal_bdry": Form(np.r_[th], p.beta0 * th_bdry),
-        "D_membrane": Form(np.r_[vt], p.m_damp * np.diag(Wm)),
+        "D_struct": Form(ut, p.rho_damp * K2),
+        "D_thermal_bulk": Form(th, p.beta0 * (Kth - th_bdry)),
+        "D_thermal_bdry": Form(th, p.beta0 * th_bdry),
+        "D_membrane": Form(vt, p.m_damp * np.diag(Wm)),
     }
 
     pencil = ModePencil(
@@ -289,19 +330,55 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     return pencil
 
 
+def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float) -> None:
+    """Cholesky of mat + jitter I, symmetric, with row and column i moved to
+    rank[i]; LinAlgError if it fails.  Stored as a band of the width the
+    ordering gives, it costs O(dim band^2)."""
+    c = mat.tocoo()
+    i, j = rank[c.row], rank[c.col]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    band = int((j - i).max(initial=0))
+    ab = np.zeros((band + 1, mat.shape[0]))     # LAPACK upper band storage: ab[band + i - j, j]
+    ab[band + i - j, j] = c.data[upper]
+    ab[band] += jitter
+    sla.cholesky_banded(ab)
+
+
 def _check_definiteness(pencil: ModePencil) -> None:
-    """G and the weighted M must factor (positive definiteness)."""
+    """G and the weighted M must factor (positive definiteness).
+
+    Both factor as bands in the reverse Cuthill-McKee ordering of G, where
+    each is a few entries wide (2 for G at n = 16 to 128).
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     grid = pencil.grid
     w = np.concatenate([grid.membrane_weights if name in ("v", "v_t") else grid.plate_weights
                         for name, _, _ in pencil.dof_layout])
-    WM = w[:, None] * pencil.M
+    WM = pencil.M.multiply(w[:, None]).tocsr()
     WM = 0.5 * (WM + WM.T)
-    jitter = 1e-13 * (np.trace(pencil.G) / pencil.dim)
+    rank = np.empty(pencil.dim, dtype=np.intp)
+    rank[reverse_cuthill_mckee(pencil.G, symmetric_mode=True)] = np.arange(pencil.dim)
+    jitter = 1e-13 * (pencil.G.trace() / pencil.dim)
     for name, mat in (("G", pencil.G), ("weighted M", WM)):
         try:
-            np.linalg.cholesky(mat + jitter * np.eye(pencil.dim))
+            _banded_cholesky(mat, rank, jitter)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"{name} is not positive definite for mode {pencil.mode}") from exc
+
+
+def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
+    """M^-1 X for a real vector or dim x k array X.
+
+    The sparse LU of M is made once per pencil and cached on it.
+    """
+    key = "m_lu"
+    if key not in pencil._cache:
+        from scipy.sparse.linalg import splu
+
+        pencil._cache[key] = splu(pencil.M.tocsc())
+    return pencil._cache[key].solve(X)
 
 
 def interface_trace(pencil: ModePencil, w: np.ndarray) -> complex:
@@ -365,25 +442,21 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     validation and the near-resonance resolvent checks.  Only the membrane
     energy parts and dissipation channel are present.
     """
-    nm = grid.n_mem
     layout = _layout(grid, ("v", "v_t"))
     n = layout[-1][2]
-    v, vt = (slice(a, b) for _, a, b in layout)
+    v, vt = (np.arange(a, b) for _, a, b in layout)
     Wm = grid.membrane_weights
     closures = make_closures(p, grid)
     LmD = closed_laplacians(grid, closures)["v"]
 
-    A = np.zeros((n, n))
-    A[v, vt] = np.eye(nm)
-    A[vt, v] = p.beta2 * LmD
-    A[vt, vt] = -p.m_damp * np.eye(nm)
-    M = np.eye(n)
-    M[vt, vt] *= p.rho2
+    A = _csr([_identity(v, vt, 1.0), _block(vt, v, p.beta2 * LmD),
+              _identity(vt, vt, -p.m_damp)], n)
+    M = _csr([_identity(v, v, 1.0), _identity(vt, vt, p.rho2)], n)
     parts = {
-        "E_mem_pot": Form(np.r_[v], p.beta2 * _dual(LmD, Wm)),
-        "E_mem_kin": Form(np.r_[vt], p.rho2 * np.diag(Wm)),
+        "E_mem_pot": Form(v, p.beta2 * _dual(LmD, Wm)),
+        "E_mem_kin": Form(vt, p.rho2 * np.diag(Wm)),
     }
-    diss = {"D_membrane": Form(np.r_[vt], p.m_damp * np.diag(Wm))}
+    diss = {"D_membrane": Form(vt, p.m_damp * np.diag(Wm))}
     return ModePencil(
         mode=grid.mode, M=M, A=A, G=gram_matrix(parts, n)[0], dof_layout=layout, grid=grid,
         params=p, closures=closures, energy_parts=parts, dissipation_parts=diss,

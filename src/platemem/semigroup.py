@@ -10,7 +10,9 @@ is pure round-off and the energy can only decrease.
 
 A state is the 1-D complex coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form block are real, so a state is stepped and
-evaluated as the two real columns [Re w, Im w].
+evaluated as the two real columns [Re w, Im w].  A step is one solve with a
+sparse LU of M - dt/2 A and one CSR product with M + dt/2 A, both with
+their rows equilibrated.
 """
 from __future__ import annotations
 
@@ -18,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, closed_laplacians
+from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, closed_laplacians,
+                     solve_mass)
 
-EXPM_DIM_CAP = 400
 MAX_DEFAULT_STEPS = 20000
 BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
 
@@ -73,28 +74,37 @@ def _complex(X: np.ndarray) -> np.ndarray:
 
 
 def _cn_factorization(pencil: ModePencil, dt: float):
+    """(sparse LU of D (M - dt/2 A), CSR D (M + dt/2 A)), cached per pencil and dt.
+
+    D scales every row of M - dt/2 A to a largest entry of one, so that
+    partial pivoting compares entries on one scale: a u_t row carries
+    dt/2 times the bending stiffness (~h^-4), a u row carries ones.  Without
+    it the energy-identity residual reached 8.8e-10 E0/dt at n = 128 with
+    splu's default ordering; with it, it stays at the dense LU's level.
+    Columns are ordered by minimum degree on the pattern of Mm^T Mm, the
+    fastest of splu's orderings on these pencils.
+    """
     key = ("cn", float(dt))
     if key not in pencil._cache:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        Mm = pencil.M - 0.5 * dt * pencil.A
-        Mp = pencil.M + 0.5 * dt * pencil.A
+        from scipy.sparse.linalg import splu
+
+        Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()
+        D = 1.0 / abs(Mm).max(axis=1).toarray()[:, None]
         try:
-            lu = sla.lu_factor(Mm)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+            lu = splu(Mm.multiply(D).tocsc(), permc_spec="MMD_ATA")
+        except RuntimeError as exc:
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}") from exc
-        if not np.all(np.isfinite(lu[0])):
+        if not (np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()):
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}")
-        pencil._cache[key] = (lu, Mp)
+        pencil._cache[key] = (lu, (pencil.M + 0.5 * dt * pencil.A).multiply(D).tocsr())
     return pencil._cache[key]
 
 
 def _generator_apply(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """M^-1 A X with a cached LU of M."""
-    key = "m_lu"
-    if key not in pencil._cache:
-        pencil._cache[key] = sla.lu_factor(pencil.M)
-    return sla.lu_solve(pencil._cache[key], pencil.A @ X, check_finite=False)
+    """M^-1 A X."""
+    return solve_mass(pencil, pencil.A @ X)
 
 
 def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
@@ -105,7 +115,7 @@ def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
     """
     lu, Mp = _cn_factorization(pencil, dt)
     for _ in range(steps):
-        X = sla.lu_solve(lu, Mp @ X, check_finite=False)
+        X = lu.solve(Mp @ X)
         yield X
 
 
@@ -260,17 +270,6 @@ def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float
     for X in _cn_states(pencil, X, dt, _step_count(dt, t_end)):
         pass
     return _complex(X)
-
-
-def matrix_exponential_reference(pencil: ModePencil, t: float) -> np.ndarray:
-    """Dense propagator exp(t M^-1 A) (test oracle), capped at dim 400."""
-    if pencil.dim > EXPM_DIM_CAP:
-        raise ValueError(f"pencil dimension {pencil.dim} exceeds the dense cap {EXPM_DIM_CAP}")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return np.eye(pencil.dim)
-    return sla.expm(t * np.linalg.solve(pencil.M, pencil.A))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Spectra of the generator pencil and energy-norm resolvent scans.
 
 Everything here is desk-scale dense linear algebra on one Schur
-factorization per pencil: with F the Cholesky factor of G (G = F^T F), the
-generator M^-1 A is similar to B = F M^-1 A F^-1 = Z T Z^T, and the G-norm of
-a state is the 2-norm of F times it.  The spectrum, the spectral abscissa
-across modes and the G-orthogonal projection off the undamped modes are read
-from the real form (T, Z).  ||(i*lam - M^-1 A)^-1|| in the G inner product is
-the 2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T,
-found by inverse Lanczos: O(dim^2) per sample after one O(dim^3)
-factorization.
+factorization per pencil; the sparse G and M^-1 A are densified only to make
+it.  With F the Cholesky factor of G (G = F^T F), the generator M^-1 A is
+similar to B = F M^-1 A F^-1 = Z T Z^T, and the G-norm of a state is the
+2-norm of F times it.  The spectrum, the spectral abscissa across modes and
+the G-orthogonal projection off the undamped modes are read from the real
+form (T, Z).  ||(i*lam - M^-1 A)^-1|| in the G inner product is the 2-norm
+of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found by
+inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dtrsen, ztrtrs
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-from .pencil import ModePencil, assemble_mode_pencil
+from .pencil import ModePencil, assemble_mode_pencil, solve_mass
 from .util import parallel_map
 
 EIG_DIM_CAP = 2000
@@ -75,7 +75,7 @@ def membrane_band_edge(pencil: ModePencil) -> float:
 def _gram_factor(pencil: ModePencil) -> np.ndarray:
     key = "chol_G"
     if key not in pencil._cache:
-        L = np.linalg.cholesky(pencil.G)
+        L = np.linalg.cholesky(pencil.G.toarray())
         pencil._cache[key] = L.T      # F with G = F^T F, ||x||_G = ||F x||_2
     return pencil._cache[key]
 
@@ -94,7 +94,7 @@ def _schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         F = _gram_factor(pencil)
         # B^T = F^-T (M^-1 A)^T F^T; its transpose is Fortran-ordered, so
         # LAPACK overwrites B with T instead of copying it
-        Bt = sla.solve_triangular(F, np.linalg.solve(pencil.M, pencil.A).T, trans="T",
+        Bt = sla.solve_triangular(F, solve_mass(pencil, pencil.A.toarray()).T, trans="T",
                                   overwrite_b=True) @ F.T
         try:
             T, Z = sla.schur(Bt.T, output="real", overwrite_a=True)

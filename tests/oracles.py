@@ -1,14 +1,18 @@
 """Independent numerical oracles used only by the tests.
 
 These deliberately avoid the code paths they are used to check: Bessel zeros
-come from a power series plus bisection, the exponential cross-oracle is
-a scaled truncated Taylor series with repeated squaring, and the spectral
-oracles use the plain eigensolver and a dense solve instead of the Schur form.
+come from a power series plus bisection, the propagator is scipy's dense
+expm of the densified pencil instead of Crank-Nicolson, the exponential
+cross-oracle for it is a scaled truncated Taylor series with repeated
+squaring, and the spectral oracles use the plain eigensolver and a dense
+solve instead of the Schur form.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+
+EXPM_DIM_CAP = 400
 
 
 def bessel_j0(x: float) -> float:
@@ -44,6 +48,17 @@ def bessel_j0_zeros(count: int) -> list[float]:
                 break
         zeros.append(0.5 * (lo + hi))
     return zeros
+
+
+def matrix_exponential_reference(pencil, t: float) -> np.ndarray:
+    """Dense propagator exp(t M^-1 A) of a pencil, capped at dim 400."""
+    if pencil.dim > EXPM_DIM_CAP:
+        raise ValueError(f"pencil dimension {pencil.dim} exceeds the dense cap {EXPM_DIM_CAP}")
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if t == 0.0:
+        return np.eye(pencil.dim)
+    return sla.expm(t * np.linalg.solve(pencil.M.toarray(), pencil.A.toarray()))
 
 
 def expm_series_squaring(X: np.ndarray, terms: int = 60) -> np.ndarray:

@@ -195,26 +195,54 @@ def test_thread_cap_respected_and_output_thread_independent(tmp_path, monkeypatc
     assert outputs["4"] == outputs["1"]
 
 
+def _run_python(args: list[str], blas_threads: str = "1") -> str:
+    """stdout of a fresh interpreter that imports platemem from this checkout."""
+    src = str(Path(platemem.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PLATEMEM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
 def test_scan_norms_agree_across_blas_thread_counts(tmp_path):
     # BLAS kernels sum in a thread-dependent order, so the Schur form moves at
     # round-off; the README's known limitations state this bound
     body = "n_plate = 32\nn_mem = 32\nmode_min = 0\nmode_max = 1\nm = 0\nrho = 1\n"
-    src = str(Path(platemem.__file__).resolve().parents[1])
     norms = {}
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
         cfg = tmp_path / f"blas{threads}.cfg"
         cfg.write_text(body + f"output_dir = {out}\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PLATEMEM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "platemem.cli", "scan", str(cfg), "--lmin",
-                        "0.25", "--lmax", "57.6", "--n", "60"], env=env, check=True,
-                       capture_output=True)
+        _run_python(["-m", "platemem.cli", "scan", str(cfg), "--lmin", "0.25", "--lmax", "57.6",
+                     "--n", "60"], threads)
         norms[threads] = [np.loadtxt(out / f"resolvent_mode{m}.csv", delimiter=",",
                                      skiprows=1) for m in (0, 1)]
     for one, two in zip(norms["1"], norms["2"]):
         np.testing.assert_array_equal(one[:, 0], two[:, 0])
         assert (np.abs(one[:, 1] - two[:, 1]) / one[:, 1]).max() <= 1e-9
+
+
+def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
+    # a step is a SuperLU solve and a CSR product, which call no threaded
+    # BLAS kernel, so the traces do not move with the BLAS thread count
+    body = ("m = 1\nrho = 1\nn_plate = 64\nn_mem = 64\nmode_min = 0\nmode_max = 3\n"
+            "dt = 0.01\nt_end = 0.5\nprofiles = plate_bump,rough\n")
+    traces = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        cfg = tmp_path / f"blas{threads}.cfg"
+        cfg.write_text(body + f"output_dir = {out}\n")
+        _run_python(["-m", "platemem.cli", "simulate", str(cfg)], threads)
+        traces[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(traces["1"]) == [f"trace_mode{m}.csv" for m in range(4)]
+    assert traces["2"] == traces["1"]
+
+
+def test_importing_the_cli_does_not_load_scipy_sparse():
+    # scipy.sparse is imported at first use: at start-up it would cost ~20 ms
+    code = ("import sys, platemem.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    assert _run_python(["-c", code]).strip() == "[]"
 
 
 REGIME_FAST = """
@@ -258,7 +286,7 @@ def test_cli_regimes_inconclusive_on_unfittable_horizon(tmp_path):
 def test_cli_render_lands_on_requested_time(tmp_path, t):
     # default dt is 1e-3 at n=64; neither time is a multiple of it, and the
     # fields must still be those at t, not at the nearest multiple of 1e-3
-    from platemem import matrix_exponential_reference
+    from oracles import matrix_exponential_reference
     from platemem.cli import RENDER_N_THETA, _initial, _pencil
     path = write_cfg(tmp_path, "")
     assert main(["render", path, "--t", repr(t)]) == 0

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
+from platemem.pencil import AssemblyError, _check_definiteness
 
 from oracles import dense_eigenvalues_oracle
 
@@ -31,13 +35,13 @@ def blocks(pencil, M):
 
 def test_gamma_zero_makes_velocity_mass_identity():
     pencil = make_pencil(PhysicalParams(rho1=1.7, gamma=0.0))
-    blk = blocks(pencil, pencil.M)["u_t"]
+    blk = blocks(pencil, pencil.M.toarray())["u_t"]
     np.testing.assert_array_equal(blk, 1.7 * np.eye(blk.shape[0]))
 
 
 def test_m_zero_makes_velocity_damping_block_zero():
     pencil = make_pencil(PhysicalParams(m_damp=0.0))
-    blk = blocks(pencil, pencil.A)["v_t"]
+    blk = blocks(pencil, pencil.A.toarray())["v_t"]
     np.testing.assert_array_equal(blk, np.zeros_like(blk))
 
 
@@ -46,7 +50,7 @@ def test_tiny_pencil_eigenvalues_match_dense_oracle():
     for name, n, mode in (("exp_rho", 8, 0), ("poly", 64, 1)):
         pencil = make_pencil(CELLS[name], n=n, mode=mode)
         lam = eigenvalues(pencil).eigenvalues
-        ref = dense_eigenvalues_oracle(pencil.A, pencil.M)
+        ref = dense_eigenvalues_oracle(pencil.A.toarray(), pencil.M.toarray())
         scale = np.abs(ref).max()
         assert len(lam) == len(ref)
         # nearest-neighbour pairing (sorting conjugate pairs is order-unstable)
@@ -58,20 +62,44 @@ def test_tiny_pencil_eigenvalues_match_dense_oracle():
 
 def test_gram_symmetric_exactly():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=16, mode=3)
-    assert np.abs(pencil.G - pencil.G.T).max() == 0.0
+    G = pencil.G.toarray()
+    assert np.abs(G - G.T).max() == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 @pytest.mark.parametrize("mode", [0, 1, 2, 5, 16])
 def test_gram_and_mass_positive_definite(name, mode):
     pencil = make_pencil(CELLS[name], n=12, mode=mode)
-    np.linalg.cholesky(pencil.G)  # raises if not PD
+    np.linalg.cholesky(pencil.G.toarray())  # raises if not PD
     w = np.concatenate([pencil.grid.plate_weights] * 3
                        + [pencil.grid.membrane_weights] * 2)
-    WM = w[:, None] * pencil.M
+    WM = w[:, None] * pencil.M.toarray()
     asym = np.abs(WM - WM.T).max()
     assert asym <= 1e-12 * np.abs(WM).max()
     np.linalg.cholesky(0.5 * (WM + WM.T))
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_pencil_matrices_are_sparse_csr(name):
+    # every block is built from three-point stencils and closure rows
+    for mode in (0, 1, 3):
+        pencil = make_pencil(CELLS[name], n=32, mode=mode)
+        sub = membrane_subpencil(CELLS[name], pencil.grid)
+        for pen in (pencil, sub):
+            for mat in (pen.M, pen.A, pen.G):
+                assert sparse.issparse(mat) and mat.format == "csr"
+                assert mat.nnz <= 8 * pen.dim, (mode, mat.nnz, pen.dim)
+
+
+def test_definiteness_check_names_the_indefinite_matrix():
+    pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
+    _check_definiteness(pencil)
+    with pytest.raises(AssemblyError, match="^G is not positive definite for mode 1$"):
+        _check_definiteness(dataclasses.replace(pencil, G=-pencil.G))
+    M = pencil.M.copy()
+    M[pencil.dim - 1, pencil.dim - 1] = -1.0     # one negative membrane density
+    with pytest.raises(AssemblyError, match="^weighted M is not positive definite for mode 1$"):
+        _check_definiteness(dataclasses.replace(pencil, M=M))
 
 
 def test_energy_parts_sum_to_gram():
@@ -93,7 +121,8 @@ def test_energy_parts_sum_to_gram():
 def test_gram_matrix_operation_matches_pencil():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
     G, S = gram_matrix(pencil.energy_parts, pencil.dim)
-    np.testing.assert_array_equal(G, pencil.G)
+    G, S = G.toarray(), S.toarray()
+    np.testing.assert_array_equal(G, pencil.G.toarray())
     np.testing.assert_array_equal(G, 0.5 * (S + S.T))
     assert np.abs(G - G.T).max() == 0.0
     np.linalg.cholesky(G)
@@ -102,7 +131,7 @@ def test_gram_matrix_operation_matches_pencil():
 def test_gram_gamma_zero_velocity_block_is_weighted_identity():
     p = PhysicalParams(rho1=2.5, gamma=0.0)
     pencil = make_pencil(p, n=12)
-    blk = blocks(pencil, pencil.G)["u_t"]
+    blk = blocks(pencil, pencil.G.toarray())["u_t"]
     np.testing.assert_array_equal(blk, 2.5 * np.diag(pencil.grid.plate_weights))
     w = np.random.default_rng(5).standard_normal(pencil.dim)
     assert energy(pencil, w).breakdown["E_rot"] == 0.0
@@ -129,9 +158,9 @@ def test_mode_sign_symmetry_bit_identical():
     for n in (1, 3):
         a = assemble_mode_pencil(CELLS["poly"], build_radial_grid(GEO, 12, 12, n))
         b = assemble_mode_pencil(CELLS["poly"], build_radial_grid(GEO, 12, 12, -n))
-        np.testing.assert_array_equal(a.A, b.A)
-        np.testing.assert_array_equal(a.M, b.M)
-        np.testing.assert_array_equal(a.G, b.G)
+        np.testing.assert_array_equal(a.A.toarray(), b.A.toarray())
+        np.testing.assert_array_equal(a.M.toarray(), b.M.toarray())
+        np.testing.assert_array_equal(a.G.toarray(), b.G.toarray())
 
 
 def test_conservative_limit_skew_without_dissipative_blocks():
@@ -143,9 +172,9 @@ def test_conservative_limit_skew_without_dissipative_blocks():
                  np.arange(*pencil.block("u_t").indices(pencil.dim)),
                  np.arange(*pencil.block("v").indices(pencil.dim)),
                  np.arange(*pencil.block("v_t").indices(pencil.dim))]
-    A = pencil.A[np.ix_(keep, keep)]
-    M = pencil.M[np.ix_(keep, keep)]
-    G = pencil.G[np.ix_(keep, keep)]
+    A = pencil.A.toarray()[np.ix_(keep, keep)]
+    M = pencil.M.toarray()[np.ix_(keep, keep)]
+    G = pencil.G.toarray()[np.ix_(keep, keep)]
     H = G @ np.linalg.solve(M, A)
     sym = 0.5 * (H + H.T)
     assert np.abs(sym).max() <= 1e-10 * np.abs(H).max()
@@ -155,8 +184,9 @@ def test_full_generator_dissipative_in_energy_metric():
     import scipy.linalg as sla
     for name, p in CELLS.items():
         pencil = make_pencil(p, n=12, mode=1)
-        H = pencil.G @ np.linalg.solve(pencil.M, pencil.A)
-        top = sla.eigh(0.5 * (H + H.T), pencil.G, eigvals_only=True)[-1]
+        G = pencil.G.toarray()
+        H = G @ np.linalg.solve(pencil.M.toarray(), pencil.A.toarray())
+        top = sla.eigh(0.5 * (H + H.T), G, eigvals_only=True)[-1]
         assert top <= 1e-9, name
 
 
@@ -164,8 +194,8 @@ def test_membrane_subpencil_dirichlet_structure():
     grid = build_radial_grid(GEO, 8, 32, 0)
     sub = membrane_subpencil(PhysicalParams(), grid)
     assert sub.dim == 64
-    np.linalg.cholesky(sub.G)
-    H = sub.G @ np.linalg.solve(sub.M, sub.A)
+    np.linalg.cholesky(sub.G.toarray())
+    H = sub.G.toarray() @ np.linalg.solve(sub.M.toarray(), sub.A.toarray())
     assert np.abs(H + H.T).max() <= 1e-10 * np.abs(H).max()
 
 

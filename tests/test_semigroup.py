@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, default_dt, dissipation, energy, graph_norm,
-                      make_initial_data, matrix_exponential_reference, membrane_subpencil,
-                      pencil_dissipation, simulate, step_crank_nicolson)
+                      make_initial_data, membrane_subpencil, pencil_dissipation, simulate,
+                      step_crank_nicolson)
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
 from platemem.semigroup import BLOCK_STEPS, final_state
 
-from oracles import expm_series_squaring
+from oracles import expm_series_squaring, matrix_exponential_reference
 
 GEO = AnnulusGeometry()
 
@@ -24,8 +26,9 @@ def fake_pencil(A, M=None, G=None):
     grid = build_radial_grid(GEO, 8, 8, 0)
     p = PhysicalParams()
     eye = np.eye(n)
-    return ModePencil(mode=0, M=eye if M is None else M, A=A,
-                      G=eye if G is None else G, dof_layout=(("v", 0, n),),
+    return ModePencil(mode=0, M=sparse.csr_array(eye if M is None else M),
+                      A=sparse.csr_array(A), G=sparse.csr_array(eye if G is None else G),
+                      dof_layout=(("v", 0, n),),
                       grid=grid, params=p, energy_parts={}, dissipation_parts={},
                       closures=None)
 
@@ -222,9 +225,9 @@ def test_decoupled_conservative_limit_energy_constant():
                  np.arange(*pencil.block("u_t").indices(pencil.dim)),
                  np.arange(*pencil.block("v").indices(pencil.dim)),
                  np.arange(*pencil.block("v_t").indices(pencil.dim))]
-    A = pencil.A[np.ix_(keep, keep)]
-    M = pencil.M[np.ix_(keep, keep)]
-    G = pencil.G[np.ix_(keep, keep)]
+    A = pencil.A.toarray()[np.ix_(keep, keep)]
+    M = pencil.M.toarray()[np.ix_(keep, keep)]
+    G = pencil.G.toarray()[np.ix_(keep, keep)]
     dt = 1e-2
     lu = sla.lu_factor(M - 0.5 * dt * A)
     Mp = M + 0.5 * dt * A
@@ -298,7 +301,7 @@ def test_matrix_exponential_identity_at_t_zero():
 
 def test_matrix_exponential_reference_vs_series_oracle():
     pencil = make_pencil(n=8)  # dimension 40
-    ref = expm_series_squaring(np.linalg.solve(pencil.M, pencil.A))
+    ref = expm_series_squaring(np.linalg.solve(pencil.M.toarray(), pencil.A.toarray()))
     out = matrix_exponential_reference(pencil, 1.0)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 

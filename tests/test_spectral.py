@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, membrane_subpencil,
@@ -72,7 +73,7 @@ def test_conservative_decoupled_pencil_abscissa_zero():
                  np.arange(*pencil.block("v").indices(pencil.dim)),
                  np.arange(*pencil.block("v_t").indices(pencil.dim))]
     import scipy.linalg as sla
-    lam = sla.eig(pencil.A[np.ix_(keep, keep)], pencil.M[np.ix_(keep, keep)],
+    lam = sla.eig(pencil.A.toarray()[np.ix_(keep, keep)], pencil.M.toarray()[np.ix_(keep, keep)],
                   right=False)
     assert np.abs(lam.real).max() <= 1e-8 * np.abs(lam).max()
 
@@ -80,7 +81,8 @@ def test_conservative_decoupled_pencil_abscissa_zero():
 def fake_diag_pencil(d):
     n = len(d)
     grid = build_radial_grid(GEO, 8, 8, 0)
-    return ModePencil(mode=0, M=np.eye(n), A=np.diag(d), G=np.eye(n),
+    return ModePencil(mode=0, M=sparse.eye_array(n, format="csr"),
+                      A=sparse.csr_array(np.diag(d)), G=sparse.eye_array(n, format="csr"),
                       dof_layout=(("v", 0, n),), grid=grid, params=PhysicalParams(),
                       energy_parts={}, dissipation_parts={}, closures=None)
 
@@ -126,15 +128,16 @@ def test_resolvent_norm_matches_dense_oracle(mode):
     upper = lam[~undamped & (lam.imag > 0.0)]
     least = upper[np.argsort(-upper.real, kind="stable")[:2]].imag
     samples = [0.25, 7.3, 40.0, *least, *(least + 1e-6)]
+    A, M, G = pencil.A.toarray(), pencil.M.toarray(), pencil.G.toarray()
     for l in samples:
-        ref = resolvent_norm_dense_oracle(pencil.A, pencil.M, pencil.G, l)
+        ref = resolvent_norm_dense_oracle(A, M, G, l)
         assert resolvent_norm(pencil, l) == pytest.approx(ref, rel=1e-8)
     # next to an undamped origin artifact both routes lose eps * cond
     artifacts = lam[undamped & (lam.imag > 0.0)]
     assert len(artifacts) == (1 if mode else 0)
     for z in artifacts:
         l = z.imag + 1e-9 * mx
-        ref = resolvent_norm_dense_oracle(pencil.A, pencil.M, pencil.G, l)
+        ref = resolvent_norm_dense_oracle(A, M, G, l)
         assert ref > 1e4
         assert resolvent_norm(pencil, l) == pytest.approx(ref, rel=1e-6)
 
@@ -190,7 +193,8 @@ def test_scan_nudges_samples_off_eigenvalues():
     A = np.array([[0.0, 1.0], [-4.0, 0.0]])
     G = np.diag([4.0, 1.0])
     grid = build_radial_grid(GEO, 8, 8, 0)
-    pencil = ModePencil(mode=0, M=np.eye(2), A=A, G=G, dof_layout=(("v", 0, 2),),
+    pencil = ModePencil(mode=0, M=sparse.eye_array(2, format="csr"), A=sparse.csr_array(A),
+                        G=sparse.csr_array(G), dof_layout=(("v", 0, 2),),
                         grid=grid, params=PhysicalParams(), energy_parts={},
                         dissipation_parts={}, closures=None)
     scan = resolvent_scan(pencil, 1.0, 3.0, 5)  # samples include exactly 2.0
@@ -201,7 +205,7 @@ def test_scan_nudges_samples_off_eigenvalues():
 def test_project_resolvable_removes_undamped_components():
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
     import scipy.linalg as sla
-    lam, V = sla.eig(pencil.A, pencil.M)
+    lam, V = sla.eig(pencil.A.toarray(), pencil.M.toarray())
     bad = np.abs(lam.real) <= 1e-10 * np.abs(lam).max()
     assert bad.any()  # the origin artifacts exist for this mode
     rng = np.random.default_rng(9)
