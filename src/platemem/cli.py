@@ -16,11 +16,11 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .grid import build_radial_grid
-from .model import RegimeLabel, ValidationError, check_geometric_condition, classify_regime
+from .model import ValidationError, check_geometric_condition, classify_regime
 from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, assemble_mode_pencil
 from .semigroup import default_dt, energy, final_state, make_initial_data, simulate
 from .spectral import eigenvalues, resolvent_scan
-from .stability import run_regime_experiment
+from .stability import NOT_EXP_LABELS, run_regime_experiment
 from .util import fmt, parallel_map, write_csv
 
 TRACE_HEADER = ("t", "energy", "E_bend", "E_kin_plate", "E_rot", "E_thermal",
@@ -33,10 +33,7 @@ RENDER_N_THETA = 128
 def _default_t_end(cfg: RunConfig) -> float:
     if cfg.t_end is not None:
         return cfg.t_end
-    label = classify_regime(cfg.params, cfg.geometry)
-    return 500.0 if label in (RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL,
-                              RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS,
-                              RegimeLabel.NOT_EXPONENTIAL_NO_RATE) else 50.0
+    return 500.0 if classify_regime(cfg.params, cfg.geometry) in NOT_EXP_LABELS else 50.0
 
 
 def _default_dt(cfg: RunConfig, pencil, t_end: float) -> float:
@@ -131,6 +128,8 @@ def cmd_check_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig, t: float) -> int:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"--t must be finite and non-negative, got {t}")
     out = _outdir(cfg)
 
     def run(mode: int):

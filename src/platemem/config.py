@@ -7,6 +7,7 @@ Lines starting with `#` and blank lines are ignored.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import AnnulusGeometry, PhysicalParams, ValidationError, validate_params
@@ -125,8 +126,8 @@ def parse_config(text: str) -> RunConfig:
             f"invalid mode range {values['mode_min']}..{values['mode_max']}")
     for key in ("dt", "t_end"):
         v = values[key]
-        if v is not None and v <= 0.0:
-            raise ConfigError(f"{key} must be positive, got {v}")
+        if v is not None and not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{key} must be positive and finite, got {v}")
     return RunConfig(
         params=params,
         geometry=geometry,

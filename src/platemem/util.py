@@ -1,35 +1,15 @@
-"""Small shared helpers: thread-capped fan-out and float formatting."""
+"""Small shared helpers: the per-mode map and float formatting."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-THREADS_ENV = "PLATEMEM_THREADS"
-
-
-def thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = os.cpu_count() or 1
-    return cap
-
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving input order; fan-out capped by PLATEMEM_THREADS."""
-    items = list(items)
-    workers = min(thread_cap(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items]; kept by name because the benchmark tracer hooks it."""
+    return [fn(x) for x in items]
 
 
 def fmt(x: float) -> str:
