@@ -10,7 +10,7 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       make_initial_data, membrane_subpencil, pencil_dissipation, simulate,
                       step_crank_nicolson)
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
-from platemem.semigroup import BLOCK_STEPS, final_state
+from platemem.semigroup import BLOCK_STEPS, MIN_DEFAULT_STEPS, final_state
 
 from oracles import expm_series_squaring, matrix_exponential_reference
 
@@ -268,11 +268,12 @@ def test_non_integral_step_count_rejected():
 
 def test_default_dt_divides_t_end():
     pencil = make_pencil(n=64)  # heuristic step 1e-3 (the floor)
-    assert default_dt(pencil, 0.0015) == 0.0015 / 2
-    assert default_dt(pencil, 1e-4) == 1e-4
+    assert default_dt(pencil, 0.0015) == 0.0015 / MIN_DEFAULT_STEPS
+    assert default_dt(pencil, 1e-4) == 1e-4 / MIN_DEFAULT_STEPS
+    assert default_dt(pencil, 1.0) == 1.0 / 1000      # the heuristic step
     assert default_dt(pencil, 50.0) == 50.0 / 20000   # step cap
     assert len(simulate(pencil, make_initial_data(pencil, "plate_bump"),
-                        default_dt(pencil, 0.0015), 0.0015).times) == 3
+                        default_dt(pencil, 0.0015), 0.0015).times) == MIN_DEFAULT_STEPS + 1
 
 
 def test_crank_nicolson_vs_matrix_exponential_second_order():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.lapack import ztrtrs
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, membrane_subpencil,
@@ -78,13 +79,17 @@ def test_conservative_decoupled_pencil_abscissa_zero():
     assert np.abs(lam.real).max() <= 1e-8 * np.abs(lam).max()
 
 
-def fake_diag_pencil(d):
-    n = len(d)
+def fake_pencil(A):
+    n = len(A)
     grid = build_radial_grid(GEO, 8, 8, 0)
     return ModePencil(mode=0, M=sparse.eye_array(n, format="csr"),
-                      A=sparse.csr_array(np.diag(d)), G=sparse.eye_array(n, format="csr"),
+                      A=sparse.csr_array(A), G=sparse.eye_array(n, format="csr"),
                       dof_layout=(("v", 0, n),), grid=grid, params=PhysicalParams(),
                       energy_parts={}, dissipation_parts={}, closures=None)
+
+
+def fake_diag_pencil(d):
+    return fake_pencil(np.diag(d))
 
 
 def test_resolvent_norm_diagonal_pencil_exact():
@@ -117,6 +122,57 @@ def test_resolvent_samples_are_independent_of_each_other():
     np.testing.assert_array_equal(scan.norms, reverse[::-1])
     again = resolvent_scan(make_pencil(p, n=32, mode=1), 0.25, 57.6, 24)
     np.testing.assert_array_equal(again.norms, scan.norms)
+
+
+def test_resolvent_samples_leave_the_cached_schur_form_intact():
+    # a sample shifts the diagonal of the cached T_c in place; the strict
+    # upper triangle, which every triangular solve reads, must never move
+    p = PhysicalParams(rho_damp=1.0)
+    pencil = make_pencil(p, n=32, mode=1)
+    R, _ = spectral._complex_schur(pencil)
+    upper = np.triu(R, 1).tobytes()
+    resolvent_scan(pencil, 0.25, 57.6, 24)
+    assert np.triu(R, 1).tobytes() == upper
+    assert resolvent_norm(pencil, 3.1) == resolvent_norm(make_pencil(p, n=32, mode=1), 3.1)
+    # nor after a sample that raised: eigenvalue 0 is exact on a triangular A
+    rng = np.random.default_rng(5)
+    A = np.triu(rng.standard_normal((5, 5)), 1) + np.diag([-1.0, 0.0, -2.0, -0.5, -3.0])
+    pencil = fake_pencil(A)
+    R, _ = spectral._complex_schur(pencil)
+    upper = np.triu(R, 1).tobytes()
+    resolvent_norm(pencil, 1.7)
+    with pytest.raises(RuntimeError, match="is \\(numerically\\) an eigenvalue"):
+        resolvent_norm(pencil, 0.0)
+    assert np.triu(R, 1).tobytes() == upper
+    assert resolvent_norm(pencil, 0.3) == resolvent_norm(fake_pencil(A), 0.3)
+
+
+def test_resolvent_sample_takes_few_lanczos_products(monkeypatch):
+    # one product of K^H K is two triangular solves.  ARPACK's default basis
+    # of 20 vectors takes 21 products per sample, every time; the
+    # LANCZOS_NCV basis took 10.3-10.7 on average and at most 16 in m = 0,
+    # rho = 1 scans at dims 80 to 640
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return ztrtrs(*args, **kwargs)
+
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=0)
+    monkeypatch.setattr(spectral, "ztrtrs", counting)
+    scan = resolvent_scan(pencil, 0.25, 57.6, 60)
+    assert len(solves) / 2 / len(scan.lambdas) <= 16
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_resolvent_entry_points_reject_non_finite_lambda(bad):
+    pencil = fake_diag_pencil(np.array([-1.0, -2.0, -0.5]))
+    with pytest.raises(ValueError, match=f"lambda must be finite, got {bad}"):
+        resolvent_norm(pencil, bad)
+    with pytest.raises(ValueError, match=f"lambda_max must be finite, got {bad}"):
+        resolvent_scan(pencil, 0.5, bad, 12)
+    with pytest.raises(ValueError, match=f"lambda_min must be finite, got {bad}"):
+        resolvent_scan(pencil, bad, 6.0, 12)
 
 
 @pytest.mark.parametrize("mode", [0, 1])
