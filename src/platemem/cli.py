@@ -17,15 +17,13 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .grid import build_radial_grid
 from .model import ValidationError, check_geometric_condition, classify_regime
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, assemble_mode_pencil
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, assemble_mode_pencil
 from .semigroup import default_dt, energy, final_state, make_initial_data, simulate
 from .spectral import eigenvalues, resolvent_scan
 from .stability import NOT_EXP_LABELS, run_regime_experiment
 from .util import fmt, parallel_map, write_csv
 
-TRACE_HEADER = ("t", "energy", "E_bend", "E_kin_plate", "E_rot", "E_thermal",
-                "E_mem_pot", "E_mem_kin", "D_struct", "D_thermal_bulk",
-                "D_thermal_bdry", "D_membrane", "residual")
+TRACE_HEADER = ("t", "energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS, "residual")
 
 RENDER_N_THETA = 128
 
@@ -141,14 +139,13 @@ def cmd_render(cfg: RunConfig, t: float) -> int:
 
     states = parallel_map(run, list(cfg.modes))
     thetas = np.linspace(0.0, 2.0 * np.pi, RENDER_N_THETA, endpoint=False)
-    fields = {"u": "u", "theta": "theta", "v": "v"}
-    for fname, block in fields.items():
+    for fname in ("u", "theta", "v"):
         rows = []
         grid0 = states[0][1].grid
-        radii = grid0.plate_nodes if block != "v" else grid0.membrane_nodes
+        radii = grid0.membrane_nodes if fname in MEMBRANE_FIELDS else grid0.plate_nodes
         vals = np.zeros((len(radii), len(thetas)))
         for mode, pencil, w in states:
-            coef = w[pencil.block(block)]
+            coef = w[pencil.block(fname)]
             phase = np.exp(1j * mode * thetas)
             vals += np.real(np.outer(coef, phase))
         for i, r in enumerate(radii):

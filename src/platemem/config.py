@@ -93,6 +93,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"line {lineno}, column {col}: expected an integer for {key!r}, got {value!r}"
                 ) from None
+            if key == "seed" and values[key] < 0:
+                raise ConfigError(
+                    f"line {lineno}, column {col}: seed must be non-negative, got {value!r}")
         elif key in _LIST_KEYS:
             names = [s.strip() for s in value.split(",") if s.strip()]
             if not names:

@@ -46,6 +46,7 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 FIELDS = ("u", "u_t", "theta", "v", "v_t")
+MEMBRANE_FIELDS = ("v", "v_t")      # on the membrane grid; the others on the plate grid
 
 ENERGY_PARTS = ("E_bend", "E_kin_plate", "E_rot", "E_thermal", "E_mem_pot", "E_mem_kin")
 DISSIPATION_CHANNELS = ("D_struct", "D_thermal_bulk", "D_thermal_bdry", "D_membrane")
@@ -57,22 +58,13 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Closures:
-    """Ghost-elimination rows: each ghost value as a row over interior dofs.
+    """Ghost-elimination rows: ghosts[field] = (inner, outer) rows over the
+    field's interior values, and the plate-side interface trace
+    U = trace_u @ u.  The membrane rows are the frozen-plate (Dirichlet)
+    closure; in a coupled state the interface ghost of v adds 2 U."""
 
-    Vectors act on the owning field's interior values; the membrane interface
-    ghost additionally needs the plate trace row (over u)."""
-
-    u_inner: np.ndarray
-    u_outer: np.ndarray
-    ut_inner: np.ndarray
-    ut_outer: np.ndarray
-    theta_inner: np.ndarray
-    theta_outer: np.ndarray
-    v_origin: np.ndarray
-    v_interface_v: np.ndarray
-    v_interface_u: np.ndarray
+    ghosts: dict[str, tuple[np.ndarray, np.ndarray]]
     trace_u: np.ndarray
-    robin_ghost_factor: float
 
 
 def make_closures(p: PhysicalParams, grid: RadialGrid) -> Closures:
@@ -86,47 +78,35 @@ def make_closures(p: PhysicalParams, grid: RadialGrid) -> Closures:
         return r
 
     robin = (1.0 / hp - p.kappa / 2.0) / (1.0 / hp + p.kappa / 2.0)
-    trace_u = row(np_, [(0, 9.0 / 8.0), (1, -1.0 / 8.0)])
+    membrane = (row(nm, [(0, 1.0 if grid.mode == 0 else -1.0)]), row(nm, [(nm - 1, -1.0)]))
     return Closures(
-        u_inner=row(np_, [(0, 1.0)]),
-        u_outer=row(np_, [(np_ - 1, 2.0), (np_ - 2, -1.0 / 9.0)]),
-        ut_inner=row(np_, [(0, 1.0)]),
-        ut_outer=row(np_, [(np_ - 1, -1.0)]),
-        theta_inner=row(np_, [(0, -1.0)]),
-        theta_outer=row(np_, [(np_ - 1, robin)]),
-        v_origin=row(nm, [(0, 1.0 if grid.mode == 0 else -1.0)]),
-        v_interface_v=row(nm, [(nm - 1, -1.0)]),
-        v_interface_u=2.0 * trace_u,
-        trace_u=trace_u,
-        robin_ghost_factor=robin,
+        ghosts={
+            "u": (row(np_, [(0, 1.0)]), row(np_, [(np_ - 1, 2.0), (np_ - 2, -1.0 / 9.0)])),
+            "u_t": (row(np_, [(0, 1.0)]), row(np_, [(np_ - 1, -1.0)])),
+            "theta": (row(np_, [(0, -1.0)]), row(np_, [(np_ - 1, robin)])),
+            "v": membrane,
+            "v_t": membrane,
+        },
+        trace_u=row(np_, [(0, 9.0 / 8.0), (1, -1.0 / 8.0)]),
     )
 
 
 def _closed(L_ext: np.ndarray, inner_row: np.ndarray, outer_row: np.ndarray) -> np.ndarray:
-    """Fold ghost columns into interior columns: L_ext is (n, n+2)."""
-    n = L_ext.shape[0]
-    L = L_ext[:, 1:n + 1].copy()
-    L += np.outer(L_ext[:, 0], inner_row)
-    L += np.outer(L_ext[:, n + 1], outer_row)
+    """Fold the ghost columns of the (n, n+2) stencil L_ext into its interior
+    columns.  Only its first row has an inner ghost entry and only its last
+    row an outer one."""
+    L = L_ext[:, 1:-1].copy()
+    L[0] += L_ext[0, 0] * inner_row
+    L[-1] += L_ext[-1, -1] * outer_row
     return L
 
 
 def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
-    """Each field's Laplacian with its ghost closures folded in.
-
-    v and v_t share the origin parity and the interface row over v alone,
-    which is the Dirichlet closure of a frozen plate (trace pinned to zero).
-    """
-    c = closures
-    Lp = laplacian_mode(grid, "plate")
-    Lm = _closed(laplacian_mode(grid, "membrane"), c.v_origin, c.v_interface_v)
-    return {
-        "u": _closed(Lp, c.u_inner, c.u_outer),
-        "u_t": _closed(Lp, c.ut_inner, c.ut_outer),
-        "theta": _closed(Lp, c.theta_inner, c.theta_outer),
-        "v": Lm,
-        "v_t": Lm,
-    }
+    """Each field's Laplacian with its ghost closures folded in; v and v_t
+    carry the frozen-plate (Dirichlet) interface closure."""
+    Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
+    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, *rows)
+            for name, rows in closures.ghosts.items()}
 
 
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -174,11 +154,11 @@ class ModePencil:
         raise KeyError(name)
 
 
-def _layout(grid: RadialGrid, fields: tuple[str, ...] = FIELDS) -> tuple[tuple[str, int, int], ...]:
-    """(name, start, stop) of each field's contiguous block, in the given order."""
-    sizes = [grid.n_mem if name in ("v", "v_t") else grid.n_plate for name in fields]
+def _layout(grid: RadialGrid) -> tuple[tuple[str, int, int], ...]:
+    """(name, start, stop) of each field's contiguous block, in FIELDS order."""
+    sizes = [grid.n_mem if name in MEMBRANE_FIELDS else grid.n_plate for name in FIELDS]
     stops = np.cumsum(sizes)
-    return tuple((name, int(b - n), int(b)) for name, n, b in zip(fields, sizes, stops))
+    return tuple((name, int(b - n), int(b)) for name, n, b in zip(FIELDS, sizes, stops))
 
 
 def _block(rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
@@ -229,10 +209,9 @@ def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
     """
     nm = grid.n_mem
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    mirror = np.zeros(nm)
-    mirror[nm - 1] = 1.0
-    # zero-flux interface edge
-    Lm0 = _closed(laplacian_mode(grid, "membrane"), closures.v_origin, mirror)
+    origin, interface = closures.ghosts["v"]
+    # zero-flux interface edge: the mirror image of the Dirichlet ghost
+    Lm0 = _closed(laplacian_mode(grid, "membrane"), origin, -interface)
     # Km is the interior-edge Dirichlet form only; the interface half-edge
     # enters exclusively through the jump term below
     Km = _dual(Lm0, Wm)
@@ -304,7 +283,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
     # dissipation channel forms (exact split of -Re <M^-1 A w, w>_G)
     robin_edge = Wp[-1] * (1.0 / grid.h_plate**2 + 1.0 / (2.0 * grid.h_plate * grid.plate_nodes[-1]))
-    robin_coef = robin_edge * (1.0 - closures.robin_ghost_factor)
+    robin_coef = robin_edge * (1.0 - closures.ghosts["theta"][1][-1])
     th_bdry = np.zeros((np_, np_))
     th_bdry[np_ - 1, np_ - 1] = robin_coef
     diss = {
@@ -354,7 +333,7 @@ def _check_definiteness(pencil: ModePencil) -> None:
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     grid = pencil.grid
-    w = np.concatenate([grid.membrane_weights if name in ("v", "v_t") else grid.plate_weights
+    w = np.concatenate([grid.membrane_weights if name in MEMBRANE_FIELDS else grid.plate_weights
                         for name, _, _ in pencil.dof_layout])
     WM = pencil.M.multiply(w[:, None]).tocsr()
     WM = 0.5 * (WM + WM.T)
@@ -387,19 +366,13 @@ def interface_trace(pencil: ModePencil, w: np.ndarray) -> complex:
     return complex(pencil.closures.trace_u @ u)
 
 
-def _ghost_values(pencil: ModePencil, w: np.ndarray) -> dict[str, tuple[complex, complex]]:
-    """Eliminated (inner, outer) ghost values for each field of a state."""
-    c = pencil.closures
-    u = w[pencil.block("u")]
-    ut = w[pencil.block("u_t")]
-    th = w[pencil.block("theta")]
-    v = w[pencil.block("v")]
-    return {
-        "u": (complex(c.u_inner @ u), complex(c.u_outer @ u)),
-        "u_t": (complex(c.ut_inner @ ut), complex(c.ut_outer @ ut)),
-        "theta": (complex(c.theta_inner @ th), complex(c.theta_outer @ th)),
-        "v": (complex(c.v_origin @ v), complex(c.v_interface_v @ v + c.v_interface_u @ u)),
-    }
+def _ghost_values(pencil: ModePencil, w: np.ndarray) -> dict[str, list[complex]]:
+    """Eliminated [inner, outer] ghost values for each field of a state; the
+    interface ghost of v adds 2 U to its frozen-plate row."""
+    g = {name: [complex(row @ w[pencil.block(name)]) for row in rows]
+         for name, rows in pencil.closures.ghosts.items()}
+    g["v"][1] += 2.0 * interface_trace(pencil, w)
+    return g
 
 
 def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
@@ -410,7 +383,6 @@ def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
     small relative to the state magnitude.
     """
     g = _ghost_values(pencil, w)
-    c = pencil.closures
     hp = pencil.grid.h_plate
     u = w[pencil.block("u")]
     ut = w[pencil.block("u_t")]
@@ -419,7 +391,7 @@ def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
     U = interface_trace(pencil, w)
     kappa = pencil.params.kappa
     gi, go = g["u"]
-    res = {
+    return {
         # clamped rim: (ghost, u[-1], u[-2]) lie on a cubic with value and
         # slope zero at the rim iff 9*ghost - 18 u[-1] + u[-2] = 0
         "u_rim_clamped": abs(9.0 * go - 18.0 * u[-1] + u[-2]),
@@ -431,33 +403,34 @@ def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
         "v_origin_parity": abs(g["v"][0] - (v[0] if pencil.mode == 0 else -v[0])),
         "v_interface_continuity": abs((v[-1] + g["v"][1]) / 2.0 - U),
     }
-    return res
 
 
 def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Membrane-only sub-pencil with the plate frozen (v = 0 on the interface).
 
-    Freezing u pins the shared trace to zero, so the interface closure
-    degenerates to a Dirichlet condition; used by the Bessel-frequency
-    validation and the near-resonance resolvent checks.  Only the membrane
-    energy parts and dissipation channel are present.
+    It is the (v, v_t) slice of the coupled pencil: the rows and columns of
+    M, A and G on those dofs, and the forms restricted to them.  Freezing u
+    pins the shared trace to zero, so the jump term of E_mem_pot becomes the
+    Dirichlet closure; used by the Bessel-frequency validation and the
+    near-resonance resolvent checks.
     """
-    layout = _layout(grid, ("v", "v_t"))
-    n = layout[-1][2]
-    v, vt = (np.arange(a, b) for _, a, b in layout)
-    Wm = grid.membrane_weights
-    closures = make_closures(p, grid)
-    LmD = closed_laplacians(grid, closures)["v"]
+    pencil = assemble_mode_pencil(p, grid)
+    start = pencil.block("v").start          # v and v_t are the last two blocks
+    s = slice(start, pencil.dim)
 
-    A = _csr([_identity(v, vt, 1.0), _block(vt, v, p.beta2 * LmD),
-              _identity(vt, vt, -p.m_damp)], n)
-    M = _csr([_identity(v, v, 1.0), _identity(vt, vt, p.rho2)], n)
-    parts = {
-        "E_mem_pot": Form(v, p.beta2 * _dual(LmD, Wm)),
-        "E_mem_kin": Form(vt, p.rho2 * np.diag(Wm)),
-    }
-    diss = {"D_membrane": Form(vt, p.m_damp * np.diag(Wm))}
+    def restrict(forms: dict[str, Form]) -> dict[str, Form]:
+        out = {}
+        for name, f in forms.items():
+            keep = f.support >= start
+            if keep.any():
+                out[name] = Form(f.support[keep] - start, f.block[np.ix_(keep, keep)])
+        return out
+
     return ModePencil(
-        mode=grid.mode, M=M, A=A, G=gram_matrix(parts, n)[0], dof_layout=layout, grid=grid,
-        params=p, closures=closures, energy_parts=parts, dissipation_parts=diss,
+        mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
+        dof_layout=tuple((name, a - start, b - start)
+                         for name, a, b in pencil.dof_layout if a >= start),
+        grid=grid, params=p, closures=pencil.closures,
+        energy_parts=restrict(pencil.energy_parts),
+        dissipation_parts=restrict(pencil.dissipation_parts),
     )

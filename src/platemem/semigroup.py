@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, Form, ModePencil, closed_laplacians,
-                     solve_mass)
+from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, Form, ModePencil,
+                     closed_laplacians, solve_mass)
 
 MAX_DEFAULT_STEPS = 20000
 # Crank-Nicolson does not damp the stiff heat modes, so theta needs this many
@@ -188,11 +188,12 @@ def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
 def default_dt(pencil: ModePencil, t_end: float) -> float:
     """t_end / steps, steps from the accuracy heuristic min(h)^2/4 scaled by
     rho1/beta1 and floored at 1e-3, kept within [MIN_DEFAULT_STEPS,
-    MAX_DEFAULT_STEPS]."""
+    MAX_DEFAULT_STEPS].  The ratio is capped before rounding up, because
+    t_end / dt overflows to inf on a horizon near the float maximum."""
     p = pencil.params
     h = min(pencil.grid.h_plate, pencil.grid.h_mem)
     dt = max(1e-3, h * h / 4.0 / max(1.0, p.beta1 / p.rho1))
-    return t_end / min(MAX_DEFAULT_STEPS, max(MIN_DEFAULT_STEPS, math.ceil(t_end / dt)))
+    return t_end / max(MIN_DEFAULT_STEPS, math.ceil(min(MAX_DEFAULT_STEPS, t_end / dt)))
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -327,7 +328,7 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.nda
         raw = rng.standard_normal(pencil.dim)
         stencils = closed_laplacians(grid, pencil.closures)
         for name, a, b in pencil.dof_layout:
-            h = grid.h_mem if name in ("v", "v_t") else grid.h_plate
+            h = grid.h_mem if name in MEMBRANE_FIELDS else grid.h_plate
             w[a:b] = _smooth_field(stencils[name], h, raw[a:b])
     else:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")

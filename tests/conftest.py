@@ -1,6 +1,12 @@
 import os
 import sys
 
+# one BLAS thread: the suite's matrices are small, and a thread pool costs
+# more than it gains on them.  numpy is not loaded yet, so this takes effect;
+# subprocess tests that need another count set OPENBLAS_NUM_THREADS themselves
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 

@@ -77,6 +77,11 @@ def test_non_finite_step_or_horizon_rejected(key, value):
         parse_config(f"{key} = {value}")
 
 
+def test_negative_seed_rejected_with_line():
+    with pytest.raises(ConfigError, match=r"line 2, column 8: seed must be non-negative"):
+        parse_config("m = 1\nseed = -1")
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# comment\n\nm = 2\n")
     assert cfg.params.m_damp == 2.0
@@ -120,6 +125,18 @@ def test_cli_invalid_config_exits_one(tmp_path, capsys):
 def test_cli_missing_file_exits_one(capsys):
     assert main(["simulate", "/nonexistent/run.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# the overflow warnings come from forming M - dt/2 A at dt = 5e303
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("args", [["simulate"], ["render", "--t", "1e308"]])
+def test_cli_huge_horizon_is_an_error_not_a_traceback(tmp_path, capsys, args):
+    # with no dt, t_end / (heuristic step) overflows to inf
+    path = write_cfg(tmp_path, "n_plate = 12\nn_mem = 12\nmode_max = 0\nt_end = 1e308")
+    assert main([args[0], path, *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_simulate_outputs_are_deterministic_and_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from platemem import AnnulusGeometry, ValidationError, build_radial_grid, laplacian_mode
+from platemem.grid import MAX_NODES
 
 GEO = AnnulusGeometry()
 
@@ -42,6 +43,15 @@ def test_minimum_node_counts():
         build_radial_grid(GEO, 4, 8, 0)
     with pytest.raises(ValidationError, match="n_mem"):
         build_radial_grid(GEO, 8, 7, 0)
+
+
+def test_node_counts_above_the_cap_rejected_before_allocation():
+    # a 1e8-node stencil would ask for 71 PiB
+    with pytest.raises(ValidationError, match="n_plate"):
+        build_radial_grid(GEO, 100_000_000, 8, 0)
+    with pytest.raises(ValidationError, match="n_mem"):
+        build_radial_grid(GEO, 8, MAX_NODES + 1, 0)
+    assert build_radial_grid(GEO, 8, MAX_NODES, 0).n_mem == MAX_NODES
 
 
 def _apply(grid, domain, f):

@@ -7,7 +7,7 @@ from scipy import sparse
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
-from platemem.pencil import AssemblyError, _check_definiteness
+from platemem.pencil import AssemblyError, _check_definiteness, closed_laplacians
 
 from oracles import dense_eigenvalues_oracle
 
@@ -188,6 +188,22 @@ def test_full_generator_dissipative_in_energy_metric():
         H = G @ np.linalg.solve(pencil.M.toarray(), pencil.A.toarray())
         top = sla.eigh(0.5 * (H + H.T), G, eigvals_only=True)[-1]
         assert top <= 1e-9, name
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("mode", [0, 1, 3])
+def test_frozen_plate_membrane_block_is_the_dirichlet_build(mode, n):
+    # with u = 0 the interface half-edge of E_mem_pot acts on v alone, and
+    # must reproduce the closed Dirichlet stencil and its weighted form
+    p = PhysicalParams(beta2=1.7, m_damp=1.0)
+    pencil = make_pencil(p, n=n, mode=mode)
+    v, vt = pencil.block("v"), pencil.block("v_t")
+    L = closed_laplacians(pencil.grid, pencil.closures)["v"]
+    A = pencil.A.toarray()[vt, v]
+    assert np.abs(A - p.beta2 * L).max() <= 1e-15 * np.abs(A).max()
+    K = -(pencil.grid.membrane_weights[:, None] * L)
+    G = pencil.G.toarray()[v, v]
+    assert np.abs(G - p.beta2 * 0.5 * (K + K.T)).max() <= 1e-15 * np.abs(G).max()
 
 
 def test_membrane_subpencil_dirichlet_structure():

@@ -272,6 +272,7 @@ def test_default_dt_divides_t_end():
     assert default_dt(pencil, 1e-4) == 1e-4 / MIN_DEFAULT_STEPS
     assert default_dt(pencil, 1.0) == 1.0 / 1000      # the heuristic step
     assert default_dt(pencil, 50.0) == 50.0 / 20000   # step cap
+    assert default_dt(pencil, 1e308) == 1e308 / 20000  # t_end / dt overflows
     assert len(simulate(pencil, make_initial_data(pencil, "plate_bump"),
                         default_dt(pencil, 0.0015), 0.0015).times) == MIN_DEFAULT_STEPS + 1
 
