@@ -27,9 +27,12 @@ flux balance of the transmission conditions.
 
 M, A and G are scipy.sparse CSR arrays: every block is built from
 three-point stencils and closure rows, so a pencil has a few nonzeros per
-row and a narrow band after reverse Cuthill-McKee.  The energy and
-dissipation forms stay dense on their supports.  scipy.sparse is imported at
-first use, so that importing the package does not load it.
+row and a narrow band after reverse Cuthill-McKee.  Each energy part and
+dissipation channel is a sum of squares over the pencil's dofs: a gradient
+form is one CSR factor F with its weights folded in, valued ||F w||^2, and a
+diagonal form is its weight vector d, valued sum d |w|^2.  G is Phi^T Phi
+over the stacked energy factors plus the diagonal weights.  scipy.sparse is
+imported at first use, so that importing the package does not load it.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grid import TWO_PI, RadialGrid, laplacian_mode
-from .model import PhysicalParams
+from .model import AnnulusGeometry, PhysicalParams, validate_params
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -102,34 +105,55 @@ def _closed(L_ext: np.ndarray, inner_row: np.ndarray, outer_row: np.ndarray) -> 
 
 
 def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
-    """Each field's Laplacian with its ghost closures folded in; v and v_t
-    carry the frozen-plate (Dirichlet) interface closure."""
+    """Each field's Laplacian with its ghost closures folded in; v and v_t share
+    one array, as their frozen-plate (Dirichlet) ghost rows are one tuple."""
     Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
-    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, *rows)
-            for name, rows in closures.ghosts.items()}
+    closed: dict[int, np.ndarray] = {}
+    for name, rows in closures.ghosts.items():
+        if id(rows) not in closed:
+            closed[id(rows)] = _closed(Lm if name in MEMBRANE_FIELDS else Lp, *rows)
+    return {name: closed[id(rows)] for name, rows in closures.ghosts.items()}
 
 
-def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Exact Dirichlet form -W L of a conservatively closed Laplacian."""
-    K = -(weights[:, None] * L_closed)
-    asym = np.abs(K - K.T).max()
-    scale = max(np.abs(K).max(), 1.0)
-    if asym > 1e-12 * scale:
-        raise AssemblyError(f"weighted Laplacian not symmetric (asymmetry {asym:.2e})")
-    return 0.5 * (K + K.T)
+def _gradient(r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, np.ndarray]):
+    """Edge-gradient factor F of a field's closed Laplacian on the nodes r,
+    F^T F = -W L_closed, as (row, col, value) triplets on the field's nodes.
+
+    Its rows are sqrt(2 pi r_e/h) (w[i+1] - w[i]) per interior edge, then
+    sqrt(2 pi h m^2/r_i) w[i] per node, then sqrt(2 pi r_b/h (1 - a)) w[0]
+    and the same at w[-1] for the ghosts a w[0] and a w[-1] of the two ends,
+    whose outer radii are r_b.  The last triplet is the outer end's row.
+    """
+    n = len(r)
+    i = np.arange(n)
+    edge = np.sqrt(TWO_PI * (r[:-1] + 0.5 * h) / h)
+    r_b = np.array([r[0] - 0.5 * h, r[-1] + 0.5 * h])
+    a = np.array([ghosts[0][0], ghosts[1][-1]])
+    rows = np.concatenate([i[:-1], i[:-1], n - 1 + i, [2 * n - 1, 2 * n]])
+    cols = np.concatenate([i[:-1], i[1:], i, [0, n - 1]])
+    vals = np.concatenate([-edge, edge, np.sqrt(TWO_PI * h * float(mode**2) / r),
+                           np.sqrt(TWO_PI * r_b / h * (1.0 - a))])
+    return rows, cols, vals
 
 
-@dataclass(frozen=True)
-class Form:
-    """Quadratic form stored on its support: w* F w = w[support]* block w[support]."""
-
-    support: np.ndarray
-    block: np.ndarray
+def _checked_gradient(grid: RadialGrid, L_closed: np.ndarray, ghosts):
+    """_gradient of a plate field, checked against the closed stencil A reads."""
+    rows, cols, vals = _gradient(grid.plate_nodes, grid.h_plate, grid.mode, ghosts)
+    F = _csr([(rows, cols, vals)], (rows[-1] + 1, grid.n_plate))
+    K = grid.plate_weights[:, None] * L_closed
+    err = np.abs(K + (F.T @ F).toarray()).max()
+    if err > 1e-12 * max(np.abs(K).max(), 1.0):
+        raise AssemblyError(f"weighted Laplacian is not its factor's form (error {err:.2e})")
+    return rows, cols, vals
 
 
 @dataclass
 class ModePencil:
-    """Discrete generator pencil, Gram matrix, and bookkeeping for one mode."""
+    """Discrete generator pencil, Gram matrix, and bookkeeping for one mode.
+
+    energy_parts and dissipation_parts hold each form over the pencil's dofs:
+    a gradient form as its CSR factor F, weights folded in, valued ||F w||^2,
+    and a diagonal form as its weight vector d, valued sum d |w|^2."""
 
     mode: int
     M: csr_array
@@ -139,8 +163,8 @@ class ModePencil:
     grid: RadialGrid
     params: PhysicalParams
     closures: Closures
-    energy_parts: dict[str, Form]
-    dissipation_parts: dict[str, Form]
+    energy_parts: dict[str, Any]
+    dissipation_parts: dict[str, Any]
     _cache: dict[Any, Any] = field(default_factory=dict, repr=False)
 
     @property
@@ -173,85 +197,79 @@ def _identity(rows: np.ndarray, cols: np.ndarray, value: float):
     return rows, cols, np.full(len(rows), float(value))
 
 
-def _csr(triplets, dim: int) -> csr_array:
-    """dim x dim CSR array from (row, col, value) triplets, zeros dropped and
-    repeated positions summed."""
+def _csr(triplets, shape: tuple[int, int]) -> csr_array:
+    """CSR array from (row, col, value) triplets, zeros dropped and repeated
+    positions summed; sorted here, so that scipy takes them as CSR directly."""
     from scipy import sparse
 
     r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
-    keep = v != 0.0
-    return sparse.csr_array((v[keep], (r[keep], c[keep])), shape=(dim, dim))
+    keep = np.flatnonzero(v)
+    order = keep[np.lexsort((c[keep], r[keep]))]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r[order], minlength=shape[0]), out=indptr[1:])
+    out = sparse.csr_array((v[order], c[order].astype(np.int32), indptr), shape=shape)
+    out.sum_duplicates()
+    return out
 
 
-def gram_matrix(parts: dict[str, Form], dim: int) -> tuple[csr_array, csr_array]:
-    """Discrete energy inner product from the energy parts.
+def gram_matrix(parts: dict[str, Any]) -> csr_array:
+    """Discrete energy inner product, w* G w twice the physical energy:
+    Phi^T Phi of the stacked factors plus the diagonal parts' weights.  It is
+    CSR and exactly symmetric, as (i, j) and (j, i) sum the same products."""
+    from scipy import sparse
 
-    Returns (G, S): S is the parts scattered into one dim x dim matrix, and
-    G = (S + S^T)/2 is the symmetric positive definite Gram matrix with
-    w* G w equal to twice the physical energy.  The conservative rows of the
-    generator read S, before symmetrization.  Both are CSR.  Entries that
-    parts share are summed; the pencil's parts share an entry at most
-    pairwise, and a sum of two does not depend on its order.
-    """
-    S = _csr([_block(f.support, f.support, f.block) for f in parts.values()], dim)
-    return 0.5 * (S + S.T), S
-
-
-def _energy_parts(p: PhysicalParams, grid: RadialGrid, closures: Closures,
-                  index: dict[str, np.ndarray], Le: np.ndarray, K2: np.ndarray) -> dict[str, Form]:
-    """The six quadratic terms of the inner product, each on its own support.
-
-    Bending, plate kinetic, rotational, thermal, membrane potential, membrane
-    kinetic; their sum is the Gram matrix G.  Gradient seminorms use the
-    staggered edge quadrature dual to the conservative stencils, so each term
-    is the exact dual of the matching operator block.  The membrane potential
-    reads the plate dofs of the interface trace as well as v.
-    """
-    nm = grid.n_mem
-    Wp, Wm = grid.plate_weights, grid.membrane_weights
-    origin, interface = closures.ghosts["v"]
-    # zero-flux interface edge: the mirror image of the Dirichlet ghost
-    Lm0 = _closed(laplacian_mode(grid, "membrane"), origin, -interface)
-    # Km is the interior-edge Dirichlet form only; the interface half-edge
-    # enters exclusively through the jump term below
-    Km = _dual(Lm0, Wm)
-    # membrane gradient: interior edges plus the interface half-edge, whose
-    # boundary value is the plate-side trace U; the jump row is U(u) - v[-1]
-    trace = np.flatnonzero(closures.trace_u)
-    nt = len(trace)
-    mem = np.zeros((nt + nm, nt + nm))
-    mem[nt:, nt:] = Km
-    ej = np.zeros(nt + nm)
-    ej[:nt] = closures.trace_u[trace]
-    ej[-1] = -1.0
-    mem += (2.0 * TWO_PI * grid.r_interface / grid.h_mem) * np.outer(ej, ej)
-    u, ut, th, v, vt = (index[name] for name in FIELDS)
-    return {
-        "E_bend": Form(u, p.beta1 * Le.T @ (Wp[:, None] * Le)),
-        "E_kin_plate": Form(ut, p.rho1 * np.diag(Wp)),
-        "E_rot": Form(ut, p.gamma * K2),
-        "E_thermal": Form(th, p.rho0 * np.diag(Wp)),
-        "E_mem_pot": Form(np.concatenate([u[trace], v]), p.beta2 * mem),
-        "E_mem_kin": Form(vt, p.rho2 * np.diag(Wm)),
-    }
+    Phi = sparse.vstack([F for F in parts.values() if F.ndim == 2], format="csr")
+    weights = sum(d for d in parts.values() if d.ndim == 1)
+    return (Phi.T @ Phi + sparse.diags_array(weights)).tocsr()
 
 
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
-    """Build (M, A, G) for one Fourier mode."""
-    np_ = grid.n_plate
+    """Build (M, A, G) for one Fourier mode.
+
+    Gradient seminorms use the staggered edge quadrature dual to the
+    conservative stencils, so each energy part is the exact dual of the
+    matching operator block."""
+    validate_params(p, AnnulusGeometry(grid.r_interface, grid.r_outer))   # forms are sums of squares
+    np_, nm = grid.n_plate, grid.n_mem
     layout = _layout(grid)
     n = layout[-1][2]
     index = {name: np.arange(a, b) for name, a, b in layout}
     u, ut, th, v, vt = (index[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    stencils = closed_laplacians(grid, closures)
-    L2, Lth = stencils["u_t"], stencils["theta"]
-    K2 = _dual(L2, Wp)
-    Kth = _dual(Lth, Wp)
+    Lp = laplacian_mode(grid, "plate")
+    Le, L2, Lth = (_closed(Lp, *closures.ghosts[name]) for name in ("u", "u_t", "theta"))
 
-    parts = _energy_parts(p, grid, closures, index, stencils["u"], K2)
-    G, S = gram_matrix(parts, n)
+    factor = lambda n_rows, *triplets: _csr(triplets, (n_rows, n))
+    diagonal = lambda dofs, coef, W: np.bincount(dofs, coef * W, minlength=n)   # zero off dofs
+
+    i_ut, j_ut, f_ut = _checked_gradient(grid, L2, closures.ghosts["u_t"])
+    i_th, j_th, f_th = _checked_gradient(grid, Lth, closures.ghosts["theta"])
+    i_v, j_v, f_v = _gradient(grid.membrane_nodes, grid.h_mem, grid.mode, closures.ghosts["v"])
+    # the membrane's interface row, f_v[-1] v[-1] for its Dirichlet ghost,
+    # becomes f_v[-1] (v[-1] - U) once the plate-side trace U is added
+    trace = np.flatnonzero(closures.trace_u)
+    s2 = np.sqrt(p.beta2)
+    parts = {
+        "E_bend": factor(np_, _block(np.arange(np_), u, np.sqrt(p.beta1 * Wp)[:, None] * Le)),
+        "E_kin_plate": diagonal(ut, p.rho1, Wp),
+        "E_rot": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)),
+        "E_thermal": diagonal(th, p.rho0, Wp),
+        "E_mem_pot": factor(2 * nm + 1, (i_v, v[j_v], s2 * f_v),
+                            (np.full(len(trace), i_v[-1]), u[trace],
+                             -s2 * f_v[-1] * closures.trace_u[trace])),
+        "E_mem_kin": diagonal(vt, p.rho2, Wm),
+    }
+    G = gram_matrix(parts)
+    # dissipation channels, an exact split of -Re <M^-1 A w, w>_G: the
+    # thermal gradient's Robin row is the boundary channel
+    diss = {
+        "D_struct": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.rho_damp) * f_ut)),
+        "D_thermal_bulk": factor(2 * np_,
+                                 (i_th[:-1], th[j_th[:-1]], np.sqrt(p.beta0) * f_th[:-1])),
+        "D_thermal_bdry": factor(1, ([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])),
+        "D_membrane": diagonal(vt, p.m_damp, Wm),
+    }
 
     # velocity identities, structural damping and thermo-coupling on the
     # plate, membrane damping
@@ -266,12 +284,12 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     ]
     # conservative rows: minus the weighted dual of the (w1, w4) pair form,
     # bending + membrane potential, which are the only parts on those rows
-    Sc = S.tocoo()
+    Gc = G.tocoo()
     for src, dst, W in ((u, ut, Wp), (v, vt, Wm)):
-        k = (Sc.row >= src[0]) & (Sc.row <= src[-1])
-        r = Sc.row[k] - src[0]
-        entries.append((dst[r], Sc.col[k], -(Sc.data[k] / W[r])))
-    A = _csr(entries, n)
+        k = (Gc.row >= src[0]) & (Gc.row <= src[-1])
+        r = Gc.row[k] - src[0]
+        entries.append((dst[r], Gc.col[k], -(Gc.data[k] / W[r])))
+    A = _csr(entries, (n, n))
 
     M = _csr([
         _identity(u, u, 1.0),
@@ -279,32 +297,10 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         _identity(th, th, p.rho0),
         _identity(v, v, 1.0),
         _identity(vt, vt, p.rho2),
-    ], n)
+    ], (n, n))
 
-    # dissipation channel forms (exact split of -Re <M^-1 A w, w>_G)
-    robin_edge = Wp[-1] * (1.0 / grid.h_plate**2 + 1.0 / (2.0 * grid.h_plate * grid.plate_nodes[-1]))
-    robin_coef = robin_edge * (1.0 - closures.ghosts["theta"][1][-1])
-    th_bdry = np.zeros((np_, np_))
-    th_bdry[np_ - 1, np_ - 1] = robin_coef
-    diss = {
-        "D_struct": Form(ut, p.rho_damp * K2),
-        "D_thermal_bulk": Form(th, p.beta0 * (Kth - th_bdry)),
-        "D_thermal_bdry": Form(th, p.beta0 * th_bdry),
-        "D_membrane": Form(vt, p.m_damp * np.diag(Wm)),
-    }
-
-    pencil = ModePencil(
-        mode=grid.mode,
-        M=M,
-        A=A,
-        G=G,
-        dof_layout=layout,
-        grid=grid,
-        params=p,
-        closures=closures,
-        energy_parts=parts,
-        dissipation_parts=diss,
-    )
+    pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
+                        closures=closures, energy_parts=parts, dissipation_parts=diss)
     _check_definiteness(pencil)
     return pencil
 
@@ -409,7 +405,7 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Membrane-only sub-pencil with the plate frozen (v = 0 on the interface).
 
     It is the (v, v_t) slice of the coupled pencil: the rows and columns of
-    M, A and G on those dofs, and the forms restricted to them.  Freezing u
+    M, A and G on those dofs, and the forms' columns on them.  Freezing u
     pins the shared trace to zero, so the jump term of E_mem_pot becomes the
     Dirichlet closure; used by the Bessel-frequency validation and the
     near-resonance resolvent checks.
@@ -417,20 +413,11 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     pencil = assemble_mode_pencil(p, grid)
     start = pencil.block("v").start          # v and v_t are the last two blocks
     s = slice(start, pencil.dim)
-
-    def restrict(forms: dict[str, Form]) -> dict[str, Form]:
-        out = {}
-        for name, f in forms.items():
-            keep = f.support >= start
-            if keep.any():
-                out[name] = Form(f.support[keep] - start, f.block[np.ix_(keep, keep)])
-        return out
-
     return ModePencil(
         mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
         dof_layout=tuple((name, a - start, b - start)
                          for name, a, b in pencil.dof_layout if a >= start),
         grid=grid, params=p, closures=pencil.closures,
-        energy_parts=restrict(pencil.energy_parts),
-        dissipation_parts=restrict(pencil.dissipation_parts),
+        energy_parts={name: F[..., s] for name, F in pencil.energy_parts.items()},
+        dissipation_parts={name: F[..., s] for name, F in pencil.dissipation_parts.items()},
     )

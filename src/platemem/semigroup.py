@@ -9,7 +9,7 @@ so with the energy-compatible pencil the per-step residual of that identity
 is pure round-off and the energy can only decrease.
 
 A state is the 1-D complex coefficient array w in the pencil's dof_layout
-order.  M, A, G and every form block are real, so a state is stepped and
+order.  M, A, G and every form are real, so a state is stepped and
 evaluated as the two real columns [Re w, Im w].  A step is one solve with a
 sparse LU of M - dt/2 A and one CSR product with M + dt/2 A, both with
 their rows equilibrated.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, Form, ModePencil,
+from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, ModePencil,
                      closed_laplacians, solve_mass)
 
 MAX_DEFAULT_STEPS = 20000
@@ -85,12 +85,16 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     it the energy-identity residual reached 8.8e-10 E0/dt at n = 128 with
     splu's default ordering; with it, it stays at the dense LU's level.
     Columns are ordered by minimum degree on the pattern of Mm^T Mm, the
-    fastest of splu's orderings on these pencils.
+    fastest of splu's orderings on these pencils.  A dt for which
+    0.5 dt max|A| overflows is rejected before either matrix is formed.
     """
     key = ("cn", float(dt))
     if key not in pencil._cache:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
+        if not math.isfinite(0.5 * float(dt) * float(np.abs(pencil.A.data).max(initial=0.0))):
+            raise ValueError(
+                f"dt={dt} overflows the trapezoidal matrix: 0.5 dt max|A| is not finite")
         from scipy.sparse.linalg import splu
 
         Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()
@@ -129,39 +133,42 @@ def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # column evaluators: k states are a dim x 2k float array, state j in columns
-# 2j (real part) and 2j+1 (imaginary part).  For a real F, symmetric or not,
-# Re w* F w = x^T F x + y^T F y, so every form is evaluated in real arithmetic.
+# 2j (real part) and 2j+1 (imaginary part).  Every form is real, so its value
+# at w is the sum of its values at Re w and Im w, in real arithmetic.
 
-def _pair_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Re <u_j, v_j> per state j."""
-    d = np.einsum("ij,ij->j", U, V)
-    return d[0::2] + d[1::2]
-
-
-def _form_values(forms: dict[str, Form], names: tuple[str, ...], X: np.ndarray) -> np.ndarray:
-    """Re w* F w per state (columns) for each named form (rows); a form the
-    pencil does not carry reads zero."""
+def _form_values(forms: dict, names: tuple[str, ...], X: np.ndarray,
+                 Y: np.ndarray | None = None) -> np.ndarray:
+    """Each named form's value per state (columns) for each name (rows):
+    Re <F x, F y> for a factor F, sum d Re(x* y) for diagonal weights d, with
+    y = x by default.  A form the pencil does not carry reads zero."""
+    X = np.ascontiguousarray(X)         # a sparse product copies any other layout
     out = np.zeros((len(names), X.shape[1] // 2))
     for row, name in zip(out, names):
         if name in forms:
-            Xs = X[forms[name].support]
-            row[:] = _pair_dots(Xs, forms[name].block @ Xs)
+            F = forms[name]
+            if F.ndim == 1:
+                d = np.einsum("i,ij,ij->j", F, X, X if Y is None else Y)
+            else:
+                FX = F @ X
+                d = np.einsum("ij,ij->j", FX, FX if Y is None else F @ Y)
+            row[:] = d[0::2] + d[1::2]
     return out
 
 
 def _energy_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """Rows: total energy w* G w / 2, then its six parts."""
-    total = _pair_dots(X, pencil.G @ X)
-    return 0.5 * np.vstack((total, _form_values(pencil.energy_parts, ENERGY_PARTS, X)))
+    """Rows: total energy, then its six parts; the total is their sum."""
+    parts = 0.5 * _form_values(pencil.energy_parts, ENERGY_PARTS, X)
+    return np.vstack((parts.sum(axis=0), parts))
 
 
 def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """-Re <M^-1 A w, w>_G per state."""
-    return -_pair_dots(_generator_apply(pencil, X), pencil.G @ X)
+    """-Re <M^-1 A w, w>_G per state, through the forms the energy sums."""
+    return -_form_values(pencil.energy_parts, ENERGY_PARTS, _generator_apply(pencil, X),
+                         X).sum(axis=0)
 
 
 def energy(pencil: ModePencil, w: np.ndarray) -> EnergyReport:
-    """Total energy w* G w / 2 and its six components (they sum exactly)."""
+    """Total energy w* G w / 2 as the sum of its six components."""
     e = _energy_rows(pencil, _check_state(pencil, w))[:, 0].tolist()
     return EnergyReport(total=e[0], breakdown=dict(zip(ENERGY_PARTS, e[1:])))
 
@@ -181,7 +188,7 @@ def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
     X = _check_state(pencil, w)
-    gn = lambda Y: math.sqrt(max(float(_pair_dots(Y, pencil.G @ Y)[0]), 0.0))
+    gn = lambda Y: math.sqrt(float(_form_values(pencil.energy_parts, ENERGY_PARTS, Y).sum()))
     return gn(X) + gn(_generator_apply(pencil, X))
 
 

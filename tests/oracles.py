@@ -4,8 +4,9 @@ These deliberately avoid the code paths they are used to check: Bessel zeros
 come from a power series plus bisection, the propagator is scipy's dense
 expm of the densified pencil instead of Crank-Nicolson, the exponential
 cross-oracle for it is a scaled truncated Taylor series with repeated
-squaring, and the spectral oracles use the plain eigensolver and a dense
-solve instead of the Schur form.
+squaring, the spectral oracles use the plain eigensolver and a dense solve
+instead of the Schur form, and the energy and dissipation forms are dense
+blocks made from the closed stencils instead of the pencil's sparse factors.
 """
 from __future__ import annotations
 
@@ -98,3 +99,58 @@ def resolvent_norm_dense_oracle(A: np.ndarray, M: np.ndarray, G: np.ndarray,
     R = np.linalg.solve(1j * lam * M - A, M.astype(complex))
     Y = sla.solve_triangular(F.T, R.T, lower=True).T    # Y = R F^-1
     return float(sla.svdvals(F @ Y)[0])
+
+
+def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetrized Dirichlet form -W L of a conservatively closed Laplacian."""
+    K = -(weights[:, None] * L_closed)
+    return 0.5 * (K + K.T)
+
+
+def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
+    """Each energy part and dissipation channel of a pencil as a dense
+    dim x dim matrix, from its closed stencils: _dual for the gradient
+    seminorms, Le^T W Le for bending, the Robin rim entry, and the
+    interface jump (U - v[-1])^2 as an outer product."""
+    from platemem import laplacian_mode
+    from platemem.pencil import closed_laplacians
+
+    p, grid, closures = pencil.params, pencil.grid, pencil.closures
+    Wp, Wm = grid.plate_weights, grid.membrane_weights
+    L = closed_laplacians(grid, closures)
+    K2, Kth = _dual(L["u_t"], Wp), _dual(L["theta"], Wp)
+    h, r = grid.h_plate, grid.plate_nodes
+    robin = np.zeros_like(Kth)
+    robin[-1, -1] = (Wp[-1] * (1.0 / h**2 + 1.0 / (2.0 * h * r[-1]))
+                     * (1.0 - closures.ghosts["theta"][1][-1]))
+    # membrane: interior edges with a zero-flux interface closure, plus the
+    # jump across the interface half-edge, on the dofs (u, v)
+    Lm_ext = laplacian_mode(grid, "membrane")
+    Lm = Lm_ext[:, 1:-1].copy()
+    Lm[0] += Lm_ext[0, 0] * closures.ghosts["v"][0]
+    Lm[-1] -= Lm_ext[-1, -1] * closures.ghosts["v"][1]
+    n_p = grid.n_plate
+    mem = np.zeros((n_p + grid.n_mem,) * 2)
+    mem[n_p:, n_p:] = _dual(Lm, Wm)
+    jump = np.concatenate([closures.trace_u, np.zeros(grid.n_mem)])
+    jump[-1] = -1.0
+    mem += 2.0 * 2.0 * np.pi * grid.r_interface / grid.h_mem * np.outer(jump, jump)
+    u, ut, th, v, vt = (np.arange(*pencil.block(name).indices(pencil.dim))
+                        for name in ("u", "u_t", "theta", "v", "v_t"))
+    blocks = {
+        "E_bend": (u, p.beta1 * L["u"].T @ (Wp[:, None] * L["u"])),
+        "E_kin_plate": (ut, p.rho1 * np.diag(Wp)),
+        "E_rot": (ut, p.gamma * K2),
+        "E_thermal": (th, p.rho0 * np.diag(Wp)),
+        "E_mem_pot": (np.concatenate([u, v]), p.beta2 * mem),
+        "E_mem_kin": (vt, p.rho2 * np.diag(Wm)),
+        "D_struct": (ut, p.rho_damp * K2),
+        "D_thermal_bulk": (th, p.beta0 * (Kth - robin)),
+        "D_thermal_bdry": (th, p.beta0 * robin),
+        "D_membrane": (vt, p.m_damp * np.diag(Wm)),
+    }
+    forms = {}
+    for name, (dofs, block) in blocks.items():
+        forms[name] = np.zeros((pencil.dim, pencil.dim))
+        forms[name][np.ix_(dofs, dofs)] = block
+    return forms

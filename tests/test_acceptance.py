@@ -118,6 +118,24 @@ def test_criterion_1_dissipativity_and_energy_balance():
           f"energy, 6 cells x modes {{0,1,2,4}} x n {{32,64}} [{elapsed:.0f}s]")
 
 
+@criterion(1, "energy balance at n = 256")
+def test_criterion_1_energy_balance_at_n256():
+    # criterion 1's bound at four times its resolution, 50 steps: it needs the
+    # energy summed from its parts, as a float64 w* G w rounds at G's h^-4 scale
+    t0 = time.time()
+    dt, t_end = 0.01, 0.5
+    for name, (p, geo) in CELLS6.items():
+        for mode in (0, 4):
+            pencil = make_pencil(p, geo, 256, mode)
+            trace = simulate(pencil, all_profile_state(pencil), dt, t_end)
+            e0 = trace.energy[0]
+            assert np.abs(trace.residuals).max() <= 1e-10 * e0 / dt, (name, mode)
+            assert np.all(np.diff(trace.energy) <= 1e-10 * e0), (name, mode)
+    elapsed = time.time() - t0
+    announce(f"PASS criterion 1 at n=256: exact energy identity (<=1e-10 E0/dt), 6 cells x "
+             f"modes {{0,4}}, 50 steps of dt=0.01 [{elapsed:.0f}s]")
+
+
 @criterion(2, "Crank-Nicolson vs matrix-exponential oracle")
 def test_criterion_2_crank_nicolson_vs_matrix_exponential():
     t0 = time.time()

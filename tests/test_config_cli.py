@@ -127,9 +127,6 @@ def test_cli_missing_file_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# the overflow warnings come from forming M - dt/2 A at dt = 5e303
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("args", [["simulate"], ["render", "--t", "1e308"]])
 def test_cli_huge_horizon_is_an_error_not_a_traceback(tmp_path, capsys, args):
     # with no dt, t_end / (heuristic step) overflows to inf
@@ -238,13 +235,27 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert outputs[1] == outputs[0]
 
 
+def _checkout_env(blas_threads: str = "1") -> dict[str, str]:
+    """Environment of a fresh interpreter that imports platemem from this checkout."""
+    src = str(Path(platemem.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_python(args: list[str], blas_threads: str = "1") -> str:
     """stdout of a fresh interpreter that imports platemem from this checkout."""
-    src = str(Path(platemem.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True,
-                          text=True).stdout
+    return subprocess.run([sys.executable, *args], env=_checkout_env(blas_threads), check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_overflowing_dt_is_named_before_any_warning(tmp_path):
+    # t_end = 1e308 gives the default dt = 5e303, where 0.5 dt max|A| overflows
+    path = write_cfg(tmp_path, "n_plate = 12\nn_mem = 12\nmode_max = 0\nt_end = 1e308")
+    proc = subprocess.run([sys.executable, "-m", "platemem.cli", "simulate", path],
+                          env=_checkout_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: dt=5.0000000000000003e+303 overflows the trapezoidal "
+                           "matrix: 0.5 dt max|A| is not finite\n")
 
 
 def test_scan_norms_agree_across_blas_thread_counts(tmp_path):

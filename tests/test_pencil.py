@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
+from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
-from platemem.pencil import AssemblyError, _check_definiteness, closed_laplacians
+from platemem.pencil import (AssemblyError, _check_definiteness, _checked_gradient,
+                             closed_laplacians)
 
-from oracles import dense_eigenvalues_oracle
+from oracles import dense_eigenvalues_oracle, dense_forms_reference
 
 GEO = AnnulusGeometry()
 
@@ -108,24 +109,79 @@ def test_energy_parts_sum_to_gram():
     w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
     rep = energy(pencil, w)
     assert abs(sum(rep.breakdown.values()) - rep.total) <= 1e-13 * rep.total
-    # each form is a block on its own support, never a dim x dim array
+    assert abs(0.5 * np.real(np.conj(w) @ (pencil.G @ w)) - rep.total) <= 1e-13 * rep.total
+    # each form is a sparse factor or a diagonal weight vector over the
+    # pencil's dofs that reads fewer than half of them, never a dim x dim array
     forms = {**pencil.energy_parts, **pencil.dissipation_parts}
     for name, form in forms.items():
-        assert form.block.shape == (len(form.support),) * 2, name
-        assert len(form.support) < pencil.dim // 2, name
+        if form.ndim == 1:
+            assert form.shape == (pencil.dim,), name
+            assert np.count_nonzero(form) < pencil.dim // 2, name
+        else:
+            assert sparse.issparse(form) and form.format == "csr", name
+            assert form.shape[1] == pencil.dim, name
+            assert len(np.unique(form.indices)) < pencil.dim // 2, name
     u, v = pencil.block("u"), pencil.block("v")
-    np.testing.assert_array_equal(pencil.energy_parts["E_mem_pot"].support,
+    np.testing.assert_array_equal(np.unique(pencil.energy_parts["E_mem_pot"].indices),
                                   np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)])
 
 
 def test_gram_matrix_operation_matches_pencil():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
-    G, S = gram_matrix(pencil.energy_parts, pencil.dim)
-    G, S = G.toarray(), S.toarray()
+    G = gram_matrix(pencil.energy_parts).toarray()
     np.testing.assert_array_equal(G, pencil.G.toarray())
-    np.testing.assert_array_equal(G, 0.5 * (S + S.T))
+    parts = pencil.energy_parts.values()
+    Phi = np.vstack([F.toarray() for F in parts if F.ndim == 2])
+    weights = sum(d for d in parts if d.ndim == 1)
+    assert np.abs(G - Phi.T @ Phi - np.diag(weights)).max() <= 1e-15 * np.abs(G).max()
     assert np.abs(G - G.T).max() == 0.0
     np.linalg.cholesky(G)
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_factors_match_the_dense_reference_forms(name):
+    # the dense blocks the forms were stored as before they became factors;
+    # a diagonal form's weights are the reference's diagonal exactly
+    rng = np.random.default_rng(11)
+    for mode in (0, 1, 3):
+        for n in (16, 64):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            ref = dense_forms_reference(pencil)
+            for part, F in {**pencil.energy_parts, **pencil.dissipation_parts}.items():
+                if F.ndim == 1:
+                    np.testing.assert_array_equal(np.diag(F), ref[part])
+                    continue
+                err = np.abs((F.T @ F).toarray() - ref[part]).max()
+                assert err <= 1e-15 * np.abs(ref[part]).max(), (part, mode, n, err)
+            G = pencil.G.toarray()
+            assert np.abs(G - G.T).max() == 0.0
+            w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
+            rep = energy(pencil, w)
+            assert sum(rep.breakdown.values()) == pytest.approx(rep.total, rel=1e-15, abs=0.0)
+
+
+def test_closed_laplacians_share_the_membrane_array():
+    pencil = make_pencil(n=16, mode=1)
+    L = closed_laplacians(pencil.grid, pencil.closures)
+    assert L["v"] is L["v_t"]
+    assert not np.shares_memory(L["u"], L["u_t"])
+
+
+def test_gradient_check_rejects_a_non_conservative_stencil():
+    pencil = make_pencil(n=16, mode=1)
+    ghosts = pencil.closures.ghosts["theta"]
+    L = closed_laplacians(pencil.grid, pencil.closures)["theta"]
+    _checked_gradient(pencil.grid, L, ghosts)
+    L = L.copy()
+    L[3, 4] *= 1.0 + 1e-9
+    with pytest.raises(AssemblyError, match="is not its factor.s form"):
+        _checked_gradient(pencil.grid, L, ghosts)
+
+
+def test_assembly_rejects_a_coefficient_no_sum_of_squares_can_carry():
+    for name in ("gamma", "rho_damp", "beta0"):
+        with pytest.raises(ValidationError, match=f"{name} must be "):
+            make_pencil(PhysicalParams(**{name: -0.1}))
 
 
 def test_gram_gamma_zero_velocity_block_is_weighted_identity():
