@@ -301,14 +301,14 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
     pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
                         closures=closures, energy_parts=parts, dissipation_parts=diss)
-    _check_definiteness(pencil)
+    pencil._cache["gram_factor"] = _check_definiteness(pencil)
     return pencil
 
 
-def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float) -> None:
-    """Cholesky of mat + jitter I, symmetric, with row and column i moved to
-    rank[i]; LinAlgError if it fails.  Stored as a band of the width the
-    ordering gives, it costs O(dim band^2)."""
+def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """Upper Cholesky factor of mat + jitter I, symmetric, with row and column i
+    moved to rank[i], in LAPACK upper band storage; LinAlgError if it fails.
+    Stored as a band of the width the ordering gives, it costs O(dim band^2)."""
     c = mat.tocoo()
     i, j = rank[c.row], rank[c.col]
     upper = i <= j
@@ -317,30 +317,45 @@ def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float) -> None:
     ab = np.zeros((band + 1, mat.shape[0]))     # LAPACK upper band storage: ab[band + i - j, j]
     ab[band + i - j, j] = c.data[upper]
     ab[band] += jitter
-    sla.cholesky_banded(ab)
+    return sla.cholesky_banded(ab, overwrite_ab=True)
 
 
-def _check_definiteness(pencil: ModePencil) -> None:
-    """G and the weighted M must factor (positive definiteness).
-
-    Both factor as bands in the reverse Cuthill-McKee ordering of G, where
-    each is a few entries wide (2 for G at n = 16 to 128).
-    """
+def _factor_gram(G: csr_array) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+    order = reverse_cuthill_mckee(G, symmetric_mode=True)
+    return order, _banded_cholesky(G, np.argsort(order))
+
+
+def _check_definiteness(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
+    """G and the weighted M must factor (positive definiteness); returns G's factor.
+
+    Both factor as bands in the reverse Cuthill-McKee ordering of G, where
+    each is a few entries wide (2 for G at n = 16 to 400): G as it is, the
+    weighted M with a jitter of 1e-13 trace(G)/dim.
+    """
     grid = pencil.grid
     w = np.concatenate([grid.membrane_weights if name in MEMBRANE_FIELDS else grid.plate_weights
                         for name, _, _ in pencil.dof_layout])
     WM = pencil.M.multiply(w[:, None]).tocsr()
     WM = 0.5 * (WM + WM.T)
-    rank = np.empty(pencil.dim, dtype=np.intp)
-    rank[reverse_cuthill_mckee(pencil.G, symmetric_mode=True)] = np.arange(pencil.dim)
-    jitter = 1e-13 * (pencil.G.trace() / pencil.dim)
-    for name, mat in (("G", pencil.G), ("weighted M", WM)):
-        try:
-            _banded_cholesky(mat, rank, jitter)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"{name} is not positive definite for mode {pencil.mode}") from exc
+    name = "G"
+    try:
+        order, U = _factor_gram(pencil.G)
+        name = "weighted M"
+        _banded_cholesky(WM, np.argsort(order), 1e-13 * (pencil.G.trace() / pencil.dim))
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"{name} is not positive definite for mode {pencil.mode}") from exc
+    return order, U
+
+
+def gram_factor(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
+    """(order, U): G[order][:, order] = U^T U for the reverse Cuthill-McKee
+    order of G, U in LAPACK upper band storage, so ||x||_G = ||U x[order]||_2.
+    Assembly keeps the check's factor; other pencils factor G on first use."""
+    if "gram_factor" not in pencil._cache:
+        pencil._cache["gram_factor"] = _factor_gram(pencil.G)
+    return pencil._cache["gram_factor"]
 
 
 def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
@@ -379,13 +394,9 @@ def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
     small relative to the state magnitude.
     """
     g = _ghost_values(pencil, w)
-    hp = pencil.grid.h_plate
-    u = w[pencil.block("u")]
-    ut = w[pencil.block("u_t")]
-    th = w[pencil.block("theta")]
-    v = w[pencil.block("v")]
+    hp, kappa = pencil.grid.h_plate, pencil.params.kappa
+    u, ut, th, v = (w[pencil.block(name)] for name in ("u", "u_t", "theta", "v"))
     U = interface_trace(pencil, w)
-    kappa = pencil.params.kappa
     gi, go = g["u"]
     return {
         # clamped rim: (ghost, u[-1], u[-2]) lie on a cubic with value and

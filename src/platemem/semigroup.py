@@ -109,11 +109,6 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     return pencil._cache[key]
 
 
-def _generator_apply(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """M^-1 A X."""
-    return solve_mass(pencil, pencil.A @ X)
-
-
 def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
     """Crank-Nicolson states w_1, ..., w_steps from w_0, each as [Re w, Im w].
 
@@ -163,7 +158,7 @@ def _energy_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
 
 def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     """-Re <M^-1 A w, w>_G per state, through the forms the energy sums."""
-    return -_form_values(pencil.energy_parts, ENERGY_PARTS, _generator_apply(pencil, X),
+    return -_form_values(pencil.energy_parts, ENERGY_PARTS, solve_mass(pencil, pencil.A @ X),
                          X).sum(axis=0)
 
 
@@ -189,7 +184,7 @@ def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
     X = _check_state(pencil, w)
     gn = lambda Y: math.sqrt(float(_form_values(pencil.energy_parts, ENERGY_PARTS, Y).sum()))
-    return gn(X) + gn(_generator_apply(pencil, X))
+    return gn(X) + gn(solve_mass(pencil, pencil.A @ X))
 
 
 def default_dt(pencil: ModePencil, t_end: float) -> float:

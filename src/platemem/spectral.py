@@ -1,14 +1,14 @@
 """Spectra of the generator pencil and energy-norm resolvent scans.
 
 Everything here is desk-scale dense linear algebra on one Schur
-factorization per pencil; the sparse G and M^-1 A are densified only to make
-it.  With F the Cholesky factor of G (G = F^T F), the generator M^-1 A is
-similar to B = F M^-1 A F^-1 = Z T Z^T, and the G-norm of a state is the
-2-norm of F times it.  The spectrum, the spectral abscissa across modes and
-the G-orthogonal projection off the undamped modes are read from the real
-form (T, Z).  ||(i*lam - M^-1 A)^-1|| in the G inner product is the 2-norm
-of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found by
-inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
+factorization per pencil, of its one dense array.  With the banded Gram
+factor P G P^T = U^T U (P a permutation), M^-1 A is similar to
+B = U P M^-1 A P^T U^-1 = Z T Z^T, and the G-norm of x is ||U P x||_2.  The
+spectrum, the spectral abscissa across modes and the G-orthogonal projection
+off the undamped modes are read from the real form (T, Z); only the
+projection makes Z.  ||(i*lam - M^-1 A)^-1|| in the G inner product is the
+2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found
+by inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
 """
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsen, ztrtrs
+from scipy.linalg.lapack import dgees, dtbtrs, dtrsen, ztrtrs
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-from .pencil import ModePencil, assemble_mode_pencil, solve_mass
+from .pencil import ModePencil, assemble_mode_pencil, gram_factor, solve_mass
 from .util import parallel_map
 
 EIG_DIM_CAP = 2000
@@ -77,42 +77,52 @@ def membrane_band_edge(pencil: ModePencil) -> float:
     return 2.0 * np.sqrt(p.beta2 / p.rho2) / pencil.grid.h_mem
 
 
-def _gram_factor(pencil: ModePencil) -> np.ndarray:
-    key = "chol_G"
-    if key not in pencil._cache:
-        L = np.linalg.cholesky(pencil.G.toarray())
-        pencil._cache[key] = L.T      # F with G = F^T F, ||x||_G = ||F x||_2
-    return pencil._cache[key]
+def _similarity(pencil: ModePencil, step: int = 32) -> np.ndarray:
+    """B = U P M^-1 A P^T U^-1, Fortran-ordered: mass solves fill its column
+    blocks, then banded solves from the right finish its row blocks."""
+    from scipy.sparse import csr_array
+
+    order, U = gram_factor(pencil)
+    n, k, j = pencil.dim, *np.nonzero(U)
+    UP = csr_array((U[k, j], (j + k - len(U) + 1, order[j])), shape=(n, n))
+    AP = pencil.A.tocsc()[:, order]
+    B = np.empty((n, n), order="F")
+    for c in range(0, n, step):
+        B[:, c:c + step] = UP @ solve_mass(pencil, AP[:, c:c + step].toarray())
+    for r in range(0, n, step):
+        rows, info = dtbtrs(U, B[r:r + step].T, trans="T")       # U^T X^T = B^T
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs info {info}")
+        if not np.isfinite(rows).all():
+            raise ValueError(f"M^-1 A is not finite for mode {pencil.mode}, dim {n}")
+        B[r:r + step] = rows.T
+    return B
 
 
-def _schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, Z, eigenvalues): real Schur form B = Z T Z^T of B = F M^-1 A F^-1.
+def _schur(pencil: ModePencil, vectors: bool = False):
+    """(T, Z, eigenvalues): real Schur form B = Z T Z^T of the similarity B.
 
-    Computed once per pencil and cached.  The eigenvalues are in Schur order,
-    read off the diagonal of T and its standardized 2x2 blocks
-    [[a, b], [c, a]] (b c < 0), whose pair is a +- i sqrt|b| sqrt|c|.
+    T and the eigenvalues (in Schur order) are cached.  Z is None unless asked
+    for, then made by a second factorization if T is cached; T is the same.
     """
-    key = "schur"
-    if key not in pencil._cache:
-        if pencil.dim > EIG_DIM_CAP:
-            raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
-        F = _gram_factor(pencil)
-        # B^T = F^-T (M^-1 A)^T F^T; its transpose is Fortran-ordered, so
-        # LAPACK overwrites B with T instead of copying it
-        Bt = sla.solve_triangular(F, solve_mass(pencil, pencil.A.toarray()).T, trans="T",
-                                  overwrite_b=True) @ F.T
-        try:
-            T, Z = sla.schur(Bt.T, output="real", overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"Schur factorization failed for mode {pencil.mode}, "
-                               f"dim {pencil.dim}") from exc
-        lam = np.diag(T).astype(complex)
-        k = np.flatnonzero(np.diag(T, -1))                   # first row of each 2x2 block
-        im = np.sqrt(np.abs(T[k + 1, k])) * np.sqrt(np.abs(T[k, k + 1]))
-        lam[k] += 1j * im
-        lam[k + 1] -= 1j * im
-        pencil._cache[key] = (T, Z, lam)
-    return pencil._cache[key]
+    if "schur" in pencil._cache and not vectors:
+        return pencil._cache["schur"]
+    if pencil.dim > EIG_DIM_CAP:
+        raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
+    try:
+        B = _similarity(pencil)
+        # gees overwrites B with T, and so must its workspace query, or it copies B
+        work = dgees(lambda *_: 0, B, compute_v=vectors, lwork=-1, overwrite_a=True)[5]
+        T, _, wr, wi, Z, _, info = dgees(lambda *_: 0, B, compute_v=vectors,
+                                         lwork=int(work[0]), overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gees info {info}")
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"Schur factorization failed for mode {pencil.mode}, "
+                           f"dim {pencil.dim}") from exc
+    lam = wr + 1j * wi
+    pencil._cache.setdefault("schur", (T, None, lam))
+    return T, (Z if vectors else None), lam
 
 
 def eigenvalues(pencil: ModePencil) -> SpectrumResult:
@@ -170,21 +180,22 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     the noise floor), whose lack of damping would otherwise floor every long
     energy trace at the overlap level.  G-orthogonal projection off their
     invariant subspace: the Schur form is reordered to put them first, and
-    Q = F^-1 Z[:, :k] is a G-orthonormal basis of it.  A no-op when every
+    Q = P^T U^-1 Z[:, :k] is a G-orthonormal basis of it.  A no-op when every
     mode is damped.
     """
     key = "undamped_basis"
     if key not in pencil._cache:
-        T, Z, lam = _schur(pencil)
+        T, Z, lam = _schur(pencil, vectors=True)
         bad = np.abs(lam.real) <= NOISE_FLOOR_REL * np.abs(lam).max()
         if not bad.any():
             pencil._cache[key] = None
         else:
-            _, Zs, _, _, k, _, _, info = dtrsen(bad, T, Z, job="N")
+            _, Zs, _, _, k, _, _, info = dtrsen(bad, T, Z, job="N", overwrite_q=True)
             if info != 0:
                 raise RuntimeError(f"Schur reordering failed (info {info}) for mode "
                                    f"{pencil.mode}, dim {pencil.dim}")
-            pencil._cache[key] = sla.solve_triangular(_gram_factor(pencil), Zs[:, :k])
+            order, U = gram_factor(pencil)
+            pencil._cache[key] = dtbtrs(U, Zs[:, :k])[0][np.argsort(order)]
     Q = pencil._cache[key]
     if Q is None:
         return w
@@ -192,7 +203,7 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
 
 
 def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
-    """(R, d): the complex upper-triangular Schur form B = U T_c U^H and its diagonal.
+    """(R, d): the complex upper-triangular Schur form B = W T_c W^H and its diagonal.
 
     Rotated out of the cached real form once per pencil, on the first
     resolvent sample.  R starts as T_c, Fortran-ordered for the LAPACK
@@ -201,8 +212,16 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
     """
     key = "schur_complex"
     if key not in pencil._cache:
-        T, Z, _ = _schur(pencil)
-        R = np.asfortranarray(sla.rsf2csf(T, Z)[0])
+        T = _schur(pencil)[0]
+        R = np.asfortranarray(T, dtype=complex)
+        # rsf2csf's rotations of the 2x2 blocks [[a, b], [c, a]] (pair a +- i w), without Z
+        for m in np.flatnonzero(np.diag(T, -1)) + 1:
+            w, t = np.sqrt(abs(T[m - 1, m])) * np.sqrt(abs(T[m, m - 1])), T[m, m - 1]
+            c, s = 1j * w / math.hypot(w, t), t / math.hypot(w, t)
+            G = np.array([[c.conjugate(), s], [-s, c]])
+            R[m - 1:m + 1, m - 1:] = G @ R[m - 1:m + 1, m - 1:]
+            R[:m + 1, m - 1:m + 1] = R[:m + 1, m - 1:m + 1] @ G.conj().T
+            R[m, m - 1] = 0.0
         pencil._cache[key] = (R, np.diag(R).copy())
     return pencil._cache[key]
 
@@ -210,7 +229,7 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
 def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
-    The G-norm is the 2-norm after the similarity by F, and U is unitary, so
+    The G-norm is the 2-norm after the similarity by U P, and W is unitary, so
     s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top
     eigenvalue of K^H K, found by Lanczos (ARPACK on a LANCZOS_NCV-vector
     basis, converged to machine precision from a fixed start vector); each

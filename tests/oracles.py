@@ -154,3 +154,13 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
         forms[name] = np.zeros((pencil.dim, pencil.dim))
         forms[name][np.ix_(dofs, dofs)] = block
     return forms
+
+
+def dense_similarity_eigenvalues_oracle(A: np.ndarray, M: np.ndarray,
+                                        G: np.ndarray) -> np.ndarray:
+    """Eigenvalues of F M^-1 A F^-1 with F the dense Cholesky factor of G
+    (G = F^T F): the similarity the Schur route takes with a banded factor
+    in a permuted order."""
+    F = np.linalg.cholesky(G).T
+    B = sla.solve_triangular(F, (F @ np.linalg.solve(M, A)).T, trans="T").T   # (F M^-1 A) F^-1
+    return np.linalg.eigvals(B)

@@ -276,6 +276,28 @@ def test_scan_norms_agree_across_blas_thread_counts(tmp_path):
         assert (np.abs(one[:, 1] - two[:, 1]) / one[:, 1]).max() <= 1e-9
 
 
+def test_spectrum_agrees_across_blas_thread_counts(tmp_path):
+    # the Schur form moves at round-off with the BLAS thread count; on the
+    # m = 0, rho = 1 cell, modes 0..1, the eigenvalue sets of 1 and 2 threads
+    # were 0 apart at n = 32 and within 1.3e-14 max|lambda| at n = 64 and 128
+    body = "n_plate = 32\nn_mem = 32\nmode_min = 0\nmode_max = 1\nm = 0\nrho = 1\n"
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        cfg = tmp_path / f"blas{threads}.cfg"
+        cfg.write_text(body + f"output_dir = {out}\n")
+        _run_python(["-m", "platemem.cli", "spectrum", str(cfg)], threads)
+        runs[threads] = ([np.loadtxt(out / f"spectrum_mode{m}.csv", delimiter=",", skiprows=1)
+                          for m in (0, 1)],
+                         np.loadtxt(out / "spectrum_summary.csv", delimiter=",", skiprows=1))
+    for one, two in zip(runs["1"][0], runs["2"][0]):
+        lam1, lam2 = one[:, 0] + 1j * one[:, 1], two[:, 0] + 1j * two[:, 1]
+        dist = np.abs(lam1[:, None] - lam2[None, :])
+        scale = np.abs(lam1).max()
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-13 * scale
+    np.testing.assert_array_equal(runs["1"][1][:, 3], runs["2"][1][:, 3])    # zero_ok
+
+
 def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
     # a step is a SuperLU solve and a CSR product, which call no threaded
     # BLAS kernel, so the traces do not move with the BLAS thread count

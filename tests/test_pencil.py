@@ -8,9 +8,10 @@ from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
                       interface_trace, membrane_subpencil)
 from platemem.pencil import (AssemblyError, _check_definiteness, _checked_gradient,
-                             closed_laplacians)
+                             closed_laplacians, gram_factor)
 
-from oracles import dense_eigenvalues_oracle, dense_forms_reference
+from oracles import (dense_eigenvalues_oracle, dense_forms_reference,
+                     dense_similarity_eigenvalues_oracle)
 
 GEO = AnnulusGeometry()
 
@@ -101,6 +102,46 @@ def test_definiteness_check_names_the_indefinite_matrix():
     M[pencil.dim - 1, pencil.dim - 1] = -1.0     # one negative membrane density
     with pytest.raises(AssemblyError, match="^weighted M is not positive definite for mode 1$"):
         _check_definiteness(dataclasses.replace(pencil, M=M))
+
+
+def _dense_band(U):
+    """Dense upper triangle of a LAPACK upper band array, U[i, j] at [band + i - j, j]."""
+    band, n = len(U) - 1, U.shape[1]
+    out = np.zeros((n, n))
+    for d in range(band + 1):
+        out[np.arange(n - d), np.arange(d, n)] = U[band - d, d:]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_gram_factor_reproduces_g_and_its_similarity_keeps_the_spectrum(name):
+    # P^T U^T U P = G, and the banded, permuted similarity the Schur form is
+    # taken of has the spectrum of the dense-Cholesky one
+    for n in (16, 64):
+        for mode in (0, 1, 3):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            order, U = gram_factor(pencil)
+            G = pencil.G.toarray()
+            Ud = _dense_band(U)
+            rank = np.argsort(order)
+            err = np.abs((Ud.T @ Ud)[np.ix_(rank, rank)] - G).max()
+            assert err <= 1e-14 * np.abs(G).max(), (n, mode, err)
+            lam = eigenvalues(pencil).eigenvalues
+            ref = dense_similarity_eigenvalues_oracle(pencil.A.toarray(), pencil.M.toarray(), G)
+            scale = np.abs(ref).max()
+            dist = np.abs(lam[:, None] - ref[None, :])
+            assert dist.min(axis=1).max() <= 1e-10 * scale, (n, mode)
+            assert dist.min(axis=0).max() <= 1e-10 * scale, (n, mode)
+
+
+def test_gram_factor_is_the_one_assembly_made():
+    pencil = make_pencil(CELLS["poly"], n=16, mode=1)
+    assert "gram_factor" in pencil._cache          # the definiteness check's factor
+    order, U = gram_factor(pencil)
+    fresh = dataclasses.replace(pencil, _cache={})
+    order2, U2 = gram_factor(fresh)                 # factored on first use
+    np.testing.assert_array_equal(order2, order)
+    np.testing.assert_array_equal(U2, U)
 
 
 def test_energy_parts_sum_to_gram():

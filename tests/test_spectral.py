@@ -280,3 +280,98 @@ def test_project_resolvable_removes_undamped_components():
     pencil2 = make_pencil(PhysicalParams(m_damp=1.0), n=10, mode=1)
     w2 = rng.standard_normal(pencil2.dim).astype(complex)
     np.testing.assert_array_equal(project_resolvable(pencil2, w2), w2)
+
+
+def test_non_finite_generator_is_named_before_the_schur_form():
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=0)
+    pencil.A.data[7] = np.nan
+    with pytest.raises(ValueError, match="^M\\^-1 A is not finite for mode 0, dim 80$"):
+        eigenvalues(pencil)
+    assert "schur" not in pencil._cache
+
+
+@pytest.mark.parametrize("routine", ["dgees", "dtbtrs"])
+def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
+    real = getattr(spectral, routine)
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return (*out[:-1], 1)              # info > 0, as on a failed convergence
+
+    monkeypatch.setattr(spectral, routine, failing)
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
+    with pytest.raises(RuntimeError, match="^Schur factorization failed for mode 1, dim 80$"):
+        eigenvalues(pencil)
+
+
+def test_eigenvalues_hold_one_dense_array():
+    # the Schur form is taken in place of the one array B: peak and kept
+    # memory in units of dim^2 doubles (the dense-Cholesky route peaked at
+    # 5.06 and kept 3.01: T, Z and F)
+    import tracemalloc
+
+    import scipy.sparse.linalg  # noqa: F401  (imported before tracing)
+
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=128, mode=0)
+    unit = 8.0 * pencil.dim ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eigenvalues(pencil)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base_sample = kept
+        resolvent_norm(pencil, 3.3)
+        peak_sample = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / unit <= 1.5
+    assert (kept - base) / unit <= 1.1
+    # T_c is complex (2 units); no complex Z is made beside it
+    assert (peak_sample - base_sample) / unit <= 2.5
+
+
+def test_schur_vectors_are_made_only_for_the_projection(monkeypatch):
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(bool(kwargs["compute_v"]))
+        return real(*args, **kwargs)
+
+    real = spectral.dgees
+    monkeypatch.setattr(spectral, "dgees", spy)
+    p = PhysicalParams(rho_damp=1.0)
+    eigenvalues(make_pencil(p, n=16, mode=0))
+    resolvent_scan(make_pencil(p, n=16, mode=1), 0.25, 20.0, 8)
+    spectral_abscissa_sweep(p, GEO, 8, range(0, 2))
+    assert asked and not any(asked)
+    pencil = make_pencil(p, n=16, mode=2)
+    project_resolvable(pencil, np.ones(pencil.dim, dtype=complex))
+    assert asked[-1]
+
+
+def test_projection_after_a_vector_free_form_matches_a_fresh_one():
+    p = PhysicalParams(rho_damp=1.0)
+    cached = make_pencil(p, n=32, mode=2)
+    eigenvalues(cached)
+    resolvent_norm(cached, 2.5)
+    assert spectral._schur(cached)[1] is None
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(cached.dim) + 1j * rng.standard_normal(cached.dim)
+    fresh = project_resolvable(make_pencil(p, n=32, mode=2), w)
+    after = project_resolvable(cached, w)
+    assert not np.array_equal(after, w)          # mode 2 has undamped artifacts
+    assert np.abs(after - fresh).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_schur_form_is_the_same_with_and_without_vectors():
+    p = PhysicalParams(rho_damp=1.0)
+    pencil = make_pencil(p, n=32, mode=1)
+    T, Z, lam = spectral._schur(pencil)
+    assert Z is None
+    Tv, Z, lamv = spectral._schur(make_pencil(p, n=32, mode=1), vectors=True)
+    assert T.tobytes() == Tv.tobytes()
+    assert lam.tobytes() == lamv.tobytes()
+    B = spectral._similarity(pencil)
+    np.testing.assert_allclose(Z.T @ Z, np.eye(pencil.dim), atol=1e-12)
+    assert np.abs(Z @ T @ Z.T - B).max() <= 1e-12 * np.abs(B).max()
