@@ -25,9 +25,10 @@ the membrane's interface half-edge gradient term in the Gram couples v's
 last node to U; that single term carries both the u = v continuity and the
 flux balance of the transmission conditions.
 
-M, A and G are scipy.sparse CSR arrays: every block is built from
-three-point stencils and closure rows, so a pencil has a few nonzeros per
-row and a narrow band after reverse Cuthill-McKee.  Each energy part and
+Each closed Laplacian is its three diagonals with the ghost rows folded in,
+and blocks are placed from such bands and closure rows as triplets, so
+assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
+nonzeros per row, banded after reverse Cuthill-McKee.  Each energy part and
 dissipation channel is a sum of squares over the pencil's dofs: a gradient
 form is one CSR factor F with its weights folded in, valued ||F w||^2, and a
 diagonal form is its weight vector d, valued sum d |w|^2.  G is Phi^T Phi
@@ -94,25 +95,26 @@ def make_closures(p: PhysicalParams, grid: RadialGrid) -> Closures:
     )
 
 
-def _closed(L_ext: np.ndarray, inner_row: np.ndarray, outer_row: np.ndarray) -> np.ndarray:
-    """Fold the ghost columns of the (n, n+2) stencil L_ext into its interior
-    columns.  Only its first row has an inner ghost entry and only its last
-    row an outer one."""
-    L = L_ext[:, 1:-1].copy()
-    L[0] += L_ext[0, 0] * inner_row
-    L[-1] += L_ext[-1, -1] * outer_row
-    return L
+def _closed(S: np.ndarray, name: str, inner_row: np.ndarray, outer_row: np.ndarray) -> np.ndarray:
+    """Fold the ghost entries of the (3, n) stencil band S into its first and
+    last rows: row i of the closed Laplacian D holds D[k, i] at node i - 1 + k,
+    and D[0, 0] and D[2, -1] are zero.  The inner ghost row may reach nodes 0
+    and 1, the outer one nodes n-2 and n-1; a band cannot hold a row that
+    reaches further, so AssemblyError names its field."""
+    if inner_row[2:].any() or outer_row[:-2].any():
+        raise AssemblyError(f"a ghost row of {name} reaches past the two nodes at its end")
+    D = S.copy()
+    D[1:, 0] += S[0, 0] * inner_row[:2]
+    D[:2, -1] += S[2, -1] * outer_row[-2:]
+    D[0, 0] = D[2, -1] = 0.0
+    return D
 
 
 def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
-    """Each field's Laplacian with its ghost closures folded in; v and v_t share
-    one array, as their frozen-plate (Dirichlet) ghost rows are one tuple."""
+    """Each field's Laplacian with its ghost closures folded in, as _closed's band."""
     Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
-    closed: dict[int, np.ndarray] = {}
-    for name, rows in closures.ghosts.items():
-        if id(rows) not in closed:
-            closed[id(rows)] = _closed(Lm if name in MEMBRANE_FIELDS else Lp, *rows)
-    return {name: closed[id(rows)] for name, rows in closures.ghosts.items()}
+    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, name, *rows)
+            for name, rows in closures.ghosts.items()}
 
 
 def _gradient(r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, np.ndarray]):
@@ -137,11 +139,12 @@ def _gradient(r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, np.n
 
 
 def _checked_gradient(grid: RadialGrid, L_closed: np.ndarray, ghosts):
-    """_gradient of a plate field, checked against the closed stencil A reads."""
+    """_gradient of a plate field, checked against the closed stencil band A reads."""
     rows, cols, vals = _gradient(grid.plate_nodes, grid.h_plate, grid.mode, ghosts)
     F = _csr([(rows, cols, vals)], (rows[-1] + 1, grid.n_plate))
-    K = grid.plate_weights[:, None] * L_closed
-    err = np.abs(K + (F.T @ F).toarray()).max()
+    K, FtF = grid.plate_weights * L_closed, F.T @ F
+    off = FtF.diagonal(1)
+    err = np.abs(K + [np.r_[0.0, off], FtF.diagonal(), np.r_[off, 0.0]]).max()
     if err > 1e-12 * max(np.abs(K).max(), 1.0):
         raise AssemblyError(f"weighted Laplacian is not its factor's form (error {err:.2e})")
     return rows, cols, vals
@@ -185,11 +188,11 @@ def _layout(grid: RadialGrid) -> tuple[tuple[str, int, int], ...]:
     return tuple((name, int(b - n), int(b)) for name, n, b in zip(FIELDS, sizes, stops))
 
 
-def _block(rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
-    """(row, col, value) triplets of the nonzero entries of a dense block
-    placed on rows x cols."""
-    i, j = np.nonzero(block)
-    return rows[i], cols[j], block[i, j]
+def _band(rows: np.ndarray, cols: np.ndarray, D: np.ndarray):
+    """Triplets of a closed stencil band D (see _closed) placed on rows x cols."""
+    j = np.arange(-1, len(rows) - 1) + np.arange(3)[:, None]
+    ok = (j >= 0) & (j < len(rows))
+    return np.broadcast_to(rows, D.shape)[ok], cols[j[ok]], D[ok]
 
 
 def _identity(rows: np.ndarray, cols: np.ndarray, value: float):
@@ -237,8 +240,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     u, ut, th, v, vt = (index[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    Lp = laplacian_mode(grid, "plate")
-    Le, L2, Lth = (_closed(Lp, *closures.ghosts[name]) for name in ("u", "u_t", "theta"))
+    Le, L2, Lth = map(closed_laplacians(grid, closures).get, ("u", "u_t", "theta"))
 
     factor = lambda n_rows, *triplets: _csr(triplets, (n_rows, n))
     diagonal = lambda dofs, coef, W: np.bincount(dofs, coef * W, minlength=n)   # zero off dofs
@@ -251,7 +253,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     trace = np.flatnonzero(closures.trace_u)
     s2 = np.sqrt(p.beta2)
     parts = {
-        "E_bend": factor(np_, _block(np.arange(np_), u, np.sqrt(p.beta1 * Wp)[:, None] * Le)),
+        "E_bend": factor(np_, _band(np.arange(np_), u, np.sqrt(p.beta1 * Wp) * Le)),
         "E_kin_plate": diagonal(ut, p.rho1, Wp),
         "E_rot": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)),
         "E_thermal": diagonal(th, p.rho0, Wp),
@@ -276,10 +278,10 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     entries = [
         _identity(u, ut, 1.0),
         _identity(v, vt, 1.0),
-        _block(ut, ut, p.rho_damp * L2),
-        _block(ut, th, -p.mu * L2),
-        _block(th, ut, p.mu * L2),
-        _block(th, th, p.beta0 * Lth),
+        _band(ut, ut, p.rho_damp * L2),
+        _band(ut, th, -p.mu * L2),
+        _band(th, ut, p.mu * L2),
+        _band(th, th, p.beta0 * Lth),
         _identity(vt, vt, -p.m_damp),
     ]
     # conservative rows: minus the weighted dual of the (w1, w4) pair form,
@@ -293,7 +295,8 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
     M = _csr([
         _identity(u, u, 1.0),
-        _block(ut, ut, p.rho1 * np.eye(np_) - p.gamma * L2),
+        _identity(ut, ut, p.rho1),
+        _band(ut, ut, -p.gamma * L2),
         _identity(th, th, p.rho0),
         _identity(v, v, 1.0),
         _identity(vt, vt, p.rho2),

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, ModePencil,
                      closed_laplacians, solve_mass)
@@ -295,12 +296,13 @@ def _bump(x: np.ndarray, lo: float, hi: float, power: int = 3) -> np.ndarray:
 
 
 def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Implicit smoothing (I - (2h)^2 L)^-1 applied a few times (rough filter)."""
-    S = np.eye(len(x)) - (2.0 * h) ** 2 * L_closed
-    out = x
+    """Implicit smoothing (I - (2h)^2 L)^-1 of the closed band L, a few times (rough filter)."""
+    S = -(2.0 * h) ** 2 * L_closed
     for _ in range(passes):
-        out = np.linalg.solve(S, out)
-    return out
+        x, info = dgtsv(S[0, 1:], 1.0 + S[1], S[2, :-1], x)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgtsv info {info} in the rough-profile smoothing")
+    return x
 
 
 def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.ndarray:

@@ -102,8 +102,8 @@ def _similarity(pencil: ModePencil, step: int = 32) -> np.ndarray:
 def _schur(pencil: ModePencil, vectors: bool = False):
     """(T, Z, eigenvalues): real Schur form B = Z T Z^T of the similarity B.
 
-    T and the eigenvalues (in Schur order) are cached.  Z is None unless asked
-    for, then made by a second factorization if T is cached; T is the same.
+    T and the eigenvalues (in Schur order) are cached, T until _complex_schur
+    replaces it.  Z is None unless asked for, then made by a new factorization.
     """
     if "schur" in pencil._cache and not vectors:
         return pencil._cache["schur"]
@@ -205,14 +205,14 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
 def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
     """(R, d): the complex upper-triangular Schur form B = W T_c W^H and its diagonal.
 
-    Rotated out of the cached real form once per pencil, on the first
+    Rotated out of the cached real form T, which it replaces, on the first
     resolvent sample.  R starts as T_c, Fortran-ordered for the LAPACK
     solves; every sample overwrites its whole diagonal with a shift of the
     copy d, so the strict upper triangle is always that of T_c.
     """
     key = "schur_complex"
     if key not in pencil._cache:
-        T = _schur(pencil)[0]
+        T, _, lam = _schur(pencil)
         R = np.asfortranarray(T, dtype=complex)
         # rsf2csf's rotations of the 2x2 blocks [[a, b], [c, a]] (pair a +- i w), without Z
         for m in np.flatnonzero(np.diag(T, -1)) + 1:
@@ -223,6 +223,7 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
             R[:m + 1, m - 1:m + 1] = R[:m + 1, m - 1:m + 1] @ G.conj().T
             R[m, m - 1] = 0.0
         pencil._cache[key] = (R, np.diag(R).copy())
+        pencil._cache["schur"] = (None, None, lam)      # T_c replaces T
     return pencil._cache[key]
 
 

@@ -101,6 +101,22 @@ def resolvent_norm_dense_oracle(A: np.ndarray, M: np.ndarray, G: np.ndarray,
     return float(sla.svdvals(F @ Y)[0])
 
 
+def dense_stencil(band: np.ndarray, ghosts: bool = False) -> np.ndarray:
+    """A (3, n) stencil band as a dense matrix, row i holding band[k, i] at
+    node i - 1 + k.  With ghosts its columns run over one ghost layer on each
+    side as well, (n, n+2); without, the band must be closed (no ghost
+    entries) and the matrix is n x n."""
+    n = band.shape[1]
+    i = np.arange(n)
+    dense = np.zeros((n, n + 2))
+    for k in range(3):
+        dense[i, i + k] = band[k]
+    if ghosts:
+        return dense
+    assert not dense[:, [0, -1]].any(), "a closed band has no ghost entries"
+    return dense[:, 1:-1]
+
+
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Symmetrized Dirichlet form -W L of a conservatively closed Laplacian."""
     K = -(weights[:, None] * L_closed)
@@ -117,7 +133,7 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
 
     p, grid, closures = pencil.params, pencil.grid, pencil.closures
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    L = closed_laplacians(grid, closures)
+    L = {name: dense_stencil(band) for name, band in closed_laplacians(grid, closures).items()}
     K2, Kth = _dual(L["u_t"], Wp), _dual(L["theta"], Wp)
     h, r = grid.h_plate, grid.plate_nodes
     robin = np.zeros_like(Kth)
@@ -125,7 +141,7 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
                      * (1.0 - closures.ghosts["theta"][1][-1]))
     # membrane: interior edges with a zero-flux interface closure, plus the
     # jump across the interface half-edge, on the dofs (u, v)
-    Lm_ext = laplacian_mode(grid, "membrane")
+    Lm_ext = dense_stencil(laplacian_mode(grid, "membrane"), ghosts=True)
     Lm = Lm_ext[:, 1:-1].copy()
     Lm[0] += Lm_ext[0, 0] * closures.ghosts["v"][0]
     Lm[-1] -= Lm_ext[-1, -1] * closures.ghosts["v"][1]

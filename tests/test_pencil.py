@@ -6,12 +6,12 @@ from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
-                      interface_trace, membrane_subpencil)
-from platemem.pencil import (AssemblyError, _check_definiteness, _checked_gradient,
+                      interface_trace, laplacian_mode, membrane_subpencil)
+from platemem.pencil import (AssemblyError, Closures, _check_definiteness, _checked_gradient,
                              closed_laplacians, gram_factor)
 
 from oracles import (dense_eigenvalues_oracle, dense_forms_reference,
-                     dense_similarity_eigenvalues_oracle)
+                     dense_similarity_eigenvalues_oracle, dense_stencil)
 
 GEO = AnnulusGeometry()
 
@@ -201,11 +201,39 @@ def test_factors_match_the_dense_reference_forms(name):
             assert sum(rep.breakdown.values()) == pytest.approx(rep.total, rel=1e-15, abs=0.0)
 
 
-def test_closed_laplacians_share_the_membrane_array():
-    pencil = make_pencil(n=16, mode=1)
-    L = closed_laplacians(pencil.grid, pencil.closures)
-    assert L["v"] is L["v_t"]
-    assert not np.shares_memory(L["u"], L["u_t"])
+def test_closed_stencils_fold_two_point_ghost_rows_and_reject_longer_ones():
+    grid = build_radial_grid(GEO, 16, 16, 1)
+    n = grid.n_plate
+    inner, outer = np.zeros(n), np.zeros(n)
+    inner[:2], outer[-2:] = (0.5, -0.25), (-0.125, 2.0)
+    L = closed_laplacians(grid, Closures(ghosts={"u": (inner, outer)}, trace_u=np.zeros(n)))["u"]
+    # the dense fold of the (n, n+2) stencil
+    S = dense_stencil(laplacian_mode(grid, "plate"), ghosts=True)
+    ref = S[:, 1:-1].copy()
+    ref[0] += S[0, 0] * inner
+    ref[-1] += S[-1, -1] * outer
+    np.testing.assert_array_equal(dense_stencil(L), ref)
+    for rows in ((inner + np.eye(n)[2], outer), (inner, outer + np.eye(n)[-3])):
+        closures = Closures(ghosts={"u": (inner, outer), "theta": rows}, trace_u=np.zeros(n))
+        with pytest.raises(AssemblyError, match="ghost row of theta reaches past"):
+            closed_laplacians(grid, closures)
+
+
+def test_assembly_memory_is_linear_in_n():
+    # one dense n x n stencil is 33.6 MB at n = 2048; dense stencils peaked at 236 MB
+    import tracemalloc
+
+    from scipy.sparse import csgraph  # noqa: F401  (imported before tracing)
+
+    grid = build_radial_grid(GEO, 2048, 2048, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assemble_mode_pencil(CELLS["poly"], grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_gradient_check_rejects_a_non_conservative_stencil():
@@ -214,7 +242,7 @@ def test_gradient_check_rejects_a_non_conservative_stencil():
     L = closed_laplacians(pencil.grid, pencil.closures)["theta"]
     _checked_gradient(pencil.grid, L, ghosts)
     L = L.copy()
-    L[3, 4] *= 1.0 + 1e-9
+    L[2, 3] *= 1.0 + 1e-9
     with pytest.raises(AssemblyError, match="is not its factor.s form"):
         _checked_gradient(pencil.grid, L, ghosts)
 
@@ -295,7 +323,7 @@ def test_frozen_plate_membrane_block_is_the_dirichlet_build(mode, n):
     p = PhysicalParams(beta2=1.7, m_damp=1.0)
     pencil = make_pencil(p, n=n, mode=mode)
     v, vt = pencil.block("v"), pencil.block("v_t")
-    L = closed_laplacians(pencil.grid, pencil.closures)["v"]
+    L = dense_stencil(closed_laplacians(pencil.grid, pencil.closures)["v"])
     A = pencil.A.toarray()[vt, v]
     assert np.abs(A - p.beta2 * L).max() <= 1e-15 * np.abs(A).max()
     K = -(pencil.grid.membrane_weights[:, None] * L)

@@ -192,6 +192,19 @@ def test_simulate_raises_on_non_finite_trace():
                 simulate(pencil, state, 1e-2, 0.2)
 
 
+def test_rough_initial_data_memory_is_linear_in_n():
+    # the dense smoothing matrix alone is 8.4 MB per plate field at n = 1024
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=1024, mode=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        make_initial_data(pencil, "rough")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_simulate_memory_is_one_block_not_the_trajectory():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=64, mode=1)  # dim 320
     state = make_initial_data(pencil, "rough")
