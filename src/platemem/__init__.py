@@ -9,11 +9,11 @@ from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel
                     ValidationError, analytic_max_q_dot_nu, check_geometric_condition,
                     classify_regime, validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
-from .pencil import (Closures, ModePencil, assemble_mode_pencil, closure_residuals,
-                     gram_matrix, interface_trace, membrane_subpencil)
-from .semigroup import (DissipationChannels, EnergyReport, SimulationTrace, default_dt,
-                        dissipation, energy, graph_norm, make_initial_data,
-                        pencil_dissipation, simulate, step_crank_nicolson)
+from .pencil import (Closures, Forms, ModePencil, assemble_mode_pencil, closure_residuals,
+                     interface_trace, membrane_subpencil)
+from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
+                        graph_norm, make_initial_data, pencil_dissipation, simulate,
+                        step_crank_nicolson)
 from .spectral import (ResolventScan, SpectrumResult, SweepResult, eigenvalues,
                        membrane_band_edge, project_resolvable, resolvent_norm,
                        resolvent_scan, spectral_abscissa_sweep)
@@ -28,11 +28,10 @@ __all__ = [
     "ValidationError", "analytic_max_q_dot_nu", "check_geometric_condition",
     "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
-    "Closures", "ModePencil", "assemble_mode_pencil", "closure_residuals",
-    "gram_matrix", "interface_trace", "membrane_subpencil",
-    "DissipationChannels", "EnergyReport", "SimulationTrace", "default_dt", "dissipation",
-    "energy", "graph_norm", "make_initial_data", "pencil_dissipation", "simulate",
-    "step_crank_nicolson",
+    "Closures", "Forms", "ModePencil", "assemble_mode_pencil", "closure_residuals",
+    "interface_trace", "membrane_subpencil",
+    "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
+    "make_initial_data", "pencil_dissipation", "simulate", "step_crank_nicolson",
     "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",
     "membrane_band_edge", "project_resolvable", "resolvent_norm",
     "resolvent_scan", "spectral_abscissa_sweep",

@@ -34,12 +34,6 @@ def _default_t_end(cfg: RunConfig) -> float:
     return 500.0 if classify_regime(cfg.params, cfg.geometry) in NOT_EXP_LABELS else 50.0
 
 
-def _default_dt(cfg: RunConfig, pencil, t_end: float) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    return default_dt(pencil, t_end)
-
-
 def _pencil(cfg: RunConfig, mode: int):
     grid = build_radial_grid(cfg.geometry, cfg.n_plate, cfg.n_mem, mode)
     return assemble_mode_pencil(cfg.params, grid)
@@ -67,8 +61,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     def run(mode: int):
         pencil = _pencil(cfg, mode)
-        dt = _default_dt(cfg, pencil, t_end)
-        trace = simulate(pencil, _initial(pencil, cfg), dt, t_end)
+        trace = simulate(pencil, _initial(pencil, cfg), cfg.dt or default_dt(pencil, t_end), t_end)
         return mode, trace
 
     for mode, trace in parallel_map(run, list(cfg.modes)):
@@ -107,9 +100,12 @@ def cmd_scan(cfg: RunConfig, lmin: float, lmax: float, n: int) -> int:
 
 
 def cmd_regimes(cfg: RunConfig) -> int:
+    if cfg.n_plate != cfg.n_mem:
+        raise ConfigError(f"regimes runs both grids at one resolution: n_plate={cfg.n_plate} "
+                          f"and n_mem={cfg.n_mem} must be equal")
     out = _outdir(cfg)
     t_end = _default_t_end(cfg)
-    report = run_regime_experiment(cfg.params, cfg.geometry, min(cfg.n_plate, cfg.n_mem),
+    report = run_regime_experiment(cfg.params, cfg.geometry, cfg.n_plate,
                                    cfg.modes, cfg.profiles, t_end, dt=cfg.dt,
                                    seed=cfg.seed)
     with open(os.path.join(out, "regime_report.txt"), "w") as fh:
@@ -134,7 +130,7 @@ def cmd_render(cfg: RunConfig, t: float) -> int:
         pencil = _pencil(cfg, mode)
         w = _initial(pencil, cfg)
         if t > 0.0:
-            w = final_state(pencil, w, _default_dt(cfg, pencil, t), t)
+            w = final_state(pencil, w, cfg.dt or default_dt(pencil, t), t)
         return mode, pencil, w
 
     states = parallel_map(run, list(cfg.modes))

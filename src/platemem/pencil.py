@@ -28,16 +28,15 @@ flux balance of the transmission conditions.
 Each closed Laplacian is its three diagonals with the ghost rows folded in,
 and blocks are placed from such bands and closure rows as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
-nonzeros per row, banded after reverse Cuthill-McKee.  Each energy part and
-dissipation channel is a sum of squares over the pencil's dofs: a gradient
-form is one CSR factor F with its weights folded in, valued ||F w||^2, and a
-diagonal form is its weight vector d, valued sum d |w|^2.  G is Phi^T Phi
-over the stacked energy factors plus the diagonal weights.  scipy.sparse is
-imported at first use, so that importing the package does not load it.
+nonzeros per row, banded after reverse Cuthill-McKee.  The energy parts and
+the dissipation channels are two Forms, sums of squares ||F_k w||^2 over
+row ranges of one CSR factor each, weights folded in (a diagonal form
+c W |w|^2 is the rows sqrt(c W) on its dofs); G is F^T F of the energy
+factor.  scipy.sparse is imported at first use, not with the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -150,13 +149,56 @@ def _checked_gradient(grid: RadialGrid, L_closed: np.ndarray, ghosts):
     return rows, cols, vals
 
 
+@dataclass(frozen=True)
+class Forms:
+    """Named forms ||F_k w||^2 over a pencil's dofs, F_k the rows of the CSR
+    factor F from starts[k] to the next start: F^T F is their sum."""
+
+    names: tuple[str, ...]
+    F: csr_array
+    starts: np.ndarray
+
+    def __getitem__(self, name: str) -> csr_array:
+        k = self.names.index(name)
+        stop = self.starts[k + 1] if k + 1 < len(self.starts) else self.F.shape[0]
+        return self.F[self.starts[k]:stop]
+
+    def values(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+        """Re <F_k x, F_k y> per form (rows) and state (columns), for states
+        given as [Re w, Im w] column pairs of X and Y; y = x by default.
+        With Y, each half of the states takes its two products in turn: for
+        64 states at dim 320, two live products of all of them were handed
+        back to the system and faulted in again on every call, 0.66 ms
+        against 0.21 ms in halves."""
+        if Y is None:
+            return self._sums(X, None)
+        h = X.shape[1] // 4 * 2
+        halves = (slice(0, h), slice(h, None)) if h else (slice(None),)
+        return np.hstack([self._sums(X[:, c], Y[:, c]) for c in halves])
+
+    def _sums(self, X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
+        P = self.F @ np.ascontiguousarray(X)    # a sparse product copies any other layout
+        P *= P if Y is None else self.F @ np.ascontiguousarray(Y)    # in place: no third array
+        # pairs first: reduceat runs along the strided axis, so halve its work
+        return np.add.reduceat(P[:, 0::2] + P[:, 1::2], self.starts, axis=0)
+
+
+def _stack_forms(forms: dict[str, tuple], n: int) -> Forms:
+    """Forms of {name: (row count, triplets over those rows)} over n dofs;
+    reduceat would read an empty form as the next one's first row."""
+    counts = np.array([rows for rows, _ in forms.values()])
+    if counts.min() < 1:
+        raise AssemblyError(f"form {list(forms)[counts.argmin()]} has no rows")
+    starts = np.cumsum(counts) - counts
+    F = _csr([(np.asarray(r) + a, c, v) for a, (_, triplets) in zip(starts, forms.values())
+              for r, c, v in triplets], (int(counts.sum()), n))
+    return Forms(tuple(forms), F, starts)
+
+
 @dataclass
 class ModePencil:
-    """Discrete generator pencil, Gram matrix, and bookkeeping for one mode.
-
-    energy_parts and dissipation_parts hold each form over the pencil's dofs:
-    a gradient form as its CSR factor F, weights folded in, valued ||F w||^2,
-    and a diagonal form as its weight vector d, valued sum d |w|^2."""
+    """Discrete generator pencil, Gram matrix, and the forms of the
+    ENERGY_PARTS and DISSIPATION_CHANNELS for one mode."""
 
     mode: int
     M: csr_array
@@ -166,8 +208,8 @@ class ModePencil:
     grid: RadialGrid
     params: PhysicalParams
     closures: Closures
-    energy_parts: dict[str, Any]
-    dissipation_parts: dict[str, Any]
+    energy_forms: Forms
+    dissipation_forms: Forms
     _cache: dict[Any, Any] = field(default_factory=dict, repr=False)
 
     @property
@@ -215,17 +257,6 @@ def _csr(triplets, shape: tuple[int, int]) -> csr_array:
     return out
 
 
-def gram_matrix(parts: dict[str, Any]) -> csr_array:
-    """Discrete energy inner product, w* G w twice the physical energy:
-    Phi^T Phi of the stacked factors plus the diagonal parts' weights.  It is
-    CSR and exactly symmetric, as (i, j) and (j, i) sum the same products."""
-    from scipy import sparse
-
-    Phi = sparse.vstack([F for F in parts.values() if F.ndim == 2], format="csr")
-    weights = sum(d for d in parts.values() if d.ndim == 1)
-    return (Phi.T @ Phi + sparse.diags_array(weights)).tocsr()
-
-
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Build (M, A, G) for one Fourier mode.
 
@@ -242,8 +273,8 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     Le, L2, Lth = map(closed_laplacians(grid, closures).get, ("u", "u_t", "theta"))
 
-    factor = lambda n_rows, *triplets: _csr(triplets, (n_rows, n))
-    diagonal = lambda dofs, coef, W: np.bincount(dofs, coef * W, minlength=n)   # zero off dofs
+    factor = lambda n_rows, *triplets: (n_rows, triplets)
+    diagonal = lambda dofs, c, W: factor(len(dofs), (np.arange(len(dofs)), dofs, np.sqrt(c * W)))
 
     i_ut, j_ut, f_ut = _checked_gradient(grid, L2, closures.ghosts["u_t"])
     i_th, j_th, f_th = _checked_gradient(grid, Lth, closures.ghosts["theta"])
@@ -252,7 +283,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     # becomes f_v[-1] (v[-1] - U) once the plate-side trace U is added
     trace = np.flatnonzero(closures.trace_u)
     s2 = np.sqrt(p.beta2)
-    parts = {
+    energy = _stack_forms({
         "E_bend": factor(np_, _band(np.arange(np_), u, np.sqrt(p.beta1 * Wp) * Le)),
         "E_kin_plate": diagonal(ut, p.rho1, Wp),
         "E_rot": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)),
@@ -261,17 +292,18 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
                             (np.full(len(trace), i_v[-1]), u[trace],
                              -s2 * f_v[-1] * closures.trace_u[trace])),
         "E_mem_kin": diagonal(vt, p.rho2, Wm),
-    }
-    G = gram_matrix(parts)
+    }, n)
+    # exactly symmetric: (i, j) and (j, i) sum the same products in one order
+    G = (energy.F.T @ energy.F).tocsr()
     # dissipation channels, an exact split of -Re <M^-1 A w, w>_G: the
     # thermal gradient's Robin row is the boundary channel
-    diss = {
+    dissipation = _stack_forms({
         "D_struct": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.rho_damp) * f_ut)),
         "D_thermal_bulk": factor(2 * np_,
                                  (i_th[:-1], th[j_th[:-1]], np.sqrt(p.beta0) * f_th[:-1])),
         "D_thermal_bdry": factor(1, ([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])),
         "D_membrane": diagonal(vt, p.m_damp, Wm),
-    }
+    }, n)
 
     # velocity identities, structural damping and thermo-coupling on the
     # plate, membrane damping
@@ -303,7 +335,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     ], (n, n))
 
     pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
-                        closures=closures, energy_parts=parts, dissipation_parts=diss)
+                        closures=closures, energy_forms=energy, dissipation_forms=dissipation)
     pencil._cache["gram_factor"] = _check_definiteness(pencil)
     return pencil
 
@@ -432,6 +464,6 @@ def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         dof_layout=tuple((name, a - start, b - start)
                          for name, a, b in pencil.dof_layout if a >= start),
         grid=grid, params=p, closures=pencil.closures,
-        energy_parts={name: F[..., s] for name, F in pencil.energy_parts.items()},
-        dissipation_parts={name: F[..., s] for name, F in pencil.dissipation_parts.items()},
+        energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
+        dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
     )

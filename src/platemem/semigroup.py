@@ -12,7 +12,8 @@ A state is the 1-D complex coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form are real, so a state is stepped and
 evaluated as the two real columns [Re w, Im w].  A step is one solve with a
 sparse LU of M - dt/2 A and one CSR product with M + dt/2 A, both with
-their rows equilibrated.
+their rows equilibrated.  The energy, its parts and the dissipation channels
+are read through the pencil's two Forms, for any number of states at once.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, ModePe
                      closed_laplacians, solve_mass)
 
 MAX_DEFAULT_STEPS = 20000
+MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
 # Crank-Nicolson does not damp the stiff heat modes, so theta needs this many
 # steps at short horizons: 4e-4 relative error at t = 1.5e-3 on n = 64
 MIN_DEFAULT_STEPS = 128
@@ -33,24 +35,14 @@ BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
 
 
 @dataclass
-class EnergyReport:
+class FormReport:
+    """A sum of named forms at one state: its total and each part by name."""
     total: float
     breakdown: dict[str, float]
 
-
-@dataclass
-class DissipationChannels:
-    structural: float
-    thermal_bulk: float
-    thermal_boundary: float
-    membrane: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.structural, self.thermal_bulk, self.thermal_boundary, self.membrane)
-
-    @property
-    def total(self) -> float:
-        return sum(self.as_tuple())
+    @classmethod
+    def of(cls, names: tuple[str, ...], parts: np.ndarray) -> "FormReport":
+        return cls(total=sum(parts.tolist()), breakdown=dict(zip(names, parts.tolist())))
 
 
 @dataclass
@@ -129,51 +121,29 @@ def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # column evaluators: k states are a dim x 2k float array, state j in columns
-# 2j (real part) and 2j+1 (imaginary part).  Every form is real, so its value
-# at w is the sum of its values at Re w and Im w, in real arithmetic.
-
-def _form_values(forms: dict, names: tuple[str, ...], X: np.ndarray,
-                 Y: np.ndarray | None = None) -> np.ndarray:
-    """Each named form's value per state (columns) for each name (rows):
-    Re <F x, F y> for a factor F, sum d Re(x* y) for diagonal weights d, with
-    y = x by default.  A form the pencil does not carry reads zero."""
-    X = np.ascontiguousarray(X)         # a sparse product copies any other layout
-    out = np.zeros((len(names), X.shape[1] // 2))
-    for row, name in zip(out, names):
-        if name in forms:
-            F = forms[name]
-            if F.ndim == 1:
-                d = np.einsum("i,ij,ij->j", F, X, X if Y is None else Y)
-            else:
-                FX = F @ X
-                d = np.einsum("ij,ij->j", FX, FX if Y is None else F @ Y)
-            row[:] = d[0::2] + d[1::2]
-    return out
-
+# 2j (real part) and 2j+1 (imaginary part); see Forms.values.
 
 def _energy_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     """Rows: total energy, then its six parts; the total is their sum."""
-    parts = 0.5 * _form_values(pencil.energy_parts, ENERGY_PARTS, X)
+    parts = 0.5 * pencil.energy_forms.values(X)
     return np.vstack((parts.sum(axis=0), parts))
 
 
 def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     """-Re <M^-1 A w, w>_G per state, through the forms the energy sums."""
-    return -_form_values(pencil.energy_parts, ENERGY_PARTS, solve_mass(pencil, pencil.A @ X),
-                         X).sum(axis=0)
+    return -pencil.energy_forms.values(solve_mass(pencil, pencil.A @ X), X).sum(axis=0)
 
 
-def energy(pencil: ModePencil, w: np.ndarray) -> EnergyReport:
-    """Total energy w* G w / 2 as the sum of its six components."""
-    e = _energy_rows(pencil, _check_state(pencil, w))[:, 0].tolist()
-    return EnergyReport(total=e[0], breakdown=dict(zip(ENERGY_PARTS, e[1:])))
-
-
-def dissipation(pencil: ModePencil, w: np.ndarray) -> DissipationChannels:
-    """The four physical dissipation channels, with the Gram's own norms."""
+def energy(pencil: ModePencil, w: np.ndarray) -> FormReport:
+    """Total energy w* G w / 2 as the sum of its ENERGY_PARTS."""
     X = _check_state(pencil, w)
-    channels = _form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, X)[:, 0]
-    return DissipationChannels(*channels.tolist())
+    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(X)[:, 0])
+
+
+def dissipation(pencil: ModePencil, w: np.ndarray) -> FormReport:
+    """The physical dissipation as the sum of its DISSIPATION_CHANNELS."""
+    X = _check_state(pencil, w)
+    return FormReport.of(DISSIPATION_CHANNELS, pencil.dissipation_forms.values(X)[:, 0])
 
 
 def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
@@ -184,7 +154,7 @@ def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
     X = _check_state(pencil, w)
-    gn = lambda Y: math.sqrt(float(_form_values(pencil.energy_parts, ENERGY_PARTS, Y).sum()))
+    gn = lambda Y: math.sqrt(float(pencil.energy_forms.values(Y).sum()))
     return gn(X) + gn(solve_mass(pencil, pencil.A @ X))
 
 
@@ -200,11 +170,17 @@ def default_dt(pencil: ModePencil, t_end: float) -> float:
 
 
 def _step_count(dt: float, t_end: float) -> int:
+    """t_end / dt, which must be a whole number of steps no larger than MAX_STEPS."""
+    if not (math.isfinite(dt) and math.isfinite(t_end)):
+        raise ValueError(f"dt={dt!r} and t_end={t_end!r} must be finite")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ratio = t_end / dt
+    if not ratio <= MAX_STEPS + 0.5:        # also an overflow to inf
+        raise ValueError(f"t_end={t_end!r} / dt={dt!r} is {ratio:.3g} steps, "
+                         f"above the cap of {MAX_STEPS}")
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
@@ -238,8 +214,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
     X = _check_state(pencil, initial)
     g0 = graph_norm(pencil, initial)
     n_e = 1 + len(ENERGY_PARTS)
-    rows = lambda S: np.vstack((_energy_rows(pencil, S),
-                                _form_values(pencil.dissipation_parts, DISSIPATION_CHANNELS, S)))
+    rows = lambda S: np.vstack((_energy_rows(pencil, S), pencil.dissipation_forms.values(S)))
     values = np.empty((n_e + len(DISSIPATION_CHANNELS), n_steps + 1))
     residuals = np.zeros(n_steps + 1)
     values[:, :1] = rows(X)

@@ -121,15 +121,12 @@ def _combined_trace(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
         return simulate(pencil, w, dt, t_end)
 
     traces = parallel_map(one, modes)
-    base = traces[0]
-    energy = np.sum([tr.energy for tr in traces], axis=0)
+    total = lambda parts: {k: np.sum([d[k] for d in parts], axis=0) for k in parts[0]}
     return SimulationTrace(
-        times=base.times,
-        energy=energy,
-        breakdown={k: np.sum([tr.breakdown[k] for tr in traces], axis=0)
-                   for k in base.breakdown},
-        dissipation={k: np.sum([tr.dissipation[k] for tr in traces], axis=0)
-                     for k in base.dissipation},
+        times=traces[0].times,
+        energy=np.sum([tr.energy for tr in traces], axis=0),
+        breakdown=total([tr.breakdown for tr in traces]),
+        dissipation=total([tr.dissipation for tr in traces]),
         residuals=np.max([np.abs(tr.residuals) for tr in traces], axis=0),
         graph_norm_initial=float(np.sum([tr.graph_norm_initial for tr in traces])),
     )

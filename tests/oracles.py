@@ -7,6 +7,7 @@ cross-oracle for it is a scaled truncated Taylor series with repeated
 squaring, the spectral oracles use the plain eigensolver and a dense solve
 instead of the Schur form, and the energy and dissipation forms are dense
 blocks made from the closed stencils instead of the pencil's sparse factors.
+fake_pencil builds a pencil straight from given matrices.
 """
 from __future__ import annotations
 
@@ -180,3 +181,17 @@ def dense_similarity_eigenvalues_oracle(A: np.ndarray, M: np.ndarray,
     F = np.linalg.cholesky(G).T
     B = sla.solve_triangular(F, (F @ np.linalg.solve(M, A)).T, trans="T").T   # (F M^-1 A) F^-1
     return np.linalg.eigvals(B)
+
+
+def fake_pencil(A, M=None, G=None):
+    """A ModePencil of the dense A, M and G (identity by default) on one dof
+    block, with no forms and no closures, for the stepping and spectral routes."""
+    from scipy import sparse
+
+    from platemem import AnnulusGeometry, ModePencil, PhysicalParams, build_radial_grid
+
+    eye = np.eye(len(A))
+    return ModePencil(mode=0, M=sparse.csr_array(eye if M is None else M), A=sparse.csr_array(A),
+                      G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
+                      grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
+                      closures=None, energy_forms=None, dissipation_forms=None)

@@ -136,6 +136,20 @@ def test_cli_huge_horizon_is_an_error_not_a_traceback(tmp_path, capsys, args):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dt, t_end, named", [
+    ("1e-300", "1e300", "steps, above the cap"),         # t_end / dt overflows to inf
+    ("1e-7", "1e4", "1e+11 steps, above the cap"),       # an 8 TiB trace
+])
+def test_cli_step_count_above_the_cap_is_an_error(tmp_path, capsys, dt, t_end, named):
+    path = write_cfg(tmp_path, f"n_plate = 12\nn_mem = 12\nmode_max = 0\ndt = {dt}\n"
+                               f"t_end = {t_end}")
+    assert main(["simulate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t_end={float(t_end)!r} / dt={float(dt)!r} is ")
+    assert named in err
+    assert "Traceback" not in err and not (tmp_path / "out" / "trace_mode0.csv").exists()
+
+
 def test_cli_simulate_outputs_are_deterministic_and_round_trip(tmp_path):
     path = write_cfg(tmp_path, FAST)
     assert main(["simulate", path]) == 0
@@ -248,6 +262,19 @@ def _run_python(args: list[str], blas_threads: str = "1") -> str:
                           capture_output=True, text=True).stdout
 
 
+def test_perfbench_tracer_installs_over_the_cli():
+    # the benchmark's traced run wraps public functions by name, and install()
+    # raises for one that is gone; this reads perfbench/ and writes nothing there
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys, platemem.cli\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "sys.dont_write_bytecode = True\n"
+            "from tracer import Tracer\n"
+            "Tracer().install()\n"
+            "print('installed')")
+    assert _run_python(["-c", code]).strip() == "installed"
+
+
 def test_cli_overflowing_dt_is_named_before_any_warning(tmp_path):
     # t_end = 1e308 gives the default dt = 5e303, where 0.5 dt max|A| overflows
     path = write_cfg(tmp_path, "n_plate = 12\nn_mem = 12\nmode_max = 0\nt_end = 1e308")
@@ -356,6 +383,14 @@ def test_cli_regimes_inconclusive_on_unfittable_horizon(tmp_path):
     report = (tmp_path / "out" / "regime_report.txt").read_text()
     assert "verdict: inconclusive" in report
     assert "experiment incomplete: FitError" in report
+
+
+def test_cli_regimes_rejects_unequal_grids(tmp_path, capsys):
+    path = write_cfg(tmp_path, REGIME_FAST.replace("n_mem = 16", "n_mem = 12"))
+    assert main(["regimes", path]) == 1
+    assert capsys.readouterr().err == ("error: regimes runs both grids at one resolution: "
+                                       "n_plate=16 and n_mem=12 must be equal\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("t", [0.0015, 1e-4])

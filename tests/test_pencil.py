@@ -5,9 +5,10 @@ import pytest
 from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
-                      build_radial_grid, closure_residuals, eigenvalues, energy, gram_matrix,
+                      build_radial_grid, closure_residuals, eigenvalues, energy,
                       interface_trace, laplacian_mode, membrane_subpencil)
-from platemem.pencil import (AssemblyError, Closures, _check_definiteness, _checked_gradient,
+from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
+                             _check_definiteness, _checked_gradient, _stack_forms,
                              closed_laplacians, gram_factor)
 
 from oracles import (dense_eigenvalues_oracle, dense_forms_reference,
@@ -144,56 +145,84 @@ def test_gram_factor_is_the_one_assembly_made():
     np.testing.assert_array_equal(U2, U)
 
 
-def test_energy_parts_sum_to_gram():
+def test_energy_forms_sum_to_gram():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=2)
     rng = np.random.default_rng(4)
     w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
     rep = energy(pencil, w)
     assert abs(sum(rep.breakdown.values()) - rep.total) <= 1e-13 * rep.total
     assert abs(0.5 * np.real(np.conj(w) @ (pencil.G @ w)) - rep.total) <= 1e-13 * rep.total
-    # each form is a sparse factor or a diagonal weight vector over the
-    # pencil's dofs that reads fewer than half of them, never a dim x dim array
-    forms = {**pencil.energy_parts, **pencil.dissipation_parts}
-    for name, form in forms.items():
-        if form.ndim == 1:
-            assert form.shape == (pencil.dim,), name
-            assert np.count_nonzero(form) < pencil.dim // 2, name
-        else:
-            assert sparse.issparse(form) and form.format == "csr", name
-            assert form.shape[1] == pencil.dim, name
-            assert len(np.unique(form.indices)) < pencil.dim // 2, name
+    # each family is one CSR factor over the pencil's dofs whose forms are
+    # row ranges, each reading fewer than half of the dofs
+    for forms, names in ((pencil.energy_forms, ENERGY_PARTS),
+                         (pencil.dissipation_forms, DISSIPATION_CHANNELS)):
+        assert forms.names == names
+        assert sparse.issparse(forms.F) and forms.F.format == "csr"
+        assert forms.F.shape[1] == pencil.dim
+        assert forms.starts[0] == 0 and np.all(np.diff(forms.starts) > 0)
+        blocks = [forms[name] for name in names]
+        assert sum(F.shape[0] for F in blocks) == forms.F.shape[0]
+        for name, F in zip(names, blocks):
+            assert F.format == "csr" and F.shape[1] == pencil.dim, name
+            assert len(np.unique(F.indices)) < pencil.dim // 2, name
     u, v = pencil.block("u"), pencil.block("v")
-    np.testing.assert_array_equal(np.unique(pencil.energy_parts["E_mem_pot"].indices),
+    np.testing.assert_array_equal(np.unique(pencil.energy_forms["E_mem_pot"].indices),
                                   np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)])
 
 
-def test_gram_matrix_operation_matches_pencil():
+def test_gram_is_the_normal_matrix_of_the_energy_factor():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
-    G = gram_matrix(pencil.energy_parts).toarray()
-    np.testing.assert_array_equal(G, pencil.G.toarray())
-    parts = pencil.energy_parts.values()
-    Phi = np.vstack([F.toarray() for F in parts if F.ndim == 2])
-    weights = sum(d for d in parts if d.ndim == 1)
-    assert np.abs(G - Phi.T @ Phi - np.diag(weights)).max() <= 1e-15 * np.abs(G).max()
+    G = pencil.G.toarray()
+    Phi = pencil.energy_forms.F.toarray()
+    assert np.abs(G - Phi.T @ Phi).max() <= 1e-15 * np.abs(G).max()
     assert np.abs(G - G.T).max() == 0.0
     np.linalg.cholesky(G)
+
+
+def test_forms_values_are_each_forms_sum_of_squares():
+    pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
+    rng = np.random.default_rng(6)
+    X, Y = rng.standard_normal((2, pencil.dim, 6))
+    for forms in (pencil.energy_forms, pencil.dissipation_forms):
+        got, mixed = forms.values(X), forms.values(X, Y)
+        assert got.shape == mixed.shape == (len(forms.names), 3)
+        for k, name in enumerate(forms.names):
+            FX, FY = forms[name] @ X, forms[name] @ Y
+            np.testing.assert_allclose(got[k], (FX * FX).sum(axis=0).reshape(3, 2).sum(axis=1),
+                                       rtol=1e-13)
+            np.testing.assert_allclose(mixed[k], (FX * FY).sum(axis=0).reshape(3, 2).sum(axis=1),
+                                       rtol=1e-13, atol=1e-13 * np.abs(got[k]).max())
+
+
+def test_a_form_with_no_rows_is_an_assembly_error():
+    # reduceat would read the next form's first row as an empty form's value
+    one = (1, [(np.array([0]), np.array([0]), np.array([1.0]))])
+    _stack_forms({"a": one, "b": one}, 2)
+    for forms in ({"a": one, "b": (0, [])}, {"a": (0, []), "b": one}):
+        with pytest.raises(AssemblyError, match="form [ab] has no rows"):
+            _stack_forms(forms, 2)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_factors_match_the_dense_reference_forms(name):
     # the dense blocks the forms were stored as before they became factors;
-    # a diagonal form's weights are the reference's diagonal exactly
+    # a diagonal form's rows are sqrt(c W), so its square meets the
+    # reference's diagonal to 1e-15 relative and leaves the rest zero
     rng = np.random.default_rng(11)
     for mode in (0, 1, 3):
         for n in (16, 64):
             pencil = make_pencil(CELLS[name], n=n, mode=mode)
             ref = dense_forms_reference(pencil)
-            for part, F in {**pencil.energy_parts, **pencil.dissipation_parts}.items():
-                if F.ndim == 1:
-                    np.testing.assert_array_equal(np.diag(F), ref[part])
-                    continue
-                err = np.abs((F.T @ F).toarray() - ref[part]).max()
-                assert err <= 1e-15 * np.abs(ref[part]).max(), (part, mode, n, err)
+            for forms in (pencil.energy_forms, pencil.dissipation_forms):
+                for part in forms.names:
+                    FtF = (forms[part].T @ forms[part]).toarray()
+                    err = np.abs(FtF - ref[part]).max()
+                    assert err <= 1e-15 * np.abs(ref[part]).max(), (part, mode, n, err)
+            for part in ("E_kin_plate", "E_thermal", "E_mem_kin", "D_membrane"):
+                forms = pencil.energy_forms if part.startswith("E") else pencil.dissipation_forms
+                FtF = (forms[part].T @ forms[part]).toarray()
+                np.testing.assert_array_equal(FtF - np.diag(np.diag(FtF)), 0.0)
+                np.testing.assert_array_equal(ref[part] - np.diag(np.diag(ref[part])), 0.0)
             G = pencil.G.toarray()
             assert np.abs(G - G.T).max() == 0.0
             w = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
@@ -257,7 +286,9 @@ def test_gram_gamma_zero_velocity_block_is_weighted_identity():
     p = PhysicalParams(rho1=2.5, gamma=0.0)
     pencil = make_pencil(p, n=12)
     blk = blocks(pencil, pencil.G.toarray())["u_t"]
-    np.testing.assert_array_equal(blk, 2.5 * np.diag(pencil.grid.plate_weights))
+    expect = 2.5 * pencil.grid.plate_weights
+    assert np.abs(np.diag(blk) - expect).max() <= 1e-15 * expect.max()
+    np.testing.assert_array_equal(blk - np.diag(np.diag(blk)), 0.0)
     w = np.random.default_rng(5).standard_normal(pencil.dim)
     assert energy(pencil, w).breakdown["E_rot"] == 0.0
 

@@ -3,34 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scipy import sparse
-
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, default_dt, dissipation, energy, graph_norm,
                       make_initial_data, membrane_subpencil, pencil_dissipation, simulate,
                       step_crank_nicolson)
-from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil
-from platemem.semigroup import BLOCK_STEPS, MIN_DEFAULT_STEPS, final_state
+from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS
+from platemem.semigroup import BLOCK_STEPS, MAX_STEPS, MIN_DEFAULT_STEPS, final_state
 
-from oracles import expm_series_squaring, matrix_exponential_reference
+from oracles import expm_series_squaring, fake_pencil, matrix_exponential_reference
 
 GEO = AnnulusGeometry()
 
 
 def make_pencil(p=PhysicalParams(m_damp=1.0, rho_damp=1.0), n=12, mode=0):
     return assemble_mode_pencil(p, build_radial_grid(GEO, n, n, mode))
-
-
-def fake_pencil(A, M=None, G=None):
-    n = A.shape[0]
-    grid = build_radial_grid(GEO, 8, 8, 0)
-    p = PhysicalParams()
-    eye = np.eye(n)
-    return ModePencil(mode=0, M=sparse.csr_array(eye if M is None else M),
-                      A=sparse.csr_array(A), G=sparse.csr_array(eye if G is None else G),
-                      dof_layout=(("v", 0, n),),
-                      grid=grid, params=p, energy_parts={}, dissipation_parts={},
-                      closures=None)
 
 
 def test_zero_state_stays_zero():
@@ -95,10 +81,10 @@ def test_dissipation_channels_zero_cases():
     pencil = make_pencil(PhysicalParams(rho_damp=0.0, m_damp=0.0, mu=1.0))
     rng = np.random.default_rng(1)
     w = rng.standard_normal(pencil.dim)
-    ch = dissipation(pencil, w)
-    assert ch.structural == 0.0 and ch.membrane == 0.0
+    ch = dissipation(pencil, w).breakdown
+    assert ch["D_struct"] == 0.0 and ch["D_membrane"] == 0.0
     zero = dissipation(pencil, np.zeros(pencil.dim))
-    assert zero.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert list(zero.breakdown.values()) == [0.0, 0.0, 0.0, 0.0] and zero.total == 0.0
 
 
 def test_dissipation_linear_theta_profile_heats_bulk_and_boundary():
@@ -106,16 +92,16 @@ def test_dissipation_linear_theta_profile_heats_bulk_and_boundary():
     w = np.zeros(pencil.dim)
     th = pencil.block("theta")
     w[th] = pencil.grid.plate_nodes - pencil.grid.r_interface  # vanishes at interface
-    ch = dissipation(pencil, w)
-    assert ch.thermal_bulk > 0.0
-    assert ch.thermal_boundary > 0.0
+    ch = dissipation(pencil, w).breakdown
+    assert ch["D_thermal_bulk"] > 0.0
+    assert ch["D_thermal_bdry"] > 0.0
     # direct quadrature of beta0 |grad theta|^2 = beta0 * 2 pi (r_out^2-r_in^2)/2
     # and beta0 kappa 2 pi r_out theta(r_out)^2 for theta = r - r_in
     p, g = pencil.params, pencil.grid
     bulk = p.beta0 * np.pi * (g.r_outer**2 - g.r_interface**2)
     bdry = p.beta0 * p.kappa * 2.0 * np.pi * g.r_outer * (g.r_outer - g.r_interface)**2
-    assert ch.thermal_bulk == pytest.approx(bulk, rel=5e-2)
-    assert ch.thermal_boundary == pytest.approx(bdry, rel=5e-2)
+    assert ch["D_thermal_bulk"] == pytest.approx(bulk, rel=5e-2)
+    assert ch["D_thermal_bdry"] == pytest.approx(bdry, rel=5e-2)
 
 
 def test_dissipation_channels_match_pencil_form_exactly():
@@ -169,8 +155,8 @@ def test_simulate_residual_identity_and_monotonicity():
     columns = [(trace.energy, [r.total for r in reports]),
                (trace.residuals[1:] - np.diff(trace.energy) / dt, d_mid)]
     columns += [(trace.breakdown[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
-    columns += [(trace.dissipation[k], [c.as_tuple()[i] for c in channels])
-                for i, k in enumerate(DISSIPATION_CHANNELS)]
+    columns += [(trace.dissipation[k], [c.breakdown[k] for c in channels])
+                for k in DISSIPATION_CHANNELS]
     # relative to each column's largest value: a decayed state's forms lose
     # digits to the conditioning of the stiffness blocks, not to the batching
     for got, want in columns:
@@ -277,6 +263,20 @@ def test_non_integral_step_count_rejected():
             run(pencil, state, 1e-3, 0.0015)
         with pytest.raises(ValueError, match=r"t_end=0\.0001 .* dt=0\.001"):
             run(pencil, state, 1e-3, 1e-4)
+
+
+def test_non_finite_or_capped_step_counts_are_named():
+    pencil = make_pencil(n=8)
+    state = make_initial_data(pencil, "plate_bump")
+    for run in (simulate, final_state):
+        for dt, t_end in ((np.nan, 1.0), (0.1, np.nan), (np.inf, 1.0), (0.1, np.inf)):
+            with pytest.raises(ValueError, match=f"dt={dt!r} and t_end={t_end!r} must be finite"):
+                run(pencil, state, dt, t_end)
+        with pytest.raises(ValueError, match=r"t_end=1e\+300 / dt=1e-300 is inf steps"):
+            run(pencil, state, 1e-300, 1e300)
+        with pytest.raises(ValueError, match=f"t_end=1.0 / dt={1.0 / (MAX_STEPS + 1)!r} is "
+                                             f".* steps, above the cap of {MAX_STEPS}"):
+            run(pencil, state, 1.0 / (MAX_STEPS + 1), 1.0)
 
 
 def test_default_dt_divides_t_end():

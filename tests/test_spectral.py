@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg.lapack import ztrtrs
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
@@ -8,9 +7,8 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       project_resolvable, resolvent_norm, resolvent_scan,
                       spectral_abscissa_sweep)
 from platemem import spectral
-from platemem.pencil import ModePencil
 
-from oracles import bessel_j0, bessel_j0_zeros, resolvent_norm_dense_oracle
+from oracles import bessel_j0, bessel_j0_zeros, fake_pencil, resolvent_norm_dense_oracle
 
 GEO = AnnulusGeometry()
 
@@ -77,15 +75,6 @@ def test_conservative_decoupled_pencil_abscissa_zero():
     lam = sla.eig(pencil.A.toarray()[np.ix_(keep, keep)], pencil.M.toarray()[np.ix_(keep, keep)],
                   right=False)
     assert np.abs(lam.real).max() <= 1e-8 * np.abs(lam).max()
-
-
-def fake_pencil(A):
-    n = len(A)
-    grid = build_radial_grid(GEO, 8, 8, 0)
-    return ModePencil(mode=0, M=sparse.eye_array(n, format="csr"),
-                      A=sparse.csr_array(A), G=sparse.eye_array(n, format="csr"),
-                      dof_layout=(("v", 0, n),), grid=grid, params=PhysicalParams(),
-                      energy_parts={}, dissipation_parts={}, closures=None)
 
 
 def fake_diag_pencil(d):
@@ -247,12 +236,7 @@ def test_scan_growth_exponent_positive_for_undamped_membrane():
 def test_scan_nudges_samples_off_eigenvalues():
     # undamped oscillator: eigenvalues +-2i; a sample landing on 2.0 is nudged
     A = np.array([[0.0, 1.0], [-4.0, 0.0]])
-    G = np.diag([4.0, 1.0])
-    grid = build_radial_grid(GEO, 8, 8, 0)
-    pencil = ModePencil(mode=0, M=sparse.eye_array(2, format="csr"), A=sparse.csr_array(A),
-                        G=sparse.csr_array(G), dof_layout=(("v", 0, 2),),
-                        grid=grid, params=PhysicalParams(), energy_parts={},
-                        dissipation_parts={}, closures=None)
+    pencil = fake_pencil(A, G=np.diag([4.0, 1.0]))
     scan = resolvent_scan(pencil, 1.0, 3.0, 5)  # samples include exactly 2.0
     assert np.all(np.isfinite(scan.norms))
     assert scan.sup_norm > 1e6
