@@ -17,13 +17,13 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .grid import build_radial_grid
 from .model import ValidationError, check_geometric_condition, classify_regime
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, assemble_mode_pencil
-from .semigroup import default_dt, energy, final_state, make_initial_data, simulate
+from .pencil import MEMBRANE_FIELDS, assemble_mode_pencil
+from .semigroup import TRACE_ROWS, default_dt, energy, final_state, make_initial_data, simulate
 from .spectral import eigenvalues, resolvent_scan
 from .stability import NOT_EXP_LABELS, run_regime_experiment
 from .util import fmt, parallel_map, write_csv
 
-TRACE_HEADER = ("t", "energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS, "residual")
+TRACE_HEADER = ("t", *TRACE_ROWS, "residual")
 
 RENDER_N_THETA = 128
 
@@ -65,10 +65,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return mode, trace
 
     for mode, trace in parallel_map(run, list(cfg.modes)):
-        rows = np.column_stack((trace.times, trace.energy,
-                                *(trace.breakdown[k] for k in ENERGY_PARTS),
-                                *(trace.dissipation[k] for k in DISSIPATION_CHANNELS),
-                                trace.residuals)).tolist()
+        rows = np.column_stack((trace.times, trace.values.T, trace.residuals)).tolist()
         write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER, rows)
     return 0
 

@@ -116,15 +116,19 @@ def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndar
             for name, rows in closures.ghosts.items()}
 
 
-def _gradient(r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, np.ndarray]):
-    """Edge-gradient factor F of a field's closed Laplacian on the nodes r,
+def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, ...]):
+    """Edge-gradient factor F of field name's closed Laplacian on the nodes r,
     F^T F = -W L_closed, as (row, col, value) triplets on the field's nodes.
 
     Its rows are sqrt(2 pi r_e/h) (w[i+1] - w[i]) per interior edge, then
     sqrt(2 pi h m^2/r_i) w[i] per node, then sqrt(2 pi r_b/h (1 - a)) w[0]
     and the same at w[-1] for the ghosts a w[0] and a w[-1] of the two ends,
-    whose outer radii are r_b.  The last triplet is the outer end's row.
+    whose outer radii are r_b.  The last triplet is the outer end's row.  A
+    ghost row that reaches a second node raises AssemblyError naming its end.
     """
+    for end, rest in (("inner", ghosts[0][1:]), ("outer", ghosts[1][:-1])):
+        if rest.any():
+            raise AssemblyError(f"the {end} ghost row of {name} reaches past its end node")
     n = len(r)
     i = np.arange(n)
     edge = np.sqrt(TWO_PI * (r[:-1] + 0.5 * h) / h)
@@ -137,15 +141,15 @@ def _gradient(r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, np.n
     return rows, cols, vals
 
 
-def _checked_gradient(grid: RadialGrid, L_closed: np.ndarray, ghosts):
+def _checked_gradient(grid: RadialGrid, name: str, L_closed: np.ndarray, ghosts):
     """_gradient of a plate field, checked against the closed stencil band A reads."""
-    rows, cols, vals = _gradient(grid.plate_nodes, grid.h_plate, grid.mode, ghosts)
+    rows, cols, vals = _gradient(name, grid.plate_nodes, grid.h_plate, grid.mode, ghosts)
     F = _csr([(rows, cols, vals)], (rows[-1] + 1, grid.n_plate))
     K, FtF = grid.plate_weights * L_closed, F.T @ F
     off = FtF.diagonal(1)
     err = np.abs(K + [np.r_[0.0, off], FtF.diagonal(), np.r_[off, 0.0]]).max()
     if err > 1e-12 * max(np.abs(K).max(), 1.0):
-        raise AssemblyError(f"weighted Laplacian is not its factor's form (error {err:.2e})")
+        raise AssemblyError(f"weighted Laplacian of {name} is not its factor's form ({err:.2e})")
     return rows, cols, vals
 
 
@@ -276,9 +280,10 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     factor = lambda n_rows, *triplets: (n_rows, triplets)
     diagonal = lambda dofs, c, W: factor(len(dofs), (np.arange(len(dofs)), dofs, np.sqrt(c * W)))
 
-    i_ut, j_ut, f_ut = _checked_gradient(grid, L2, closures.ghosts["u_t"])
-    i_th, j_th, f_th = _checked_gradient(grid, Lth, closures.ghosts["theta"])
-    i_v, j_v, f_v = _gradient(grid.membrane_nodes, grid.h_mem, grid.mode, closures.ghosts["v"])
+    i_ut, j_ut, f_ut = _checked_gradient(grid, "u_t", L2, closures.ghosts["u_t"])
+    i_th, j_th, f_th = _checked_gradient(grid, "theta", Lth, closures.ghosts["theta"])
+    i_v, j_v, f_v = _gradient("v", grid.membrane_nodes, grid.h_mem, grid.mode,
+                              closures.ghosts["v"])
     # the membrane's interface row, f_v[-1] v[-1] for its Dirichlet ghost,
     # becomes f_v[-1] (v[-1] - U) once the plate-side trace U is added
     trace = np.flatnonzero(closures.trace_u)

@@ -14,6 +14,7 @@ evaluated as the two real columns [Re w, Im w].  A step is one solve with a
 sparse LU of M - dt/2 A and one CSR product with M + dt/2 A, both with
 their rows equilibrated.  The energy, its parts and the dissipation channels
 are read through the pencil's two Forms, for any number of states at once.
+A SimulationTrace is one table of them per step, a row per TRACE_ROWS name.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at t
 # steps at short horizons: 4e-4 relative error at t = 1.5e-3 on n = 64
 MIN_DEFAULT_STEPS = 128
 BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
+TRACE_ROWS = ("energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS)
 
 
 @dataclass
@@ -47,12 +49,17 @@ class FormReport:
 
 @dataclass
 class SimulationTrace:
+    """Per-step bookkeeping: values[k] is TRACE_ROWS[k] at each of the times."""
     times: np.ndarray
-    energy: np.ndarray
-    breakdown: dict[str, np.ndarray]          # six energy components per step
-    dissipation: dict[str, np.ndarray]        # four channels per step
+    values: np.ndarray
     residuals: np.ndarray                     # energy-balance residual r_k per step
-    graph_norm_initial: float
+
+    @property
+    def energy(self) -> np.ndarray:
+        return self.values[0]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[TRACE_ROWS.index(name)]
 
 
 def _check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
@@ -123,10 +130,10 @@ def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndar
 # column evaluators: k states are a dim x 2k float array, state j in columns
 # 2j (real part) and 2j+1 (imaginary part); see Forms.values.
 
-def _energy_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """Rows: total energy, then its six parts; the total is their sum."""
+def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
+    """The TRACE_ROWS per state; the total energy is the sum of its parts."""
     parts = 0.5 * pencil.energy_forms.values(X)
-    return np.vstack((parts.sum(axis=0), parts))
+    return np.vstack((parts.sum(axis=0), parts, pencil.dissipation_forms.values(X)))
 
 
 def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
@@ -206,18 +213,15 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
     stays at round-off level.
 
     The states are bookkept BLOCK_STEPS at a time: one multi-column pass per
-    block gives the energies, parts, channels and midpoint dissipations, so
-    only one block of states is ever held.  A non-finite state, energy or
+    block gives the TRACE_ROWS and the midpoint dissipations, so only one
+    block of states is ever held.  A non-finite state, energy or
     residual raises ValueError naming its step.
     """
     n_steps = _step_count(dt, t_end)
     X = _check_state(pencil, initial)
-    g0 = graph_norm(pencil, initial)
-    n_e = 1 + len(ENERGY_PARTS)
-    rows = lambda S: np.vstack((_energy_rows(pencil, S), pencil.dissipation_forms.values(S)))
-    values = np.empty((n_e + len(DISSIPATION_CHANNELS), n_steps + 1))
+    values = np.empty((len(TRACE_ROWS), n_steps + 1))
     residuals = np.zeros(n_steps + 1)
-    values[:, :1] = rows(X)
+    values[:, :1] = _trace_rows(pencil, X)
     _check_finite(0, X, values[:, :1], residuals[:1])
 
     block = np.empty((pencil.dim, 2 * BLOCK_STEPS + 2))
@@ -229,7 +233,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
         if j < BLOCK_STEPS and k < n_steps:
             continue
         new, done = block[:, 2:2 * j + 2], slice(first + 1, k + 1)
-        values[:, done] = rows(new)
+        values[:, done] = _trace_rows(pencil, new)
         mid = 0.5 * (block[:, :2 * j] + new)
         residuals[done] = (np.diff(values[0, first:k + 1]) / dt
                            + _pencil_dissipation_row(pencil, mid))
@@ -237,14 +241,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
         block[:, :2] = X
         first = k
 
-    return SimulationTrace(
-        times=dt * np.arange(n_steps + 1),
-        energy=values[0],
-        breakdown=dict(zip(ENERGY_PARTS, values[1:n_e])),
-        dissipation=dict(zip(DISSIPATION_CHANNELS, values[n_e:])),
-        residuals=residuals,
-        graph_norm_initial=g0,
-    )
+    return SimulationTrace(times=dt * np.arange(n_steps + 1), values=values, residuals=residuals)
 
 
 def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> np.ndarray:
@@ -261,19 +258,19 @@ def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float
 PROFILES = ("plate_bump", "membrane_bump", "thermal_pulse", "rough")
 
 
-def _bump(x: np.ndarray, lo: float, hi: float, power: int = 3) -> np.ndarray:
-    """Compactly supported polynomial bump (t(1-t))^power on (lo, hi)."""
+def _bump(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Compactly supported polynomial bump (t(1-t))^3 on (lo, hi)."""
     t = (x - lo) / (hi - lo)
     out = np.zeros_like(x, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    out[inside] = (t[inside] * (1.0 - t[inside])) ** power
+    out[inside] = (t[inside] * (1.0 - t[inside])) ** 3
     return out
 
 
-def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Implicit smoothing (I - (2h)^2 L)^-1 of the closed band L, a few times (rough filter)."""
+def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """Implicit smoothing (I - (2h)^2 L)^-1 of the closed band L, twice (rough filter)."""
     S = -(2.0 * h) ** 2 * L_closed
-    for _ in range(passes):
+    for _ in range(2):
         x, info = dgtsv(S[0, 1:], 1.0 + S[1], S[2, :-1], x)[3:]
         if info != 0:
             raise np.linalg.LinAlgError(f"dgtsv info {info} in the rough-profile smoothing")

@@ -77,9 +77,9 @@ def membrane_band_edge(pencil: ModePencil) -> float:
     return 2.0 * np.sqrt(p.beta2 / p.rho2) / pencil.grid.h_mem
 
 
-def _similarity(pencil: ModePencil, step: int = 32) -> np.ndarray:
+def _similarity(pencil: ModePencil) -> np.ndarray:
     """B = U P M^-1 A P^T U^-1, Fortran-ordered: mass solves fill its column
-    blocks, then banded solves from the right finish its row blocks."""
+    blocks, then banded solves from the right finish its row blocks, 32 at a time."""
     from scipy.sparse import csr_array
 
     order, U = gram_factor(pencil)
@@ -87,6 +87,7 @@ def _similarity(pencil: ModePencil, step: int = 32) -> np.ndarray:
     UP = csr_array((U[k, j], (j + k - len(U) + 1, order[j])), shape=(n, n))
     AP = pencil.A.tocsc()[:, order]
     B = np.empty((n, n), order="F")
+    step = 32
     for c in range(0, n, step):
         B[:, c:c + step] = UP @ solve_mass(pencil, AP[:, c:c + step].toarray())
     for r in range(0, n, step):

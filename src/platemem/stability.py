@@ -1,9 +1,10 @@
 """Regime experiments: decay-law fitting and theorem-table verdicts.
 
 An experiment simulates the configured modes and profiles, fits exponential
-or polynomial decay laws to the combined energy trace, cross-checks the fits
-against eigenvalue and resolvent evidence, and grades the result against the
-regime predicted from the damping constants.
+or polynomial decay laws to the energy row of each profile's combined trace
+(the modes' trace tables summed), cross-checks the fits against eigenvalue
+and resolvent evidence, and grades the result against the regime predicted
+from the damping constants.  The geometry's x0 enters only that prediction.
 """
 from __future__ import annotations
 
@@ -111,7 +112,8 @@ class RegimeReport:
 
 def _combined_trace(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
                     modes: list[int], profile: str, dt: float, t_end: float,
-                    seed: int, filter_undamped: bool = False) -> SimulationTrace:
+                    seed: int, filter_undamped: bool) -> SimulationTrace:
+    """One profile's traces of the modes as one: rows summed, largest |residual| per step."""
     def one(mode: int) -> SimulationTrace:
         grid = build_radial_grid(g, resolution, resolution, mode)
         pencil = assemble_mode_pencil(p, grid)
@@ -121,15 +123,9 @@ def _combined_trace(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
         return simulate(pencil, w, dt, t_end)
 
     traces = parallel_map(one, modes)
-    total = lambda parts: {k: np.sum([d[k] for d in parts], axis=0) for k in parts[0]}
-    return SimulationTrace(
-        times=traces[0].times,
-        energy=np.sum([tr.energy for tr in traces], axis=0),
-        breakdown=total([tr.breakdown for tr in traces]),
-        dissipation=total([tr.dissipation for tr in traces]),
-        residuals=np.max([np.abs(tr.residuals) for tr in traces], axis=0),
-        graph_norm_initial=float(np.sum([tr.graph_norm_initial for tr in traces])),
-    )
+    return SimulationTrace(times=traces[0].times,
+                           values=np.sum([tr.values for tr in traces], axis=0),
+                           residuals=np.max([np.abs(tr.residuals) for tr in traces], axis=0))
 
 
 def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int,

@@ -41,7 +41,7 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       parse_config, resolvent_scan, simulate, spectral_abscissa_sweep,
                       step_crank_nicolson)
 from platemem.cli import main
-from platemem.semigroup import SimulationTrace
+from platemem.semigroup import TRACE_ROWS, SimulationTrace
 from platemem.spectral import project_resolvable
 
 from oracles import bessel_j0_zeros, matrix_exponential_reference
@@ -92,12 +92,9 @@ def combined_trace(p, geo, res, modes, profiles, dt, t_end, filter_undamped=Fals
             w = project_resolvable(pencil, w)
         w /= np.sqrt(2.0 * energy(pencil, w).total)
         traces.append(simulate(pencil, w, dt, t_end))
-    e = np.sum([t.energy for t in traces], axis=0)
-    base = traces[0]
-    return SimulationTrace(times=base.times, energy=e, breakdown=base.breakdown,
-                           dissipation=base.dissipation, residuals=base.residuals,
-                           graph_norm_initial=float(np.sum([t.graph_norm_initial
-                                                            for t in traces])))
+    return SimulationTrace(times=traces[0].times,
+                           values=np.sum([t.values for t in traces], axis=0),
+                           residuals=np.max([np.abs(t.residuals) for t in traces], axis=0))
 
 
 @criterion(1, "discrete dissipativity and energy balance")
@@ -253,7 +250,6 @@ def test_criterion_7_polynomial_decay(tmp_path):
     fit = fit_polynomial_rate(trace)
     assert fit.rate > 0.0
     assert fit.r_squared >= 0.95, fit
-    assert trace.graph_norm_initial > 0.0
 
     cfg = tmp_path / "poly.cfg"
     cfg.write_text(
@@ -272,10 +268,9 @@ def test_criterion_7_polynomial_decay(tmp_path):
 @criterion(8, "fit correctness on synthetic traces")
 def test_criterion_8_fit_correctness():
     def synth(times, energies):
-        z = np.zeros_like(times)
-        return SimulationTrace(times=times, energy=energies,
-                               breakdown={}, dissipation={}, residuals=z,
-                               graph_norm_initial=1.0)
+        values = np.zeros((len(TRACE_ROWS), len(times)))
+        values[0] = energies
+        return SimulationTrace(times=times, values=values, residuals=np.zeros_like(times))
 
     t = np.linspace(0.0, 25.0, 300)
     fit_e = fit_exponential_rate(synth(t, 7.0 * np.exp(-1.3 * t)))

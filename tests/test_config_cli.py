@@ -10,7 +10,8 @@ import pytest
 
 import platemem
 from platemem import ConfigError, RegimeLabel, classify_regime, parse_config
-from platemem.cli import main
+from platemem.cli import TRACE_HEADER, main
+from platemem.semigroup import TRACE_ROWS
 
 FAST = """
 n_plate = 12
@@ -273,6 +274,17 @@ def test_perfbench_tracer_installs_over_the_cli():
             "Tracer().install()\n"
             "print('installed')")
     assert _run_python(["-c", code]).strip() == "installed"
+
+
+def test_trace_csv_header_is_the_benchmark_contract():
+    # the benchmark checks each trace CSV's header against its own copy;
+    # this reads perfbench/workloads.py and writes nothing there
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    pinned = [ast.literal_eval(node.value) for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["TRACE_HEADER"]]
+    assert TRACE_HEADER == ("t", *TRACE_ROWS, "residual")
+    assert pinned == [",".join(TRACE_HEADER)]
 
 
 def test_cli_overflowing_dt_is_named_before_any_warning(tmp_path):

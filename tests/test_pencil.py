@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, closure_residuals, eigenvalues, energy,
                       interface_trace, laplacian_mode, membrane_subpencil)
@@ -269,11 +270,32 @@ def test_gradient_check_rejects_a_non_conservative_stencil():
     pencil = make_pencil(n=16, mode=1)
     ghosts = pencil.closures.ghosts["theta"]
     L = closed_laplacians(pencil.grid, pencil.closures)["theta"]
-    _checked_gradient(pencil.grid, L, ghosts)
+    _checked_gradient(pencil.grid, "theta", L, ghosts)
     L = L.copy()
     L[2, 3] *= 1.0 + 1e-9
-    with pytest.raises(AssemblyError, match="is not its factor.s form"):
-        _checked_gradient(pencil.grid, L, ghosts)
+    with pytest.raises(AssemblyError, match="of theta is not its factor.s form"):
+        _checked_gradient(pencil.grid, "theta", L, ghosts)
+
+
+@pytest.mark.parametrize("name,end", [("v", "outer"), ("v", "inner"), ("u_t", "inner"),
+                                      ("theta", "outer")])
+def test_gradient_rejects_a_two_point_ghost_row_naming_field_and_end(monkeypatch, name, end):
+    # a second ghost coefficient that _closed folds into the band, but that a
+    # gradient factor with one coefficient per end would drop
+    make_closures = pencil_module.make_closures
+
+    def two_point(p, grid):
+        closures = make_closures(p, grid)
+        inner, outer = (row.copy() for row in closures.ghosts[name])
+        if end == "inner":
+            inner[1] = 0.25
+        else:
+            outer[-2] = 0.25
+        return dataclasses.replace(closures, ghosts={**closures.ghosts, name: (inner, outer)})
+
+    monkeypatch.setattr(pencil_module, "make_closures", two_point)
+    with pytest.raises(AssemblyError, match=f"^the {end} ghost row of {name} reaches past"):
+        make_pencil(n=16, mode=1)
 
 
 def test_assembly_rejects_a_coefficient_no_sum_of_squares_can_carry():

@@ -8,7 +8,8 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       make_initial_data, membrane_subpencil, pencil_dissipation, simulate,
                       step_crank_nicolson)
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS
-from platemem.semigroup import BLOCK_STEPS, MAX_STEPS, MIN_DEFAULT_STEPS, final_state
+from platemem.semigroup import (BLOCK_STEPS, MAX_STEPS, MIN_DEFAULT_STEPS, TRACE_ROWS,
+                                 final_state)
 
 from oracles import expm_series_squaring, fake_pencil, matrix_exponential_reference
 
@@ -152,11 +153,12 @@ def test_simulate_residual_identity_and_monotonicity():
     reports = [energy(pencil, st) for st in states]
     channels = [dissipation(pencil, st) for st in states]
     d_mid = [pencil_dissipation(pencil, 0.5 * (a + b)) for a, b in zip(states, states[1:])]
+    assert trace.values.shape == (len(TRACE_ROWS), steps + 1)
+    np.testing.assert_array_equal(trace["energy"], trace.energy)
     columns = [(trace.energy, [r.total for r in reports]),
                (trace.residuals[1:] - np.diff(trace.energy) / dt, d_mid)]
-    columns += [(trace.breakdown[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
-    columns += [(trace.dissipation[k], [c.breakdown[k] for c in channels])
-                for k in DISSIPATION_CHANNELS]
+    columns += [(trace[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
+    columns += [(trace[k], [c.breakdown[k] for c in channels]) for k in DISSIPATION_CHANNELS]
     # relative to each column's largest value: a decayed state's forms lose
     # digits to the conditioning of the stiffness blocks, not to the batching
     for got, want in columns:

@@ -4,24 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from platemem import (AnnulusGeometry, PhysicalParams, RegimeLabel,
                       fit_exponential_rate, fit_polynomial_rate, run_regime_experiment)
-from platemem.semigroup import SimulationTrace
+from platemem.semigroup import TRACE_ROWS, SimulationTrace
 from platemem.stability import FitError
 
 GEO = AnnulusGeometry()
 
 
-def synth_trace(times, energies, gnorm=1.0):
+def synth_trace(times, energies):
+    """A trace whose energy row is energies and whose other rows are zero."""
     times = np.asarray(times, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    zeros = np.zeros_like(times)
-    return SimulationTrace(times=times, energy=energies,
-                           breakdown={k: zeros for k in
-                                      ("E_bend", "E_kin_plate", "E_rot", "E_thermal",
-                                       "E_mem_pot", "E_mem_kin")},
-                           dissipation={k: zeros for k in
-                                        ("D_struct", "D_thermal_bulk",
-                                         "D_thermal_bdry", "D_membrane")},
-                           residuals=zeros, graph_norm_initial=gnorm)
+    values = np.zeros((len(TRACE_ROWS), len(times)))
+    values[0] = energies
+    return SimulationTrace(times=times, values=values, residuals=np.zeros_like(times))
 
 
 def test_exponential_fit_recovers_exact_rate():
