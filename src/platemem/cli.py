@@ -24,7 +24,6 @@ from .stability import NOT_EXP_LABELS, run_regime_experiment
 from .util import fmt, parallel_map, write_csv
 
 TRACE_HEADER = ("t", *TRACE_ROWS, "residual")
-
 RENDER_N_THETA = 128
 
 
@@ -55,7 +54,7 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
     t_end = _default_t_end(cfg)
 
@@ -70,7 +69,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
     results = parallel_map(lambda m: eigenvalues(_pencil(cfg, m)), list(cfg.modes))
     summary = []
@@ -84,10 +83,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig, lmin: float, lmax: float, n: int) -> int:
+def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
-    results = parallel_map(lambda m: (m, resolvent_scan(_pencil(cfg, m), lmin, lmax, n)),
-                           list(cfg.modes))
+    results = parallel_map(lambda m: (m, resolvent_scan(_pencil(cfg, m), args.lmin, args.lmax,
+                                                        args.n)), list(cfg.modes))
     for mode, scan in results:
         write_csv(os.path.join(out, f"resolvent_mode{mode}.csv"), ("lambda", "norm"),
                   [[float(l), float(s)] for l, s in zip(scan.lambdas, scan.norms)])
@@ -96,7 +95,7 @@ def cmd_scan(cfg: RunConfig, lmin: float, lmax: float, n: int) -> int:
     return 0
 
 
-def cmd_regimes(cfg: RunConfig) -> int:
+def cmd_regimes(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.n_plate != cfg.n_mem:
         raise ConfigError(f"regimes runs both grids at one resolution: n_plate={cfg.n_plate} "
                           f"and n_mem={cfg.n_mem} must be equal")
@@ -111,14 +110,15 @@ def cmd_regimes(cfg: RunConfig) -> int:
     return {"consistent": 0, "inconsistent": 2, "inconclusive": 3}[report.verdict]
 
 
-def cmd_check_geometry(cfg: RunConfig) -> int:
+def cmd_check_geometry(cfg: RunConfig, args: argparse.Namespace) -> int:
     check = check_geometric_condition(cfg.geometry)
     word = "satisfied" if check.satisfied else "violated"
     print(f"{word}, max q·nu = {fmt(check.max_q_dot_nu)}")
     return 0
 
 
-def cmd_render(cfg: RunConfig, t: float) -> int:
+def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
+    t = args.t
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"--t must be finite and non-negative, got {t}")
     out = _outdir(cfg)
@@ -132,20 +132,14 @@ def cmd_render(cfg: RunConfig, t: float) -> int:
 
     states = parallel_map(run, list(cfg.modes))
     thetas = np.linspace(0.0, 2.0 * np.pi, RENDER_N_THETA, endpoint=False)
+    grid0 = states[0][1].grid
     for fname in ("u", "theta", "v"):
-        rows = []
-        grid0 = states[0][1].grid
         radii = grid0.membrane_nodes if fname in MEMBRANE_FIELDS else grid0.plate_nodes
-        vals = np.zeros((len(radii), len(thetas)))
-        for mode, pencil, w in states:
-            coef = w[pencil.block(fname)]
-            phase = np.exp(1j * mode * thetas)
-            vals += np.real(np.outer(coef, phase))
-        for i, r in enumerate(radii):
-            for j, th in enumerate(thetas):
-                rows.append([float(r * math.cos(th)), float(r * math.sin(th)),
-                             float(vals[i, j])])
-        write_csv(os.path.join(out, f"field_{fname}.csv"), ("x", "y", "value"), rows)
+        vals = sum(np.real(np.outer(w[pencil.block(fname)], np.exp(1j * mode * thetas)))
+                   for mode, pencil, w in states)
+        rows = np.column_stack((np.outer(radii, np.cos(thetas)).ravel(),
+                                np.outer(radii, np.sin(thetas)).ravel(), vals.ravel()))
+        write_csv(os.path.join(out, f"field_{fname}.csv"), ("x", "y", "value"), rows.tolist())
     return 0
 
 
@@ -155,41 +149,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the coupled thermoelastic "
                     "plate-membrane transmission system.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (("simulate", "time-integrate and write per-mode energy traces"),
-                        ("spectrum", "write per-mode spectra and a summary"),
-                        ("regimes", "run the regime experiment and write a report"),
-                        ("check-geometry", "evaluate the interface geometric condition"),
-                        ):
+    # name, handler, help, required flags after the config path
+    for name, run, help_, flags in (
+            ("simulate", cmd_simulate, "time-integrate and write per-mode energy traces", ()),
+            ("spectrum", cmd_spectrum, "write per-mode spectra and a summary", ()),
+            ("regimes", cmd_regimes, "run the regime experiment and write a report", ()),
+            ("check-geometry", cmd_check_geometry,
+             "evaluate the interface geometric condition", ()),
+            ("scan", cmd_scan, "resolvent norms along the imaginary axis",
+             (("--lmin", float), ("--lmax", float), ("--n", int))),
+            ("render", cmd_render, "reconstruct 2D fields at a given time", (("--t", float),))):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("config", help="path to a key = value configuration file")
-    sp = sub.add_parser("scan", help="resolvent norms along the imaginary axis")
-    sp.add_argument("config")
-    sp.add_argument("--lmin", type=float, required=True)
-    sp.add_argument("--lmax", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp = sub.add_parser("render", help="reconstruct 2D fields at a given time")
-    sp.add_argument("config")
-    sp.add_argument("--t", type=float, required=True)
+        for flag, type_ in flags:
+            sp.add_argument(flag, type=type_, required=True)
+        sp.set_defaults(run=run)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.lmin, args.lmax, args.n)
-        if args.command == "regimes":
-            return cmd_regimes(cfg)
-        if args.command == "check-geometry":
-            return cmd_check_geometry(cfg)
-        if args.command == "render":
-            return cmd_render(cfg, args.t)
-        raise RuntimeError(f"unhandled command {args.command}")
+        return args.run(load_config(args.config), args)
     except (ConfigError, ValidationError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

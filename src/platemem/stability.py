@@ -16,7 +16,7 @@ import numpy as np
 from .grid import build_radial_grid
 from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationError,
                     classify_regime)
-from .pencil import assemble_mode_pencil
+from .pencil import AssemblyError, assemble_mode_pencil
 from .semigroup import SimulationTrace, default_dt, make_initial_data, simulate
 from .spectral import (membrane_band_edge, project_resolvable, resolvent_scan,
                        spectral_abscissa_sweep)
@@ -101,7 +101,6 @@ class RegimeReport:
     predicted: RegimeLabel
     verdict: str                       # "consistent" | "inconsistent" | "inconclusive"
     lines: list[str] = field(default_factory=list)
-    measured: dict = field(default_factory=dict)
 
     def render(self) -> str:
         out = [f"predicted regime: {self.predicted.value}", ""]
@@ -162,10 +161,11 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
                 lines.append(f"profile {profile}: exponential fit skipped ({exc})")
             if predicted in NOT_EXP_LABELS:
                 poly_fits[profile] = fit_polynomial_rate(trace)
+    except AssemblyError:
+        raise   # a malformed operator is a bug, though it is a RuntimeError
     except (FitError, ValidationError, np.linalg.LinAlgError, RuntimeError) as exc:
         # partial evidence: inconclusive; any other exception is a bug and raises
         lines.append(f"experiment incomplete: {type(exc).__name__}: {exc}")
-        report.measured = {"error": type(exc).__name__}
         return report
 
     absc = sweep.global_abscissa
@@ -187,17 +187,6 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
     for profile, fitted in poly_fits.items():
         lines.append(f"profile {profile}: polynomial alpha {fitted.rate:.4f} "
                      f"(r2 {fitted.r_squared:.4f})")
-
-    report.measured = {
-        "abscissa": absc,
-        "resolved_abscissa": band,
-        "resolved_abscissa_fine": band_fine,
-        "scan_sup": scan.sup_norm,
-        "scan_sup_fine": scan_fine.sup_norm,
-        "growth_exponent": scan.growth_exponent,
-        "exp_rates": {k: v.rate for k, v in fits.items()},
-        "poly": {k: (v.rate, v.r_squared) for k, v in poly_fits.items()},
-    }
 
     checks: list[tuple[str, bool]] = [("0 in the resolvent set for every mode", zero_ok)]
     if predicted in EXPONENTIAL_LABELS:

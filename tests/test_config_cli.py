@@ -39,6 +39,27 @@ def test_empty_config_gives_defaults():
     assert cfg.dt is None and cfg.t_end is None
 
 
+def test_defaults_come_from_the_dataclasses_and_the_run_table():
+    from platemem import AnnulusGeometry, PhysicalParams
+    from platemem.config import RUN_KEYS
+
+    cfg = parse_config("")
+    assert cfg.params == PhysicalParams() and cfg.geometry == AnnulusGeometry()
+    for key, (_, default) in RUN_KEYS.items():
+        assert getattr(cfg, key) == default, key
+    other = parse_config("")
+    assert other.profiles == cfg.profiles and other.profiles is not cfg.profiles
+
+
+def test_readme_sample_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    cfg = parse_config(block)
+    assert cfg.params.rho_damp == 1.0 and cfg.params.m_damp == 1.0
+    assert cfg.dt == 0.01 and cfg.t_end == 50.0 and cfg.output_dir == "out"
+
+
 def test_damped_config_classifies_exponential():
     cfg = parse_config("m = 1\nrho = 1")
     assert classify_regime(cfg.params, cfg.geometry) is RegimeLabel.EXPONENTIAL_RHO_DAMPED
@@ -212,6 +233,23 @@ def test_cli_render_at_time_zero(tmp_path):
     assert np.abs(v[:, 2]).max() == 0.0  # plate bump leaves the membrane at rest
     header = (out / "field_theta.csv").read_text().splitlines()[0]
     assert header == "x,y,value"
+
+
+def test_cli_render_points_match_the_radius_angle_loop(tmp_path):
+    # the points are written radius by radius, angle by angle, and each is
+    # (r cos th, r sin th) to the last bit
+    import math
+    from platemem.cli import RENDER_N_THETA, _pencil
+    from platemem.util import fmt
+    path = write_cfg(tmp_path, FAST)
+    assert main(["render", path, "--t", "0"]) == 0
+    grid = _pencil(parse_config(open(path).read()), 0).grid
+    thetas = np.linspace(0.0, 2.0 * np.pi, RENDER_N_THETA, endpoint=False)
+    for name, radii in (("u", grid.plate_nodes), ("theta", grid.plate_nodes),
+                        ("v", grid.membrane_nodes)):
+        lines = (tmp_path / "out" / f"field_{name}.csv").read_text().splitlines()[1:]
+        assert [line.rsplit(",", 1)[0] for line in lines] == [
+            f"{fmt(r * math.cos(th))},{fmt(r * math.sin(th))}" for r in radii for th in thetas]
 
 
 @pytest.mark.parametrize("bound, value", [("lmax", "inf"), ("lmax", "nan"), ("lmin", "-inf")])
@@ -437,6 +475,7 @@ def test_cli_render_lands_on_requested_time(tmp_path, t):
 def test_regime_experiment_raises_bugs_and_records_expected_failures(monkeypatch):
     import platemem.stability as stability
     from platemem import AnnulusGeometry, PhysicalParams
+    from platemem.pencil import AssemblyError
 
     def failing(exc):
         def run(*args, **kwargs):
@@ -454,4 +493,9 @@ def test_regime_experiment_raises_bugs_and_records_expected_failures(monkeypatch
                         failing(np.linalg.LinAlgError("singular")))
     report = experiment()
     assert report.verdict == "inconclusive"
-    assert report.measured == {"error": "LinAlgError"}
+    assert report.lines == ["experiment incomplete: LinAlgError: singular"]
+    # an AssemblyError is a RuntimeError, but a malformed operator is a bug
+    monkeypatch.setattr(stability, "spectral_abscissa_sweep",
+                        failing(AssemblyError("form D_membrane has no rows")))
+    with pytest.raises(AssemblyError, match="no rows"):
+        experiment()
