@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .grid import MAX_MODE
 from .model import AnnulusGeometry, PhysicalParams, ValidationError, validate_params
 from .semigroup import PROFILES
 
@@ -106,8 +107,9 @@ def parse_config(text: str) -> RunConfig:
     except ValidationError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from None
     run = {k: values.get(k, default) for k, (_, default) in RUN_KEYS.items()}
-    if run["mode_min"] < 0 or run["mode_max"] < run["mode_min"]:
-        raise ConfigError(f"invalid mode range {run['mode_min']}..{run['mode_max']}")
+    if not 0 <= run["mode_min"] <= run["mode_max"] <= MAX_MODE:
+        raise ConfigError(f"invalid mode range {run['mode_min']}..{run['mode_max']}, expected "
+                          f"0 <= mode_min <= mode_max <= {MAX_MODE}")
     for key in ("dt", "t_end"):
         if run[key] is not None and not (math.isfinite(run[key]) and run[key] > 0.0):
             raise ConfigError(f"{key} must be positive and finite, got {run[key]}")

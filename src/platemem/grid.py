@@ -18,6 +18,7 @@ TWO_PI = 2.0 * np.pi
 
 MIN_NODES = 8
 MAX_NODES = 4096        # n = 4096 assembles in ~30 ms, traced peak 12 MB (1 BLAS thread, 2 vCPUs)
+MAX_MODE = 4096         # largest config mode_max: each mode of a run is one pencil
 
 
 @dataclass(frozen=True)

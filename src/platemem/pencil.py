@@ -25,14 +25,15 @@ the membrane's interface half-edge gradient term in the Gram couples v's
 last node to U; that single term carries both the u = v continuity and the
 flux balance of the transmission conditions.
 
-Each closed Laplacian is its three diagonals with the ghost rows folded in,
-and blocks are placed from such bands and closure rows as triplets, so
+Each closed Laplacian is its three diagonals with the ghost rows folded in.
+The energy parts and the dissipation channels are two Forms, sums of
+squares ||F_k w||^2 over row ranges of one CSR factor each, weights folded
+in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
+F^T F of the energy factor, and each block of A and M but the identities
+is a form divided row by row by its dof's weight, placed as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
-nonzeros per row, banded after reverse Cuthill-McKee.  The energy parts and
-the dissipation channels are two Forms, sums of squares ||F_k w||^2 over
-row ranges of one CSR factor each, weights folded in (a diagonal form
-c W |w|^2 is the rows sqrt(c W) on its dofs); G is F^T F of the energy
-factor.  scipy.sparse is imported at first use, not with the package.
+nonzeros per row, banded after reverse Cuthill-McKee.  scipy.sparse is
+imported at first use, not with the package.
 """
 from __future__ import annotations
 
@@ -138,18 +139,6 @@ def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[np.nd
     cols = np.concatenate([i[:-1], i[1:], i, [0, n - 1]])
     vals = np.concatenate([-edge, edge, np.sqrt(TWO_PI * h * float(mode**2) / r),
                            np.sqrt(TWO_PI * r_b / h * (1.0 - a))])
-    return rows, cols, vals
-
-
-def _checked_gradient(grid: RadialGrid, name: str, L_closed: np.ndarray, ghosts):
-    """_gradient of a plate field, checked against the closed stencil band A reads."""
-    rows, cols, vals = _gradient(name, grid.plate_nodes, grid.h_plate, grid.mode, ghosts)
-    F = _csr([(rows, cols, vals)], (rows[-1] + 1, grid.n_plate))
-    K, FtF = grid.plate_weights * L_closed, F.T @ F
-    off = FtF.diagonal(1)
-    err = np.abs(K + [np.r_[0.0, off], FtF.diagonal(), np.r_[off, 0.0]]).max()
-    if err > 1e-12 * max(np.abs(K).max(), 1.0):
-        raise AssemblyError(f"weighted Laplacian of {name} is not its factor's form ({err:.2e})")
     return rows, cols, vals
 
 
@@ -265,8 +254,11 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Build (M, A, G) for one Fourier mode.
 
     Gradient seminorms use the staggered edge quadrature dual to the
-    conservative stencils, so each energy part is the exact dual of the
-    matching operator block."""
+    conservative stencils.  Every block of A and M but the identities is a
+    form (of G, the dissipation factor, or K of u_t's gradient factor)
+    divided row by row by its dof's quadrature weight W, so the energy
+    identity has one source and W M = diag(W, rho1 W + gamma K, rho0 W, W,
+    rho2 W) is positive definite once validate_params passes."""
     validate_params(p, AnnulusGeometry(grid.r_interface, grid.r_outer))   # forms are sums of squares
     np_, nm = grid.n_plate, grid.n_mem
     layout = _layout(grid)
@@ -275,15 +267,16 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     u, ut, th, v, vt = (index[name] for name in FIELDS)
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
-    Le, L2, Lth = map(closed_laplacians(grid, closures).get, ("u", "u_t", "theta"))
+    w = np.concatenate([Wm if name in MEMBRANE_FIELDS else Wp for name in FIELDS])
+    Le = _closed(laplacian_mode(grid, "plate"), "u", *closures.ghosts["u"])
 
     factor = lambda n_rows, *triplets: (n_rows, triplets)
     diagonal = lambda dofs, c, W: factor(len(dofs), (np.arange(len(dofs)), dofs, np.sqrt(c * W)))
+    gradient = lambda name, r, h: _gradient(name, r, h, grid.mode, closures.ghosts[name])
 
-    i_ut, j_ut, f_ut = _checked_gradient(grid, "u_t", L2, closures.ghosts["u_t"])
-    i_th, j_th, f_th = _checked_gradient(grid, "theta", Lth, closures.ghosts["theta"])
-    i_v, j_v, f_v = _gradient("v", grid.membrane_nodes, grid.h_mem, grid.mode,
-                              closures.ghosts["v"])
+    i_ut, j_ut, f_ut = gradient("u_t", grid.plate_nodes, grid.h_plate)
+    i_th, j_th, f_th = gradient("theta", grid.plate_nodes, grid.h_plate)
+    i_v, j_v, f_v = gradient("v", grid.membrane_nodes, grid.h_mem)
     # the membrane's interface row, f_v[-1] v[-1] for its Dirichlet ghost,
     # becomes f_v[-1] (v[-1] - U) once the plate-side trace U is added
     trace = np.flatnonzero(closures.trace_u)
@@ -309,31 +302,31 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         "D_thermal_bdry": factor(1, ([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])),
         "D_membrane": diagonal(vt, p.m_damp, Wm),
     }, n)
+    D = (dissipation.F.T @ dissipation.F).tocoo()
+    F_ut = _csr([(i_ut, j_ut, f_ut)], (2 * np_ + 1, np_))
+    K = (F_ut.T @ F_ut).tocoo()                     # -Wp L of u_t's closed band
+    KW = K.data / Wp[K.row]
 
-    # velocity identities, structural damping and thermo-coupling on the
-    # plate, membrane damping
+    # velocity identities, damping -(F_D^T F_D)/W and thermo-coupling +-mu K/W
     entries = [
         _identity(u, ut, 1.0),
         _identity(v, vt, 1.0),
-        _band(ut, ut, p.rho_damp * L2),
-        _band(ut, th, -p.mu * L2),
-        _band(th, ut, p.mu * L2),
-        _band(th, th, p.beta0 * Lth),
-        _identity(vt, vt, -p.m_damp),
+        (D.row, D.col, -(D.data / w[D.row])),
+        (ut[K.row], th[K.col], p.mu * KW),
+        (th[K.row], ut[K.col], -p.mu * KW),
     ]
     # conservative rows: minus the weighted dual of the (w1, w4) pair form,
     # bending + membrane potential, which are the only parts on those rows
     Gc = G.tocoo()
-    for src, dst, W in ((u, ut, Wp), (v, vt, Wm)):
+    for src, dst in ((u, ut), (v, vt)):
         k = (Gc.row >= src[0]) & (Gc.row <= src[-1])
-        r = Gc.row[k] - src[0]
-        entries.append((dst[r], Gc.col[k], -(Gc.data[k] / W[r])))
+        entries.append((Gc.row[k] - src[0] + dst[0], Gc.col[k], -(Gc.data[k] / w[Gc.row[k]])))
     A = _csr(entries, (n, n))
 
     M = _csr([
         _identity(u, u, 1.0),
         _identity(ut, ut, p.rho1),
-        _band(ut, ut, -p.gamma * L2),
+        (ut[K.row], ut[K.col], p.gamma * KW),
         _identity(th, th, p.rho0),
         _identity(v, v, 1.0),
         _identity(vt, vt, p.rho2),
@@ -345,9 +338,9 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     return pencil
 
 
-def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Upper Cholesky factor of mat + jitter I, symmetric, with row and column i
-    moved to rank[i], in LAPACK upper band storage; LinAlgError if it fails.
+def _banded_cholesky(mat: csr_array, rank: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the symmetric mat with row and column i moved
+    to rank[i], in LAPACK upper band storage; LinAlgError if it fails.
     Stored as a band of the width the ordering gives, it costs O(dim band^2)."""
     c = mat.tocoo()
     i, j = rank[c.row], rank[c.col]
@@ -356,7 +349,6 @@ def _banded_cholesky(mat: csr_array, rank: np.ndarray, jitter: float = 0.0) -> n
     band = int((j - i).max(initial=0))
     ab = np.zeros((band + 1, mat.shape[0]))     # LAPACK upper band storage: ab[band + i - j, j]
     ab[band + i - j, j] = c.data[upper]
-    ab[band] += jitter
     return sla.cholesky_banded(ab, overwrite_ab=True)
 
 
@@ -368,25 +360,12 @@ def _factor_gram(G: csr_array) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_definiteness(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
-    """G and the weighted M must factor (positive definiteness); returns G's factor.
-
-    Both factor as bands in the reverse Cuthill-McKee ordering of G, where
-    each is a few entries wide (2 for G at n = 16 to 400): G as it is, the
-    weighted M with a jitter of 1e-13 trace(G)/dim.
-    """
-    grid = pencil.grid
-    w = np.concatenate([grid.membrane_weights if name in MEMBRANE_FIELDS else grid.plate_weights
-                        for name, _, _ in pencil.dof_layout])
-    WM = pencil.M.multiply(w[:, None]).tocsr()
-    WM = 0.5 * (WM + WM.T)
-    name = "G"
+    """G must factor (positive definiteness); returns its factor, a band a few
+    entries wide in its reverse Cuthill-McKee ordering (2 at n = 16 to 400)."""
     try:
-        order, U = _factor_gram(pencil.G)
-        name = "weighted M"
-        _banded_cholesky(WM, np.argsort(order), 1e-13 * (pencil.G.trace() / pencil.dim))
+        return _factor_gram(pencil.G)
     except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"{name} is not positive definite for mode {pencil.mode}") from exc
-    return order, U
+        raise AssemblyError(f"G is not positive definite for mode {pencil.mode}") from exc
 
 
 def gram_factor(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ EIG_DIM_CAP = 2000
 AXIS_TOL_REL = 1e-8
 COLLISION_TOL = 1e-12
 COLLISION_NUDGE = 1e-9
+MAX_SAMPLES = 100_000     # samples per resolvent scan; 10**9 would allocate 7.45 GiB
 # ARPACK basis size for a resolvent sample: fewest Lanczos products (10.3-10.7
 # mean, at most 16) over ncv 3..20 on m = 0, rho = 1 scans at dims 80-640;
 # the default basis of 20 always takes 21
@@ -275,8 +276,8 @@ def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if not (lambda_max > lambda_min):
         raise ValueError("lambda_max must exceed lambda_min")
-    if n_samples < 4:
-        raise ValueError("need at least 4 samples")
+    if not 4 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"need 4 to {MAX_SAMPLES} samples, got {n_samples}")
     eigs = eigenvalues(pencil).eigenvalues
     scale = max(abs(lambda_min), abs(lambda_max))
     lams = np.linspace(lambda_min, lambda_max, n_samples)

@@ -11,6 +11,8 @@ import pytest
 import platemem
 from platemem import ConfigError, RegimeLabel, classify_regime, parse_config
 from platemem.cli import TRACE_HEADER, main
+from platemem.grid import MAX_MODE
+from platemem.spectral import MAX_SAMPLES
 from platemem.semigroup import TRACE_ROWS
 
 FAST = """
@@ -102,6 +104,13 @@ def test_non_finite_step_or_horizon_rejected(key, value):
 def test_negative_seed_rejected_with_line():
     with pytest.raises(ConfigError, match=r"line 2, column 8: seed must be non-negative"):
         parse_config("m = 1\nseed = -1")
+
+
+def test_mode_range_above_the_cap_rejected():
+    assert list(parse_config(f"mode_min = {MAX_MODE}\nmode_max = {MAX_MODE}").modes) == [MAX_MODE]
+    with pytest.raises(ConfigError, match=f"^invalid mode range 0..{MAX_MODE + 1}, expected "
+                                          f"0 <= mode_min <= mode_max <= {MAX_MODE}$"):
+        parse_config(f"mode_max = {MAX_MODE + 1}")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -333,6 +342,28 @@ def test_cli_overflowing_dt_is_named_before_any_warning(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ("error: dt=5.0000000000000003e+303 overflows the trapezoidal "
                            "matrix: 0.5 dt max|A| is not finite\n")
+
+
+@pytest.mark.parametrize("body, args, named", [
+    (f"mode_max = {10**12}", ["spectrum"],
+     f"invalid mode range 0..{10**12}, expected 0 <= mode_min <= mode_max <= {MAX_MODE}"),
+    ("n_plate = 12\nn_mem = 12\nmode_max = 0",
+     ["scan", "--lmin", "0.5", "--lmax", "8", "--n", str(10**9)],
+     f"need 4 to {MAX_SAMPLES} samples, got {10**9}"),
+])
+def test_cli_run_size_above_its_cap_is_one_error_line(tmp_path, body, args, named):
+    # in a 4 GiB address space, uncapped, list(cfg.modes) raised MemoryError
+    # and the scan's 10**9 samples an _ArrayMemoryError, each with a traceback
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30,) * 2)\n"
+            "from platemem.cli import main\n"
+            "sys.exit(main())")
+    path = write_cfg(tmp_path, body)
+    proc = subprocess.run([sys.executable, "-c", code, args[0], path, *args[1:]],
+                          env=_checkout_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {named}"]
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_scan_norms_agree_across_blas_thread_counts(tmp_path):

@@ -97,6 +97,13 @@ def test_resolvent_scan_diagonal_pencil_matches_closed_form():
     np.testing.assert_allclose(scan.norms, expect, rtol=1e-12)
 
 
+def test_resolvent_scan_rejects_a_sample_count_outside_its_range():
+    pencil = fake_diag_pencil(np.array([-1.0, -2.0, -0.5]))
+    for n in (3, spectral.MAX_SAMPLES + 1, 10**9):
+        with pytest.raises(ValueError, match=f"^need 4 to {spectral.MAX_SAMPLES} samples, got {n}$"):
+            resolvent_scan(pencil, 0.5, 6.0, n)
+
+
 def test_resolvent_norm_raises_on_an_eigenvalue():
     pencil = fake_diag_pencil(np.array([0.0, -1.0, -2.0]))
     with pytest.raises(RuntimeError, match="is \\(numerically\\) an eigenvalue"):
