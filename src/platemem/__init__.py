@@ -9,8 +9,7 @@ from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel
                     ValidationError, analytic_max_q_dot_nu, check_geometric_condition,
                     classify_regime, validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
-from .pencil import (Closures, Forms, ModePencil, assemble_mode_pencil, closure_residuals,
-                     interface_trace, membrane_subpencil)
+from .pencil import Closures, Forms, ModePencil, assemble_mode_pencil, membrane_subpencil
 from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
                         graph_norm, make_initial_data, pencil_dissipation, simulate,
                         step_crank_nicolson)
@@ -28,8 +27,7 @@ __all__ = [
     "ValidationError", "analytic_max_q_dot_nu", "check_geometric_condition",
     "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
-    "Closures", "Forms", "ModePencil", "assemble_mode_pencil", "closure_residuals",
-    "interface_trace", "membrane_subpencil",
+    "Closures", "Forms", "ModePencil", "assemble_mode_pencil", "membrane_subpencil",
     "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
     "make_initial_data", "pencil_dissipation", "simulate", "step_crank_nicolson",
     "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",

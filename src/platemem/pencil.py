@@ -151,37 +151,27 @@ class Forms:
     F: csr_array
     starts: np.ndarray
 
-    def __getitem__(self, name: str) -> csr_array:
+    def _rows(self, name: str) -> slice:
+        if name not in self.names:
+            raise KeyError(f"unknown form {name!r}; expected one of {self.names}")
         k = self.names.index(name)
-        stop = self.starts[k + 1] if k + 1 < len(self.starts) else self.F.shape[0]
-        return self.F[self.starts[k]:stop]
+        return slice(self.starts[k], self.starts[k + 1] if k + 1 < len(self.starts) else None)
 
-    def values(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        """Re <F_k x, F_k y> per form (rows) and state (columns), for states
-        given as [Re w, Im w] column pairs of X and Y; y = x by default.
-        With Y, each half of the states takes its two products in turn: for
-        64 states at dim 320, two live products of all of them were handed
-        back to the system and faulted in again on every call, 0.66 ms
-        against 0.21 ms in halves."""
-        if Y is None:
-            return self._sums(X, None)
-        h = X.shape[1] // 4 * 2
-        halves = (slice(0, h), slice(h, None)) if h else (slice(None),)
-        return np.hstack([self._sums(X[:, c], Y[:, c]) for c in halves])
+    def __getitem__(self, name: str) -> csr_array:
+        return self.F[self._rows(name)]
 
-    def _sums(self, X: np.ndarray, Y: np.ndarray | None) -> np.ndarray:
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """||F_k w||^2 per form (rows) and state (columns), for states given
+        as [Re w, Im w] column pairs of X."""
         P = self.F @ np.ascontiguousarray(X)    # a sparse product copies any other layout
-        P *= P if Y is None else self.F @ np.ascontiguousarray(Y)    # in place: no third array
-        # pairs first: reduceat runs along the strided axis, so halve its work
-        return np.add.reduceat(P[:, 0::2] + P[:, 1::2], self.starts, axis=0)
+        P *= P
+        P = P[:, 0::2] + P[:, 1::2]
+        return np.array([P[self._rows(name)].sum(axis=0) for name in self.names])
 
 
 def _stack_forms(forms: dict[str, tuple], n: int) -> Forms:
-    """Forms of {name: (row count, triplets over those rows)} over n dofs;
-    reduceat would read an empty form as the next one's first row."""
+    """Forms of {name: (row count, triplets over those rows)} over n dofs."""
     counts = np.array([rows for rows, _ in forms.values()])
-    if counts.min() < 1:
-        raise AssemblyError(f"form {list(forms)[counts.argmin()]} has no rows")
     starts = np.cumsum(counts) - counts
     F = _csr([(np.asarray(r) + a, c, v) for a, (_, triplets) in zip(starts, forms.values())
               for r, c, v in triplets], (int(counts.sum()), n))
@@ -388,47 +378,6 @@ def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
 
         pencil._cache[key] = splu(pencil.M.tocsc())
     return pencil._cache[key].solve(X)
-
-
-def interface_trace(pencil: ModePencil, w: np.ndarray) -> complex:
-    """Shared interface value U (plate side owns it)."""
-    u = w[pencil.block("u")]
-    return complex(pencil.closures.trace_u @ u)
-
-
-def _ghost_values(pencil: ModePencil, w: np.ndarray) -> dict[str, list[complex]]:
-    """Eliminated [inner, outer] ghost values for each field of a state; the
-    interface ghost of v adds 2 U to its frozen-plate row."""
-    g = {name: [complex(row @ w[pencil.block(name)]) for row in rows]
-         for name, rows in pencil.closures.ghosts.items()}
-    g["v"][1] += 2.0 * interface_trace(pencil, w)
-    return g
-
-
-def closure_residuals(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
-    """Residuals of the eliminated boundary/transmission rows for a state.
-
-    Each entry is |row residual| of the defining condition evaluated on the
-    reconstructed extended field; exact elimination makes them round-off
-    small relative to the state magnitude.
-    """
-    g = _ghost_values(pencil, w)
-    hp, kappa = pencil.grid.h_plate, pencil.params.kappa
-    u, ut, th, v = (w[pencil.block(name)] for name in ("u", "u_t", "theta", "v"))
-    U = interface_trace(pencil, w)
-    gi, go = g["u"]
-    return {
-        # clamped rim: (ghost, u[-1], u[-2]) lie on a cubic with value and
-        # slope zero at the rim iff 9*ghost - 18 u[-1] + u[-2] = 0
-        "u_rim_clamped": abs(9.0 * go - 18.0 * u[-1] + u[-2]),
-        "u_interface_slope": abs(gi - u[0]),
-        "ut_interface_slope": abs(g["u_t"][0] - ut[0]),
-        "ut_rim_value": abs(g["u_t"][1] + ut[-1]),
-        "theta_interface_value": abs(g["theta"][0] + th[0]),
-        "theta_rim_robin": abs((g["theta"][1] - th[-1]) / hp + kappa * (g["theta"][1] + th[-1]) / 2.0),
-        "v_origin_parity": abs(g["v"][0] - (v[0] if pencil.mode == 0 else -v[0])),
-        "v_interface_continuity": abs((v[-1] + g["v"][1]) / 2.0 - U),
-    }
 
 
 def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:

@@ -5,8 +5,9 @@ the trapezoidal step satisfies the exact identity
 
     (E_{k+1} - E_k)/dt = Re <M^-1 A w_mid, w_mid>_G,   w_mid = (w_k + w_{k+1})/2,
 
-so with the energy-compatible pencil the per-step residual of that identity
-is pure round-off and the energy can only decrease.
+for any A.  In the energy-compatible pencil its right side is minus the sum
+of the DISSIPATION_CHANNELS, the energy law whose residual simulate records,
+so the energy can only decrease.
 
 A state is the 1-D complex coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form are real, so a state is stepped and
@@ -59,6 +60,8 @@ class SimulationTrace:
         return self.values[0]
 
     def __getitem__(self, name: str) -> np.ndarray:
+        if name not in TRACE_ROWS:
+            raise KeyError(f"unknown trace row {name!r}; expected one of {TRACE_ROWS}")
         return self.values[TRACE_ROWS.index(name)]
 
 
@@ -136,11 +139,6 @@ def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     return np.vstack((parts.sum(axis=0), parts, pencil.dissipation_forms.values(X)))
 
 
-def _pencil_dissipation_row(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """-Re <M^-1 A w, w>_G per state, through the forms the energy sums."""
-    return -pencil.energy_forms.values(solve_mass(pencil, pencil.A @ X), X).sum(axis=0)
-
-
 def energy(pencil: ModePencil, w: np.ndarray) -> FormReport:
     """Total energy w* G w / 2 as the sum of its ENERGY_PARTS."""
     X = _check_state(pencil, w)
@@ -154,12 +152,15 @@ def dissipation(pencil: ModePencil, w: np.ndarray) -> FormReport:
 
 
 def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
-    """-Re <M^-1 A w, w>_G, the quadratic form of the exact step identity."""
-    return float(_pencil_dissipation_row(pencil, _check_state(pencil, w))[0])
+    """-Re <M^-1 A w, w>_G through the energy factor F, G = F^T F: public as
+    the tests' oracle for the channels' sum, and for the benchmark tracer."""
+    F, X = pencil.energy_forms.F, _check_state(pencil, w)
+    return -float(np.sum((F @ solve_mass(pencil, pencil.A @ X)) * (F @ X)))
 
 
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
-    """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator)."""
+    """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator):
+    public as a test oracle, and for the benchmark tracer."""
     X = _check_state(pencil, w)
     gn = lambda Y: math.sqrt(float(pencil.energy_forms.values(Y).sum()))
     return gn(X) + gn(solve_mass(pencil, pencil.A @ X))
@@ -207,13 +208,13 @@ def _check_finite(first_step: int, states: np.ndarray, values: np.ndarray,
 def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> SimulationTrace:
     """Crank-Nicolson trajectory with energy/dissipation bookkeeping.
 
-    t_end must be an integer multiple of dt.  The recorded residual is
-    r_k = (E_{k+1} - E_k)/dt + D(w_mid) with D the pencil-consistent
-    dissipation form; it is an algebraic identity of the trapezoidal rule and
-    stays at round-off level.
+    t_end must be an integer multiple of dt.  The recorded residual is the
+    energy law r_k = (E_{k+1} - E_k)/dt + D(w_mid), D the sum of the
+    DISSIPATION_CHANNELS; it stays at round-off while A's damping and
+    coupling blocks are the forms' weighted duals.
 
-    The states are bookkept BLOCK_STEPS at a time: one multi-column pass per
-    block gives the TRACE_ROWS and the midpoint dissipations, so only one
+    The states are bookkept BLOCK_STEPS at a time: one pass of the two Forms
+    per block gives the TRACE_ROWS and the midpoint dissipations, so only one
     block of states is ever held.  A non-finite state, energy or
     residual raises ValueError naming its step.
     """
@@ -236,7 +237,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
         values[:, done] = _trace_rows(pencil, new)
         mid = 0.5 * (block[:, :2 * j] + new)
         residuals[done] = (np.diff(values[0, first:k + 1]) / dt
-                           + _pencil_dissipation_row(pencil, mid))
+                           + pencil.dissipation_forms.values(mid).sum(axis=0))
         _check_finite(first + 1, new, values[:, done], residuals[done])
         block[:, :2] = X
         first = k

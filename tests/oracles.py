@@ -7,7 +7,9 @@ cross-oracle for it is a scaled truncated Taylor series with repeated
 squaring, the spectral oracles use the plain eigensolver and a dense solve
 instead of the Schur form, and the energy and dissipation forms are dense
 blocks made from the closed stencils instead of the pencil's sparse factors.
-fake_pencil builds a pencil straight from given matrices.
+fake_pencil builds a pencil straight from given matrices, and
+closure_residuals evaluates the eliminated boundary and transmission rows of
+a state on its reconstructed ghost values.
 """
 from __future__ import annotations
 
@@ -195,3 +197,44 @@ def fake_pencil(A, M=None, G=None):
                       G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
                       closures=None, energy_forms=None, dissipation_forms=None)
+
+
+def interface_trace(pencil, w: np.ndarray) -> complex:
+    """Shared interface value U (plate side owns it)."""
+    u = w[pencil.block("u")]
+    return complex(pencil.closures.trace_u @ u)
+
+
+def _ghost_values(pencil, w: np.ndarray) -> dict[str, list[complex]]:
+    """Eliminated [inner, outer] ghost values for each field of a state; the
+    interface ghost of v adds 2 U to its frozen-plate row."""
+    g = {name: [complex(row @ w[pencil.block(name)]) for row in rows]
+         for name, rows in pencil.closures.ghosts.items()}
+    g["v"][1] += 2.0 * interface_trace(pencil, w)
+    return g
+
+
+def closure_residuals(pencil, w: np.ndarray) -> dict[str, float]:
+    """Residuals of the eliminated boundary/transmission rows for a state.
+
+    Each entry is |row residual| of the defining condition evaluated on the
+    reconstructed extended field; exact elimination makes them round-off
+    small relative to the state magnitude.
+    """
+    g = _ghost_values(pencil, w)
+    hp, kappa = pencil.grid.h_plate, pencil.params.kappa
+    u, ut, th, v = (w[pencil.block(name)] for name in ("u", "u_t", "theta", "v"))
+    U = interface_trace(pencil, w)
+    gi, go = g["u"]
+    return {
+        # clamped rim: (ghost, u[-1], u[-2]) lie on a cubic with value and
+        # slope zero at the rim iff 9*ghost - 18 u[-1] + u[-2] = 0
+        "u_rim_clamped": abs(9.0 * go - 18.0 * u[-1] + u[-2]),
+        "u_interface_slope": abs(gi - u[0]),
+        "ut_interface_slope": abs(g["u_t"][0] - ut[0]),
+        "ut_rim_value": abs(g["u_t"][1] + ut[-1]),
+        "theta_interface_value": abs(g["theta"][0] + th[0]),
+        "theta_rim_robin": abs((g["theta"][1] - th[-1]) / hp + kappa * (g["theta"][1] + th[-1]) / 2.0),
+        "v_origin_parity": abs(g["v"][0] - (v[0] if pencil.mode == 0 else -v[0])),
+        "v_interface_continuity": abs((v[-1] + g["v"][1]) / 2.0 - U),
+    }

@@ -62,6 +62,18 @@ def test_readme_sample_config_parses():
     assert cfg.dt == 0.01 and cfg.t_end == 50.0 and cfg.output_dir == "out"
 
 
+def test_readme_library_example_uses_only_exported_names():
+    # running the example takes seconds; its names are what drifts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    used = {node.attr for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "pm"}
+    assert used and used <= set(platemem.__all__), sorted(used - set(platemem.__all__))
+    for name in platemem.__all__:
+        assert hasattr(platemem, name), name
+
+
 def test_damped_config_classifies_exponential():
     cfg = parse_config("m = 1\nrho = 1")
     assert classify_regime(cfg.params, cfg.geometry) is RegimeLabel.EXPONENTIAL_RHO_DAMPED

@@ -6,14 +6,13 @@ from scipy import sparse
 
 import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
-                      build_radial_grid, closure_residuals, eigenvalues, energy,
-                      interface_trace, laplacian_mode, membrane_subpencil)
+                      build_radial_grid, eigenvalues, energy, laplacian_mode, membrane_subpencil)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
                              _check_definiteness, _stack_forms, closed_laplacians,
                              gram_factor)
 
-from oracles import (dense_eigenvalues_oracle, dense_forms_reference,
-                     dense_similarity_eigenvalues_oracle, dense_stencil)
+from oracles import (closure_residuals, dense_eigenvalues_oracle, dense_forms_reference,
+                     dense_similarity_eigenvalues_oracle, dense_stencil, interface_trace)
 
 GEO = AnnulusGeometry()
 
@@ -178,26 +177,27 @@ def test_gram_is_the_normal_matrix_of_the_energy_factor():
 
 def test_forms_values_are_each_forms_sum_of_squares():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
-    rng = np.random.default_rng(6)
-    X, Y = rng.standard_normal((2, pencil.dim, 6))
+    X = np.random.default_rng(6).standard_normal((pencil.dim, 6))
     for forms in (pencil.energy_forms, pencil.dissipation_forms):
-        got, mixed = forms.values(X), forms.values(X, Y)
-        assert got.shape == mixed.shape == (len(forms.names), 3)
+        got = forms.values(X)
+        assert got.shape == (len(forms.names), 3)
         for k, name in enumerate(forms.names):
-            FX, FY = forms[name] @ X, forms[name] @ Y
+            FX = forms[name] @ X
             np.testing.assert_allclose(got[k], (FX * FX).sum(axis=0).reshape(3, 2).sum(axis=1),
                                        rtol=1e-13)
-            np.testing.assert_allclose(mixed[k], (FX * FY).sum(axis=0).reshape(3, 2).sum(axis=1),
-                                       rtol=1e-13, atol=1e-13 * np.abs(got[k]).max())
 
 
-def test_a_form_with_no_rows_is_an_assembly_error():
-    # reduceat would read the next form's first row as an empty form's value
-    one = (1, [(np.array([0]), np.array([0]), np.array([1.0]))])
-    _stack_forms({"a": one, "b": one}, 2)
-    for forms in ({"a": one, "b": (0, [])}, {"a": (0, []), "b": one}):
-        with pytest.raises(AssemblyError, match="form [ab] has no rows"):
-            _stack_forms(forms, 2)
+def test_a_form_with_no_rows_reads_zero_and_leaves_its_neighbours():
+    one = lambda c: (1, [(np.array([0]), np.array([c]), np.array([1.0 + c]))])
+    X = np.array([[2.0, 3.0], [5.0, 7.0]])
+    full = _stack_forms({"a": one(0), "b": one(1)}, 2).values(X)
+    np.testing.assert_array_equal(full, [[13.0], [4.0 * 74.0]])
+    for forms, empty in (({"a": one(0), "e": (0, []), "b": one(1)}, 1),
+                         ({"e": (0, []), "a": one(0), "b": one(1)}, 0),
+                         ({"a": one(0), "b": one(1), "e": (0, [])}, 2)):
+        got = _stack_forms(forms, 2).values(X)
+        np.testing.assert_array_equal(got[empty], [0.0])
+        np.testing.assert_array_equal(np.delete(got, empty, axis=0), full)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, default_dt, dissipation, energy, graph_norm,
@@ -152,7 +154,7 @@ def test_simulate_residual_identity_and_monotonicity():
         states.append(step_crank_nicolson(pencil, states[-1], dt))
     reports = [energy(pencil, st) for st in states]
     channels = [dissipation(pencil, st) for st in states]
-    d_mid = [pencil_dissipation(pencil, 0.5 * (a + b)) for a, b in zip(states, states[1:])]
+    d_mid = [dissipation(pencil, 0.5 * (a + b)).total for a, b in zip(states, states[1:])]
     assert trace.values.shape == (len(TRACE_ROWS), steps + 1)
     np.testing.assert_array_equal(trace["energy"], trace.energy)
     columns = [(trace.energy, [r.total for r in reports]),
@@ -167,6 +169,38 @@ def test_simulate_residual_identity_and_monotonicity():
     parts = [simulate(pencil, z, dt, steps * dt).energy for z in (x, y)]
     np.testing.assert_allclose(trace.energy, parts[0] + parts[1], rtol=1e-12,
                                atol=1e-12 * trace.energy[0])
+
+
+@pytest.mark.parametrize("rows, cols", [("u_t", "u_t"), ("theta", "theta"), ("v_t", "v_t"),
+                                        ("u_t", "theta")])
+def test_residual_catches_a_block_of_a_off_its_dual(rows, cols):
+    # Crank-Nicolson meets the pencil's own identity for any A, so only the
+    # energy law through the dissipation channels can see a damping or
+    # coupling block scaled off the forms' dual
+    pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16, mode=1)
+    state = sum(make_initial_data(pencil, profile)
+                for profile in ("plate_bump", "membrane_bump", "thermal_pulse"))
+    dt, t_end = 1e-2, 0.5
+    A = pencil.A.tocoo()
+    r, c = pencil.block(rows), pencil.block(cols)
+    inside = (A.row >= r.start) & (A.row < r.stop) & (A.col >= c.start) & (A.col < c.stop)
+    assert inside.any()
+    off = sparse.csr_array((np.where(inside, (1.0 + 1e-6) * A.data, A.data), (A.row, A.col)),
+                           shape=A.shape)
+    for A, caught in ((pencil.A, False), (off, True)):
+        trace = simulate(dataclasses.replace(pencil, A=A, _cache={}), state, dt, t_end)
+        bound = 1e-10 * trace.energy[0] / dt
+        assert (np.abs(trace.residuals).max() > bound) == caught
+
+
+def test_unknown_row_or_form_name_is_a_key_error():
+    pencil = make_pencil(n=8)
+    trace = simulate(pencil, make_initial_data(pencil, "plate_bump"), 0.1, 0.2)
+    for lookup, name, known in ((trace.__getitem__, "D_memb", "D_membrane"),
+                                (pencil.energy_forms.__getitem__, "E_kin", "E_kin_plate"),
+                                (pencil.dissipation_forms.__getitem__, "E_bend", "D_struct")):
+        with pytest.raises(KeyError, match=f"'{name}'.*'{known}'"):
+            lookup(name)
 
 
 def test_simulate_raises_on_non_finite_trace():
