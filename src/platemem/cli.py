@@ -64,8 +64,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         return mode, trace
 
     for mode, trace in parallel_map(run, list(cfg.modes)):
-        rows = np.column_stack((trace.times, trace.values.T, trace.residuals)).tolist()
-        write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER, rows)
+        write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER,
+                  np.column_stack((trace.times, trace.values.T, trace.residuals)))
     return 0
 
 
@@ -75,11 +75,11 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     summary = []
     for spec in results:
         write_csv(os.path.join(out, f"spectrum_mode{spec.mode}.csv"), ("re", "im"),
-                  [[float(z.real), float(z.imag)] for z in spec.eigenvalues])
-        summary.append([spec.mode, spec.spectral_abscissa, spec.imag_axis_gap,
-                        int(spec.zero_in_resolvent)])
+                  np.column_stack((spec.eigenvalues.real, spec.eigenvalues.imag)))
+        summary.append((spec.mode, spec.spectral_abscissa, spec.imag_axis_gap,
+                        spec.zero_in_resolvent))
     write_csv(os.path.join(out, "spectrum_summary.csv"),
-              ("mode", "abscissa", "imag_axis_gap", "zero_ok"), summary)
+              ("mode", "abscissa", "imag_axis_gap", "zero_ok"), np.array(summary, dtype=float))
     return 0
 
 
@@ -89,7 +89,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
                                                         args.n)), list(cfg.modes))
     for mode, scan in results:
         write_csv(os.path.join(out, f"resolvent_mode{mode}.csv"), ("lambda", "norm"),
-                  [[float(l), float(s)] for l, s in zip(scan.lambdas, scan.norms)])
+                  np.column_stack((scan.lambdas, scan.norms)))
         print(f"mode {mode}: fitted growth exponent {fmt(scan.growth_exponent)} "
               f"(sup {fmt(scan.sup_norm)})")
     return 0
@@ -137,9 +137,9 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
         radii = grid0.membrane_nodes if fname in MEMBRANE_FIELDS else grid0.plate_nodes
         vals = sum(np.real(np.outer(w[pencil.block(fname)], np.exp(1j * mode * thetas)))
                    for mode, pencil, w in states)
-        rows = np.column_stack((np.outer(radii, np.cos(thetas)).ravel(),
-                                np.outer(radii, np.sin(thetas)).ravel(), vals.ravel()))
-        write_csv(os.path.join(out, f"field_{fname}.csv"), ("x", "y", "value"), rows.tolist())
+        write_csv(os.path.join(out, f"field_{fname}.csv"), ("x", "y", "value"),
+                  np.column_stack((np.outer(radii, np.cos(thetas)).ravel(),
+                                   np.outer(radii, np.sin(thetas)).ravel(), vals.ravel())))
     return 0
 
 

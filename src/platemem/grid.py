@@ -43,10 +43,6 @@ class RadialGrid:
     def n_mem(self) -> int:
         return len(self.membrane_nodes)
 
-    @property
-    def quadrature_weights(self) -> np.ndarray:
-        return np.concatenate([self.plate_weights, self.membrane_weights])
-
 
 def build_radial_grid(g: AnnulusGeometry, n_plate: int, n_mem: int, mode: int) -> RadialGrid:
     """Cell-centered grids with midpoint polar quadrature weights."""

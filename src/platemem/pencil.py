@@ -37,7 +37,7 @@ imported at first use, not with the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -378,25 +378,3 @@ def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
 
         pencil._cache[key] = splu(pencil.M.tocsc())
     return pencil._cache[key].solve(X)
-
-
-def membrane_subpencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
-    """Membrane-only sub-pencil with the plate frozen (v = 0 on the interface).
-
-    It is the (v, v_t) slice of the coupled pencil: the rows and columns of
-    M, A and G on those dofs, and the forms' columns on them.  Freezing u
-    pins the shared trace to zero, so the jump term of E_mem_pot becomes the
-    Dirichlet closure; used by the Bessel-frequency validation and the
-    near-resonance resolvent checks.
-    """
-    pencil = assemble_mode_pencil(p, grid)
-    start = pencil.block("v").start          # v and v_t are the last two blocks
-    s = slice(start, pencil.dim)
-    return ModePencil(
-        mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
-        dof_layout=tuple((name, a - start, b - start)
-                         for name, a, b in pencil.dof_layout if a >= start),
-        grid=grid, params=p, closures=pencil.closures,
-        energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
-        dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
-    )

@@ -40,7 +40,7 @@ LANCZOS_NCV = 6
 # round-off (|Re| <~ 1e-12) at every resolution, while the least-damped
 # resolved modes stay above ~1e-4.  Eigenvalues with |Re| below this floor
 # (relative to max |lambda|) are classified as numerically undamped; the
-# approach-to-zero diagnostics read the abscissa of the resolvably damped set.
+# approach-to-zero diagnostics read the abscissa of the rest, damped or growing.
 NOISE_FLOOR_REL = 1e-10
 
 
@@ -51,7 +51,7 @@ class SpectrumResult:
     spectral_abscissa: float
     imag_axis_gap: float
     zero_in_resolvent: bool
-    resolved_abscissa: float     # abscissa of the resolvably damped set
+    resolved_abscissa: float     # abscissa of the eigenvalues off the noise floor
     tol: float
 
 
@@ -127,6 +127,11 @@ def _schur(pencil: ModePencil, vectors: bool = False):
     return T, (Z if vectors else None), lam
 
 
+def _undamped(lam: np.ndarray) -> np.ndarray:
+    """Which eigenvalues are numerically undamped: |Re| within the noise floor."""
+    return np.abs(lam.real) <= NOISE_FLOOR_REL * np.abs(lam).max()
+
+
 def eigenvalues(pencil: ModePencil) -> SpectrumResult:
     """All pencil eigenvalues A x = lambda M x, sorted by imaginary part."""
     if "spectrum" in pencil._cache:
@@ -135,8 +140,8 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
     lam = lam[np.argsort(lam.imag, kind="stable")]
     mx = float(np.abs(lam).max())
     tol = AXIS_TOL_REL * mx
-    damped = lam.real <= -NOISE_FLOOR_REL * mx
-    resolved = float(lam.real[damped].max()) if damped.any() else float(lam.real.max())
+    undamped = _undamped(lam)
+    resolved = float(lam.real[~undamped].max()) if not undamped.all() else float(lam.real.max())
     result = SpectrumResult(
         mode=pencil.mode,
         eigenvalues=lam,
@@ -188,7 +193,7 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     key = "undamped_basis"
     if key not in pencil._cache:
         T, Z, lam = _schur(pencil, vectors=True)
-        bad = np.abs(lam.real) <= NOISE_FLOOR_REL * np.abs(lam).max()
+        bad = _undamped(lam)
         if not bad.any():
             pencil._cache[key] = None
         else:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -17,9 +19,6 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
-    """Plain CSV with %.17g floats; header is written verbatim."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+def write_csv(path, header: Iterable[str], table: np.ndarray) -> None:
+    """Plain CSV of a 2-D numeric table, every entry %.17g; header is written verbatim."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

@@ -7,9 +7,10 @@ cross-oracle for it is a scaled truncated Taylor series with repeated
 squaring, the spectral oracles use the plain eigensolver and a dense solve
 instead of the Schur form, and the energy and dissipation forms are dense
 blocks made from the closed stencils instead of the pencil's sparse factors.
-fake_pencil builds a pencil straight from given matrices, and
-closure_residuals evaluates the eliminated boundary and transmission rows of
-a state on its reconstructed ghost values.
+fake_pencil builds a pencil straight from given matrices, membrane_subpencil
+slices the membrane block out of the coupled pencil, and closure_residuals
+evaluates the eliminated boundary and transmission rows of a state on its
+reconstructed ghost values.
 """
 from __future__ import annotations
 
@@ -197,6 +198,37 @@ def fake_pencil(A, M=None, G=None):
                       G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
                       closures=None, energy_forms=None, dissipation_forms=None)
+
+
+def membrane_subpencil(p, grid):
+    """Membrane-only sub-pencil with the plate frozen (v = 0 on the interface).
+
+    It is the (v, v_t) slice of the coupled pencil: the rows and columns of
+    M, A and G on those dofs, and the forms' columns on them.  Freezing u
+    pins the shared trace to zero, so the jump term of E_mem_pot becomes the
+    Dirichlet closure; used by the Bessel-frequency validation and the
+    near-resonance resolvent checks.
+    """
+    from dataclasses import replace
+
+    from platemem import ModePencil, assemble_mode_pencil
+
+    pencil = assemble_mode_pencil(p, grid)
+    start = pencil.block("v").start          # v and v_t are the last two blocks
+    s = slice(start, pencil.dim)
+    return ModePencil(
+        mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
+        dof_layout=tuple((name, a - start, b - start)
+                         for name, a, b in pencil.dof_layout if a >= start),
+        grid=grid, params=p, closures=pencil.closures,
+        energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
+        dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
+    )
+
+
+def quadrature_weights(grid) -> np.ndarray:
+    """The plate's midpoint quadrature weights, then the membrane's."""
+    return np.concatenate([grid.plate_weights, grid.membrane_weights])
 
 
 def interface_trace(pencil, w: np.ndarray) -> complex:

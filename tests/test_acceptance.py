@@ -37,14 +37,14 @@ def criterion(number: int, summary: str):
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, energy, eigenvalues, fit_exponential_rate,
-                      fit_polynomial_rate, make_initial_data, membrane_subpencil,
+                      fit_polynomial_rate, make_initial_data,
                       parse_config, resolvent_scan, simulate, spectral_abscissa_sweep,
                       step_crank_nicolson)
 from platemem.cli import main
 from platemem.semigroup import TRACE_ROWS, SimulationTrace
 from platemem.spectral import project_resolvable
 
-from oracles import bessel_j0_zeros, matrix_exponential_reference
+from oracles import bessel_j0_zeros, matrix_exponential_reference, membrane_subpencil
 
 GEO = AnnulusGeometry()
 GEO_OFFCENTER = AnnulusGeometry(x0=(2.0, 0.0))

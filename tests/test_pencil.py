@@ -6,13 +6,14 @@ from scipy import sparse
 
 import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
-                      build_radial_grid, eigenvalues, energy, laplacian_mode, membrane_subpencil)
+                      build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
                              _check_definiteness, _stack_forms, closed_laplacians,
                              gram_factor)
 
 from oracles import (closure_residuals, dense_eigenvalues_oracle, dense_forms_reference,
-                     dense_similarity_eigenvalues_oracle, dense_stencil, interface_trace)
+                     dense_similarity_eigenvalues_oracle, dense_stencil, interface_trace,
+                     membrane_subpencil)
 
 GEO = AnnulusGeometry()
 

@@ -7,13 +7,15 @@ from scipy import sparse
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       build_radial_grid, default_dt, dissipation, energy, graph_norm,
-                      make_initial_data, membrane_subpencil, pencil_dissipation, simulate,
+                      make_initial_data, pencil_dissipation, simulate,
                       step_crank_nicolson)
+from platemem import semigroup
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS
 from platemem.semigroup import (BLOCK_STEPS, MAX_STEPS, MIN_DEFAULT_STEPS, TRACE_ROWS,
                                  final_state)
 
-from oracles import expm_series_squaring, fake_pencil, matrix_exponential_reference
+from oracles import (expm_series_squaring, fake_pencil, matrix_exponential_reference,
+                     membrane_subpencil)
 
 GEO = AnnulusGeometry()
 
@@ -212,6 +214,23 @@ def test_simulate_raises_on_non_finite_trace():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"non-finite .* at step {step}$"):
                 simulate(pencil, state, 1e-2, 0.2)
+
+
+def test_simulate_names_the_step_of_a_non_finite_state(monkeypatch):
+    # a NaN in the state at step 70, inside the second bookkeeping block
+    cn_states = semigroup._cn_states
+
+    def poisoned(*args):
+        for k, X in enumerate(cn_states(*args), 1):
+            if k == 70:
+                X = X.copy()
+                X[5, 0] = np.nan
+            yield X
+
+    monkeypatch.setattr(semigroup, "_cn_states", poisoned)
+    pencil = make_pencil(n=16, mode=1)
+    with pytest.raises(ValueError, match="non-finite .* at step 70$"):
+        simulate(pencil, make_initial_data(pencil, "plate_bump"), 1e-2, 1.0)
 
 
 def test_rough_initial_data_memory_is_linear_in_n():

@@ -3,12 +3,12 @@ import pytest
 from scipy.linalg.lapack import ztrtrs
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
-                      build_radial_grid, eigenvalues, membrane_subpencil,
-                      project_resolvable, resolvent_norm, resolvent_scan,
-                      spectral_abscissa_sweep)
+                      build_radial_grid, eigenvalues, project_resolvable, resolvent_norm,
+                      resolvent_scan, spectral_abscissa_sweep)
 from platemem import spectral
 
-from oracles import bessel_j0, bessel_j0_zeros, fake_pencil, resolvent_norm_dense_oracle
+from oracles import (bessel_j0, bessel_j0_zeros, fake_pencil, membrane_subpencil,
+                     resolvent_norm_dense_oracle)
 
 GEO = AnnulusGeometry()
 
@@ -79,6 +79,13 @@ def test_conservative_decoupled_pencil_abscissa_zero():
 
 def fake_diag_pencil(d):
     return fake_pencil(np.diag(d))
+
+
+def test_resolved_abscissa_keeps_an_eigenvalue_above_the_noise_floor():
+    # only |Re| within the noise floor is undamped: a growing eigenvalue is resolved
+    spec = eigenvalues(fake_diag_pencil([-1.0, 1e-3, -2.0]))
+    assert spec.spectral_abscissa == pytest.approx(1e-3, rel=1e-12)
+    assert spec.resolved_abscissa == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_resolvent_norm_diagonal_pencil_exact():
