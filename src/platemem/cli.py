@@ -40,7 +40,7 @@ def _pencil(cfg: RunConfig, mode: int):
 
 def _initial(pencil, cfg: RunConfig) -> np.ndarray:
     """Unit-energy superposition of the configured profiles."""
-    w = np.zeros(pencil.dim, dtype=complex)
+    w = np.zeros(pencil.dim)
     for profile in cfg.profiles:
         w += make_initial_data(pencil, profile, seed=cfg.seed)
     e0 = energy(pencil, w).total

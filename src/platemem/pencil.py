@@ -161,11 +161,9 @@ class Forms:
         return self.F[self._rows(name)]
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """||F_k w||^2 per form (rows) and state (columns), for states given
-        as [Re w, Im w] column pairs of X."""
+        """||F_k w||^2 per form (rows) and state w (columns of X, or one 1-D w)."""
         P = self.F @ np.ascontiguousarray(X)    # a sparse product copies any other layout
         P *= P
-        P = P[:, 0::2] + P[:, 1::2]
         return np.array([P[self._rows(name)].sum(axis=0) for name in self.names])
 
 

@@ -1,19 +1,19 @@
 """Time integration of M w' = A w, energy tracking, and reference oracles.
 
-Crank-Nicolson is the only integrator: for a quadratic energy E = w* G w / 2
+Crank-Nicolson is the only integrator: for a quadratic energy E = w^T G w / 2
 the trapezoidal step satisfies the exact identity
 
-    (E_{k+1} - E_k)/dt = Re <M^-1 A w_mid, w_mid>_G,   w_mid = (w_k + w_{k+1})/2,
+    (E_{k+1} - E_k)/dt = <M^-1 A w_mid, w_mid>_G,   w_mid = (w_k + w_{k+1})/2,
 
 for any A.  In the energy-compatible pencil its right side is minus the sum
 of the DISSIPATION_CHANNELS, the energy law whose residual simulate records,
 so the energy can only decrease.
 
-A state is the 1-D complex coefficient array w in the pencil's dof_layout
-order.  M, A, G and every form are real, so a state is stepped and
-evaluated as the two real columns [Re w, Im w].  A step is one solve with a
-sparse LU of M - dt/2 A and one CSR product with M + dt/2 A, both with
-their rows equilibrated.  The energy, its parts and the dissipation channels
+A state is the 1-D real coefficient array w in the pencil's dof_layout
+order.  M, A, G and every form are real, so a complex solution is two real
+runs, one for each part.  A step is one solve with a sparse LU of
+M - dt/2 A and one CSR product with M + dt/2 A, both with their rows
+equilibrated.  The energy, its parts and the dissipation channels
 are read through the pencil's two Forms, for any number of states at once.
 A SimulationTrace is one table of them per step, a row per TRACE_ROWS name.
 """
@@ -66,17 +66,16 @@ class SimulationTrace:
 
 
 def _check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
-    """The state as a dim x 2 float array [Re w, Im w]."""
+    """The state as a 1-D float array; a complex array is rejected, never truncated."""
     w = np.asarray(w)
+    if np.iscomplexobj(w):
+        raise ValueError("states are real: a complex solution of this real pencil "
+                         "is two real runs, one for each part")
     if w.shape != (pencil.dim,):
         raise ValueError(f"state length {w.shape} does not match pencil dimension {pencil.dim}")
     if not np.isfinite(w).all():
         raise ValueError("state has non-finite coefficients")
-    return np.stack((w.real, w.imag), axis=1).astype(float, copy=False)
-
-
-def _complex(X: np.ndarray) -> np.ndarray:
-    return X[:, 0] + 1j * X[:, 1]
+    return w.astype(float, copy=False)
 
 
 def _cn_factorization(pencil: ModePencil, dt: float):
@@ -112,26 +111,25 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     return pencil._cache[key]
 
 
-def _cn_states(pencil: ModePencil, X: np.ndarray, dt: float, steps: int):
-    """Crank-Nicolson states w_1, ..., w_steps from w_0, each as [Re w, Im w].
+def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
+    """Crank-Nicolson states w_1, ..., w_steps from w_0.
 
-    The pencil is real, so both parts step as the two columns of one real
-    solve.  The LU was checked for finiteness when it was factorized.
+    The LU was checked for finiteness when it was factorized.
     """
     lu, Mp = _cn_factorization(pencil, dt)
     for _ in range(steps):
-        X = lu.solve(Mp @ X)
-        yield X
+        w = lu.solve(Mp @ w)
+        yield w
 
 
 def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndarray:
     """One trapezoidal step: (M - dt/2 A) w+ = (M + dt/2 A) w."""
-    return _complex(next(_cn_states(pencil, _check_state(pencil, w), dt, 1)))
+    return next(_cn_states(pencil, _check_state(pencil, w), dt, 1))
 
 
 # ---------------------------------------------------------------------------
-# column evaluators: k states are a dim x 2k float array, state j in columns
-# 2j (real part) and 2j+1 (imaginary part); see Forms.values.
+# column evaluators: k states are a dim x k float array, state j in column j;
+# see Forms.values.
 
 def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     """The TRACE_ROWS per state; the total energy is the sum of its parts."""
@@ -140,30 +138,29 @@ def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
 
 
 def energy(pencil: ModePencil, w: np.ndarray) -> FormReport:
-    """Total energy w* G w / 2 as the sum of its ENERGY_PARTS."""
-    X = _check_state(pencil, w)
-    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(X)[:, 0])
+    """Total energy w^T G w / 2 as the sum of its ENERGY_PARTS."""
+    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(_check_state(pencil, w)))
 
 
 def dissipation(pencil: ModePencil, w: np.ndarray) -> FormReport:
     """The physical dissipation as the sum of its DISSIPATION_CHANNELS."""
-    X = _check_state(pencil, w)
-    return FormReport.of(DISSIPATION_CHANNELS, pencil.dissipation_forms.values(X)[:, 0])
+    return FormReport.of(DISSIPATION_CHANNELS,
+                         pencil.dissipation_forms.values(_check_state(pencil, w)))
 
 
 def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
-    """-Re <M^-1 A w, w>_G through the energy factor F, G = F^T F: public as
+    """-<M^-1 A w, w>_G through the energy factor F, G = F^T F: public as
     the tests' oracle for the channels' sum, and for the benchmark tracer."""
-    F, X = pencil.energy_forms.F, _check_state(pencil, w)
-    return -float(np.sum((F @ solve_mass(pencil, pencil.A @ X)) * (F @ X)))
+    F, w = pencil.energy_forms.F, _check_state(pencil, w)
+    return -float(np.sum((F @ solve_mass(pencil, pencil.A @ w)) * (F @ w)))
 
 
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator):
     public as a test oracle, and for the benchmark tracer."""
-    X = _check_state(pencil, w)
-    gn = lambda Y: math.sqrt(float(pencil.energy_forms.values(Y).sum()))
-    return gn(X) + gn(solve_mass(pencil, pencil.A @ X))
+    w = _check_state(pencil, w)
+    gn = lambda y: math.sqrt(float(pencil.energy_forms.values(y).sum()))
+    return gn(w) + gn(solve_mass(pencil, pencil.A @ w))
 
 
 def default_dt(pencil: ModePencil, t_end: float) -> float:
@@ -218,7 +215,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
     residual raises ValueError naming its step.
     """
     n_steps = _step_count(dt, t_end)
-    X = _check_state(pencil, initial)
+    X = _check_state(pencil, initial)[:, None]     # one column per state
     values = np.empty((len(TRACE_ROWS), n_steps + 1))
     residuals = np.zeros(n_steps + 1)
     values[:, :1] = _trace_rows(pencil, X)
@@ -229,23 +226,23 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
         done = slice(first + 1, min(first + BLOCK_STEPS, n_steps) + 1)
         new = np.hstack([next(states) for _ in range(done.start, done.stop)])
         values[:, done] = _trace_rows(pencil, new)
-        mid = np.hstack((X, new[:, :-2]))
+        mid = np.hstack((X, new[:, :-1]))
         mid += new                  # in place: one block-sized temporary fewer at peak RSS
         mid *= 0.5
         residuals[done] = (np.diff(values[0, first:done.stop]) / dt
                            + pencil.dissipation_forms.values(mid).sum(axis=0))
         _check_finite(first + 1, values[:, done], residuals[done])
-        X = new[:, -2:]
+        X = new[:, -1:]
 
     return SimulationTrace(times=dt * np.arange(n_steps + 1), values=values, residuals=residuals)
 
 
 def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> np.ndarray:
     """State at t_end without trace bookkeeping (used by field rendering)."""
-    X = _check_state(pencil, initial)
-    for X in _cn_states(pencil, X, dt, _step_count(dt, t_end)):
+    w = _check_state(pencil, initial)
+    for w in _cn_states(pencil, w, dt, _step_count(dt, t_end)):
         pass
-    return _complex(X)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +302,6 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.nda
     else:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 
-    w = w.astype(complex)
     e0 = energy(pencil, w).total
     if e0 <= 0.0 or not np.isfinite(e0):
         raise ValueError(f"profile {profile!r} has zero energy after construction")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import dgees, dtbtrs, dtrsen, ztrtrs
 
 from .grid import build_radial_grid
@@ -187,8 +186,8 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     the noise floor), whose lack of damping would otherwise floor every long
     energy trace at the overlap level.  G-orthogonal projection off their
     invariant subspace: the Schur form is reordered to put them first, and
-    Q = P^T U^-1 Z[:, :k] is a G-orthonormal basis of it.  A no-op when every
-    mode is damped.
+    Q = P^T U^-1 Z[:, :k] is a G-orthonormal basis of it.  Q and G are real,
+    so a real state stays real.  A no-op when every mode is damped.
     """
     key = "undamped_basis"
     if key not in pencil._cache:
@@ -242,8 +241,7 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     eigenvalue of K^H K, found by Lanczos (ARPACK on a LANCZOS_NCV-vector
     basis, converged to machine precision from a fixed start vector); each
     product is two triangular solves with T_c - i lam, which is T_c with its
-    diagonal shifted in place.  Pencils of dimension below 3, too small for
-    ARPACK, take the smallest singular value of T_c - i lam instead.
+    diagonal shifted in place.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -253,8 +251,6 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
     n = len(R)
     R[np.diag_indices(n)] = shifted
-    if n < 3:
-        return float(1.0 / sla.svdvals(R)[-1])
     # imported here, so that runs which never sample a resolvent do not load
     # scipy.sparse.linalg at start-up
     from scipy.sparse.linalg import LinearOperator, eigsh

@@ -248,9 +248,10 @@ def test_scan_growth_exponent_positive_for_undamped_membrane():
 
 
 def test_scan_nudges_samples_off_eigenvalues():
-    # undamped oscillator: eigenvalues +-2i; a sample landing on 2.0 is nudged
-    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
-    pencil = fake_pencil(A, G=np.diag([4.0, 1.0]))
+    # undamped oscillator (eigenvalues +-2i) beside a decaying dof (-1); a
+    # sample landing on 2.0 is nudged
+    A = np.array([[0.0, 1.0, 0.0], [-4.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    pencil = fake_pencil(A, G=np.diag([4.0, 1.0, 1.0]))
     scan = resolvent_scan(pencil, 1.0, 3.0, 5)  # samples include exactly 2.0
     assert np.all(np.isfinite(scan.norms))
     assert scan.sup_norm > 1e6
@@ -263,9 +264,9 @@ def test_project_resolvable_removes_undamped_components():
     bad = np.abs(lam.real) <= 1e-10 * np.abs(lam).max()
     assert bad.any()  # the origin artifacts exist for this mode
     rng = np.random.default_rng(9)
-    w = rng.standard_normal(pencil.dim).astype(complex)
+    w = rng.standard_normal(pencil.dim)
     wp = project_resolvable(pencil, w)
-    scale = float(np.real(np.conj(w) @ (pencil.G @ w)))
+    scale = float(w @ (pencil.G @ w))
     for j in np.flatnonzero(bad):
         phi = V[:, j]
         phin = phi / np.sqrt(np.real(np.conj(phi) @ (pencil.G @ phi)))
@@ -273,10 +274,10 @@ def test_project_resolvable_removes_undamped_components():
         assert overlap <= 1e-8 * np.sqrt(scale)
     # a projection: applying it again changes nothing
     d = project_resolvable(pencil, wp) - wp
-    assert np.sqrt(np.real(np.conj(d) @ (pencil.G @ d))) <= 1e-12 * np.sqrt(scale)
+    assert np.sqrt(d @ (pencil.G @ d)) <= 1e-12 * np.sqrt(scale)
     # damped cells are untouched
     pencil2 = make_pencil(PhysicalParams(m_damp=1.0), n=10, mode=1)
-    w2 = rng.standard_normal(pencil2.dim).astype(complex)
+    w2 = rng.standard_normal(pencil2.dim)
     np.testing.assert_array_equal(project_resolvable(pencil2, w2), w2)
 
 
@@ -346,7 +347,7 @@ def test_schur_vectors_are_made_only_for_the_projection(monkeypatch):
     spectral_abscissa_sweep(p, GEO, 8, range(0, 2))
     assert asked and not any(asked)
     pencil = make_pencil(p, n=16, mode=2)
-    project_resolvable(pencil, np.ones(pencil.dim, dtype=complex))
+    project_resolvable(pencil, np.ones(pencil.dim))
     assert asked[-1]
 
 
@@ -357,7 +358,7 @@ def test_projection_after_a_vector_free_form_matches_a_fresh_one():
     resolvent_norm(cached, 2.5)
     assert spectral._schur(cached)[1] is None
     rng = np.random.default_rng(3)
-    w = rng.standard_normal(cached.dim) + 1j * rng.standard_normal(cached.dim)
+    w = rng.standard_normal(cached.dim)
     fresh = project_resolvable(make_pencil(p, n=32, mode=2), w)
     after = project_resolvable(cached, w)
     assert not np.array_equal(after, w)          # mode 2 has undamped artifacts
