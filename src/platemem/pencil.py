@@ -32,8 +32,8 @@ in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
 F^T F of the energy factor, and each block of A and M but the identities
 is a form divided row by row by its dof's weight, placed as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
-nonzeros per row, banded after reverse Cuthill-McKee.  scipy.sparse is
-imported at first use, not with the package.
+nonzeros per row, banded after reverse Cuthill-McKee.  Each scipy module
+is imported at first use, not with the package, so start-up loads numpy alone.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grid import TWO_PI, RadialGrid, laplacian_mode
 from .model import AnnulusGeometry, PhysicalParams, validate_params
@@ -330,6 +329,8 @@ def _banded_cholesky(mat: csr_array, rank: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of the symmetric mat with row and column i moved
     to rank[i], in LAPACK upper band storage; LinAlgError if it fails.
     Stored as a band of the width the ordering gives, it costs O(dim band^2)."""
+    from scipy.linalg import cholesky_banded
+
     c = mat.tocoo()
     i, j = rank[c.row], rank[c.col]
     upper = i <= j
@@ -337,7 +338,7 @@ def _banded_cholesky(mat: csr_array, rank: np.ndarray) -> np.ndarray:
     band = int((j - i).max(initial=0))
     ab = np.zeros((band + 1, mat.shape[0]))     # LAPACK upper band storage: ab[band + i - j, j]
     ab[band + i - j, j] = c.data[upper]
-    return sla.cholesky_banded(ab, overwrite_ab=True)
+    return cholesky_banded(ab, overwrite_ab=True)
 
 
 def _factor_gram(G: csr_array) -> tuple[np.ndarray, np.ndarray]:

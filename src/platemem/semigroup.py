@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, ModePencil,
                      closed_laplacians, solve_mass)
@@ -65,7 +64,7 @@ class SimulationTrace:
         return self.values[TRACE_ROWS.index(name)]
 
 
-def _check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
+def check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     """The state as a 1-D float array; a complex array is rejected, never truncated."""
     w = np.asarray(w)
     if np.iscomplexobj(w):
@@ -124,7 +123,7 @@ def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
 
 def step_crank_nicolson(pencil: ModePencil, w: np.ndarray, dt: float) -> np.ndarray:
     """One trapezoidal step: (M - dt/2 A) w+ = (M + dt/2 A) w."""
-    return next(_cn_states(pencil, _check_state(pencil, w), dt, 1))
+    return next(_cn_states(pencil, check_state(pencil, w), dt, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +138,26 @@ def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
 
 def energy(pencil: ModePencil, w: np.ndarray) -> FormReport:
     """Total energy w^T G w / 2 as the sum of its ENERGY_PARTS."""
-    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(_check_state(pencil, w)))
+    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(check_state(pencil, w)))
 
 
 def dissipation(pencil: ModePencil, w: np.ndarray) -> FormReport:
     """The physical dissipation as the sum of its DISSIPATION_CHANNELS."""
     return FormReport.of(DISSIPATION_CHANNELS,
-                         pencil.dissipation_forms.values(_check_state(pencil, w)))
+                         pencil.dissipation_forms.values(check_state(pencil, w)))
 
 
 def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
     """-<M^-1 A w, w>_G through the energy factor F, G = F^T F: public as
     the tests' oracle for the channels' sum, and for the benchmark tracer."""
-    F, w = pencil.energy_forms.F, _check_state(pencil, w)
+    F, w = pencil.energy_forms.F, check_state(pencil, w)
     return -float(np.sum((F @ solve_mass(pencil, pencil.A @ w)) * (F @ w)))
 
 
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     """||w||_G + ||M^-1 A w||_G (discrete domain-norm of the generator):
     public as a test oracle, and for the benchmark tracer."""
-    w = _check_state(pencil, w)
+    w = check_state(pencil, w)
     gn = lambda y: math.sqrt(float(pencil.energy_forms.values(y).sum()))
     return gn(w) + gn(solve_mass(pencil, pencil.A @ w))
 
@@ -215,7 +214,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
     residual raises ValueError naming its step.
     """
     n_steps = _step_count(dt, t_end)
-    X = _check_state(pencil, initial)[:, None]     # one column per state
+    X = check_state(pencil, initial)[:, None]     # one column per state
     values = np.empty((len(TRACE_ROWS), n_steps + 1))
     residuals = np.zeros(n_steps + 1)
     values[:, :1] = _trace_rows(pencil, X)
@@ -239,7 +238,7 @@ def simulate(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -
 
 def final_state(pencil: ModePencil, initial: np.ndarray, dt: float, t_end: float) -> np.ndarray:
     """State at t_end without trace bookkeeping (used by field rendering)."""
-    w = _check_state(pencil, initial)
+    w = check_state(pencil, initial)
     for w in _cn_states(pencil, w, dt, _step_count(dt, t_end)):
         pass
     return w
@@ -262,6 +261,8 @@ def _bump(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """Implicit smoothing (I - (2h)^2 L)^-1 of the closed band L, twice (rough filter)."""
+    from scipy.linalg.lapack import dgtsv
+
     S = -(2.0 * h) ** 2 * L_closed
     for _ in range(2):
         x, info = dgtsv(S[0, 1:], 1.0 + S[1], S[2, :-1], x)[3:]

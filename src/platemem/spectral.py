@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dtbtrs, dtrsen, ztrtrs
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
 from .pencil import ModePencil, assemble_mode_pencil, gram_factor, solve_mass
+from .semigroup import check_state
 from .util import parallel_map
 
 EIG_DIM_CAP = 2000
@@ -80,6 +80,7 @@ def membrane_band_edge(pencil: ModePencil) -> float:
 def _similarity(pencil: ModePencil) -> np.ndarray:
     """B = U P M^-1 A P^T U^-1, Fortran-ordered: mass solves fill its column
     blocks, then banded solves from the right finish its row blocks, 32 at a time."""
+    from scipy.linalg.lapack import dtbtrs
     from scipy.sparse import csr_array
 
     order, U = gram_factor(pencil)
@@ -106,6 +107,8 @@ def _schur(pencil: ModePencil, vectors: bool = False):
     T and the eigenvalues (in Schur order) are cached, T until _complex_schur
     replaces it.  Z is None unless asked for, then made by a new factorization.
     """
+    from scipy.linalg.lapack import dgees
+
     if "schur" in pencil._cache and not vectors:
         return pencil._cache["schur"]
     if pencil.dim > EIG_DIM_CAP:
@@ -189,6 +192,9 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     Q = P^T U^-1 Z[:, :k] is a G-orthonormal basis of it.  Q and G are real,
     so a real state stays real.  A no-op when every mode is damped.
     """
+    from scipy.linalg.lapack import dtbtrs, dtrsen
+
+    w = check_state(pencil, w)
     key = "undamped_basis"
     if key not in pencil._cache:
         T, Z, lam = _schur(pencil, vectors=True)
@@ -251,8 +257,7 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
     n = len(R)
     R[np.diag_indices(n)] = shifted
-    # imported here, so that runs which never sample a resolvent do not load
-    # scipy.sparse.linalg at start-up
+    from scipy.linalg.lapack import ztrtrs
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     def gram(x: np.ndarray) -> np.ndarray:      # K^H K x

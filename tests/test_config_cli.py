@@ -64,6 +64,20 @@ def test_readme_sample_config_parses():
     assert cfg.dt == 0.01 and cfg.t_end == 50.0 and cfg.output_dir == "out"
 
 
+def test_start_up_and_check_geometry_load_no_scipy(tmp_path):
+    # scipy is imported at first use: the package import, the config parse and
+    # check-geometry need numpy alone, and scipy's import is most of a start-up
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    path = tmp_path / "sample.cfg"
+    path.write_text(readme.split("## Command line", 1)[1].split("```", 2)[1])
+    code = ("import sys\n"
+            "import platemem, platemem.cli\n"
+            "platemem.load_config(sys.argv[1])\n"
+            "code = platemem.cli.main(['check-geometry', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(["-c", code, str(path)]).splitlines()[-1] == "0 []"
+
+
 def test_readme_library_example_uses_only_exported_names():
     # running the example takes seconds; its names are what drifts
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -45,6 +45,9 @@ STATE_ENTRY_POINTS = {
     "step_crank_nicolson": lambda pencil, w: step_crank_nicolson(pencil, w, 0.1),
     "simulate": lambda pencil, w: simulate(pencil, w, 0.1, 0.2),
     "final_state": lambda pencil, w: final_state(pencil, w, 0.1, 0.2),
+    # every mode of make_pencil() is damped, so only the check stands between
+    # a bad state and the projection's no-op
+    "project_resolvable": project_resolvable,
 }
 
 
@@ -57,6 +60,25 @@ def test_complex_state_is_rejected_by_name(name):
     for w in (x + 1j * y, x.astype(complex)):
         with pytest.raises(ValueError, match="^states are real: a complex solution"):
             STATE_ENTRY_POINTS[name](pencil, w)
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ENTRY_POINTS))
+def test_wrong_length_state_is_rejected_by_name(name):
+    pencil = make_pencil()
+    with pytest.raises(ValueError, match=f"^state length \\(5,\\) does not match "
+                                         f"pencil dimension {pencil.dim}$"):
+        STATE_ENTRY_POINTS[name](pencil, np.ones(5))
+
+
+def test_projection_checks_its_state_before_it_projects():
+    # mode 2 of the undamped membrane has undamped artifacts, so the
+    # projection is not a no-op
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
+    w = make_initial_data(pencil, "rough")
+    with pytest.raises(ValueError, match="^states are real: a complex solution"):
+        project_resolvable(pencil, w + 1j * w)
+    with pytest.raises(ValueError, match="^state length \\(5,\\) does not match"):
+        project_resolvable(pencil, np.ones(5))
 
 
 def test_every_state_producer_returns_float64():

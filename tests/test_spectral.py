@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.linalg.lapack import ztrtrs
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
@@ -162,7 +163,7 @@ def test_resolvent_sample_takes_few_lanczos_products(monkeypatch):
         return ztrtrs(*args, **kwargs)
 
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=0)
-    monkeypatch.setattr(spectral, "ztrtrs", counting)
+    monkeypatch.setattr(lapack, "ztrtrs", counting)
     scan = resolvent_scan(pencil, 0.25, 57.6, 60)
     assert len(solves) / 2 / len(scan.lambdas) <= 16
 
@@ -291,13 +292,13 @@ def test_non_finite_generator_is_named_before_the_schur_form():
 
 @pytest.mark.parametrize("routine", ["dgees", "dtbtrs"])
 def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
-    real = getattr(spectral, routine)
+    real = getattr(lapack, routine)
 
     def failing(*args, **kwargs):
         out = real(*args, **kwargs)
         return (*out[:-1], 1)              # info > 0, as on a failed convergence
 
-    monkeypatch.setattr(spectral, routine, failing)
+    monkeypatch.setattr(lapack, routine, failing)
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
     with pytest.raises(RuntimeError, match="^Schur factorization failed for mode 1, dim 80$"):
         eigenvalues(pencil)
@@ -339,8 +340,8 @@ def test_schur_vectors_are_made_only_for_the_projection(monkeypatch):
         asked.append(bool(kwargs["compute_v"]))
         return real(*args, **kwargs)
 
-    real = spectral.dgees
-    monkeypatch.setattr(spectral, "dgees", spy)
+    real = lapack.dgees
+    monkeypatch.setattr(lapack, "dgees", spy)
     p = PhysicalParams(rho_damp=1.0)
     eigenvalues(make_pencil(p, n=16, mode=0))
     resolvent_scan(make_pencil(p, n=16, mode=1), 0.25, 20.0, 8)
