@@ -63,7 +63,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         trace = simulate(pencil, _initial(pencil, cfg), cfg.dt or default_dt(pencil, t_end), t_end)
         return mode, trace
 
-    for mode, trace in parallel_map(run, list(cfg.modes)):
+    for mode, trace in [run(m) for m in cfg.modes]:
         write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER,
                   np.column_stack((trace.times, trace.values.T, trace.residuals)))
     return 0
@@ -85,8 +85,8 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
-    results = parallel_map(lambda m: (m, resolvent_scan(_pencil(cfg, m), args.lmin, args.lmax,
-                                                        args.n)), list(cfg.modes))
+    results = [(m, resolvent_scan(_pencil(cfg, m), args.lmin, args.lmax, args.n))
+               for m in cfg.modes]
     for mode, scan in results:
         write_csv(os.path.join(out, f"resolvent_mode{mode}.csv"), ("lambda", "norm"),
                   np.column_stack((scan.lambdas, scan.norms)))
@@ -130,7 +130,7 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
             w = final_state(pencil, w, cfg.dt or default_dt(pencil, t), t)
         return mode, pencil, w
 
-    states = parallel_map(run, list(cfg.modes))
+    states = [run(m) for m in cfg.modes]
     thetas = np.linspace(0.0, 2.0 * np.pi, RENDER_N_THETA, endpoint=False)
     grid0 = states[0][1].grid
     for fname in ("u", "theta", "v"):

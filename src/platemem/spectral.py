@@ -9,9 +9,17 @@ off the undamped modes are read from the real form (T, Z); only the
 projection makes Z.  ||(i*lam - M^-1 A)^-1|| in the G inner product is the
 2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found
 by inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
+
+The real Schur form is LAPACK's dgees from scipy's Cython LAPACK table,
+called through ctypes, which releases the GIL for the call (scipy's f2py
+wrapper of the same routine holds it).  So the maps over modes in
+`spectral_abscissa_sweep` and `platemem spectrum`, whose time is these
+factorizations, run them on all cores.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,32 +109,67 @@ def _similarity(pencil: ModePencil) -> np.ndarray:
     return B
 
 
+@functools.cache
+def _dgees():
+    """dgees from scipy's Cython LAPACK table as a ctypes function (GIL released)."""
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsule = __pyx_capi__["dgees"]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(pointer(capsule, name(capsule)))
+
+
+def _gees(a: np.ndarray, vectors: bool):
+    """(wr, wi, Z): real Schur form a = Z T Z^T, with T written over a.
+
+    The workspace query, then the factorization, both in place; Z is None
+    unless asked for.  Takes only a square Fortran-ordered float64 array, so
+    it never works on a copy.
+    """
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
+            or not a.flags.f_contiguous:
+        raise ValueError("gees needs a square Fortran-ordered float64 array")
+    dim = len(a)
+    wr, wi = np.empty(dim), np.empty(dim)
+    Z = np.empty((dim, dim) if vectors else (1, 1), order="F")
+    n, ldz, sdim, info = ctypes.c_int(dim), ctypes.c_int(len(Z)), ctypes.c_int(), ctypes.c_int()
+    ref = ctypes.byref
+
+    def gees(work: np.ndarray, lwork: int) -> None:
+        _dgees()(b"V" if vectors else b"N", b"N", None, ref(n), a.ctypes.data, ref(n),
+                 ref(sdim), wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(ldz),
+                 work.ctypes.data, ref(ctypes.c_int(lwork)), None, ref(info))
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"gees info {info.value}")
+
+    query = np.empty(1)
+    gees(query, -1)
+    gees(np.empty(int(query[0])), int(query[0]))
+    return wr, wi, (Z if vectors else None)
+
+
 def _schur(pencil: ModePencil, vectors: bool = False):
     """(T, Z, eigenvalues): real Schur form B = Z T Z^T of the similarity B.
 
     T and the eigenvalues (in Schur order) are cached, T until _complex_schur
     replaces it.  Z is None unless asked for, then made by a new factorization.
     """
-    from scipy.linalg.lapack import dgees
-
     if "schur" in pencil._cache and not vectors:
         return pencil._cache["schur"]
     if pencil.dim > EIG_DIM_CAP:
         raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
     try:
-        B = _similarity(pencil)
-        # gees overwrites B with T, and so must its workspace query, or it copies B
-        work = dgees(lambda *_: 0, B, compute_v=vectors, lwork=-1, overwrite_a=True)[5]
-        T, _, wr, wi, Z, _, info = dgees(lambda *_: 0, B, compute_v=vectors,
-                                         lwork=int(work[0]), overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gees info {info}")
+        T = _similarity(pencil)
+        wr, wi, Z = _gees(T, vectors)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Schur factorization failed for mode {pencil.mode}, "
                            f"dim {pencil.dim}") from exc
     lam = wr + 1j * wi
     pencil._cache.setdefault("schur", (T, None, lam))
-    return T, (Z if vectors else None), lam
+    return T, Z, lam
 
 
 def _undamped(lam: np.ndarray) -> np.ndarray:
@@ -167,7 +210,11 @@ def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: i
     """
     validate_params(p, g)
     modes = list(modes)
-    modes_fine = list(range(min(modes), 2 * max(modes) + 1)) if modes else []
+    if not modes:
+        raise ValueError("the sweep needs at least one mode, got none")
+    if min(modes) < 0:
+        raise ValueError(f"the sweep needs non-negative modes, got mode {min(modes)}")
+    modes_fine = list(range(min(modes), 2 * max(modes) + 1))
     spectrum = lambda n, m: eigenvalues(assemble_mode_pencil(p, build_radial_grid(g, n, n, m)))
     spectra = parallel_map(lambda m: spectrum(resolution, m), modes)
     spectra_fine = parallel_map(lambda m: spectrum(2 * resolution, m), modes_fine)

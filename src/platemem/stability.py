@@ -20,7 +20,6 @@ from .pencil import AssemblyError, assemble_mode_pencil
 from .semigroup import SimulationTrace, default_dt, make_initial_data, simulate
 from .spectral import (membrane_band_edge, project_resolvable, resolvent_scan,
                        spectral_abscissa_sweep)
-from .util import parallel_map
 
 EXPONENTIAL_LABELS = (RegimeLabel.EXPONENTIAL_RHO_DAMPED, RegimeLabel.EXPONENTIAL_THERMAL_ONLY)
 NOT_EXP_LABELS = (
@@ -121,7 +120,7 @@ def _combined_trace(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
             w = project_resolvable(pencil, w)
         return simulate(pencil, w, dt, t_end)
 
-    traces = parallel_map(one, modes)
+    traces = [one(m) for m in modes]
     return SimulationTrace(times=traces[0].times,
                            values=np.sum([tr.values for tr in traces], axis=0),
                            residuals=np.max([np.abs(tr.residuals) for tr in traces], axis=0))

@@ -337,6 +337,40 @@ def test_cli_render_rejects_negative_or_non_finite_time(tmp_path, capsys, t):
     assert not (tmp_path / "out").exists()
 
 
+def test_parallel_map_keeps_order_and_makes_no_pool_for_no_items(monkeypatch):
+    import concurrent.futures
+
+    from platemem.util import parallel_map
+
+    assert parallel_map(lambda x: x * x, list(range(40))) == [x * x for x in range(40)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert parallel_map(lambda x: x, []) == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                    else (os.cpu_count() or 1) < 2, reason="needs 2 usable CPUs")
+def test_parallel_map_runs_two_items_at_once():
+    import threading
+
+    from platemem.util import parallel_map
+
+    barrier = threading.Barrier(2, timeout=10)     # raises if the items ran one after another
+    assert parallel_map(lambda x: (barrier.wait(), x)[1], ["a", "b"]) == ["a", "b"]
+
+
+def test_cli_spectrum_failure_inside_the_threaded_map_exits_one(tmp_path, capsys, monkeypatch):
+    from platemem import spectral
+
+    monkeypatch.setattr(spectral, "EIG_DIM_CAP", 2)
+    path = write_cfg(tmp_path, "n_plate = 12\nn_mem = 12\nmode_min = 0\nmode_max = 3")
+    assert main(["spectrum", path]) == 1
+    assert capsys.readouterr().err == "error: pencil dimension 60 exceeds eigensolver cap 2\n"
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     from platemem.util import parallel_map
     assert parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]  # order preserved

@@ -56,6 +56,30 @@ def test_m_positive_gives_axis_gap_all_cells():
             assert spec.imag_axis_gap > 0.0
 
 
+@pytest.mark.parametrize("modes, error", [
+    (range(0), "^the sweep needs at least one mode, got none$"),
+    (range(-2, 0), "^the sweep needs non-negative modes, got mode -2$"),
+    (range(-1, 3), "^the sweep needs non-negative modes, got mode -1$")])
+def test_sweep_rejects_empty_or_negative_modes_before_any_pencil(monkeypatch, modes, error):
+    def no_pencil(*args):
+        raise AssertionError("a pencil was built")
+
+    monkeypatch.setattr(spectral, "assemble_mode_pencil", no_pencil)
+    with pytest.raises(ValueError, match=error):
+        spectral_abscissa_sweep(PhysicalParams(rho_damp=1.0), GEO, 8, modes)
+
+
+def test_sweep_spectra_do_not_depend_on_the_pool(monkeypatch):
+    p = PhysicalParams(rho_damp=1.0)
+    threaded = spectral_abscissa_sweep(p, GEO, 12, range(0, 3))
+    monkeypatch.setattr(spectral, "parallel_map", lambda fn, items: [fn(x) for x in items])
+    inline = spectral_abscissa_sweep(p, GEO, 12, range(0, 3))
+    pairs = list(zip(threaded.spectra + threaded.spectra_fine, inline.spectra + inline.spectra_fine))
+    assert len(pairs) == 3 + 5
+    for a, b in pairs:
+        assert a.mode == b.mode and a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+
 def test_sweep_exponential_cell_has_negative_abscissa():
     sweep = spectral_abscissa_sweep(PhysicalParams(m_damp=1.0, rho_damp=1.0), GEO,
                                     resolution=12, modes=range(0, 3))
@@ -292,16 +316,47 @@ def test_non_finite_generator_is_named_before_the_schur_form():
 
 @pytest.mark.parametrize("routine", ["dgees", "dtbtrs"])
 def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
-    real = getattr(lapack, routine)
+    # dgees is called through spectral._gees, which raises on info != 0 itself
+    module, name = (spectral, "_gees") if routine == "dgees" else (lapack, routine)
+    real = getattr(module, name)
 
     def failing(*args, **kwargs):
         out = real(*args, **kwargs)
+        if routine == "dgees":
+            raise np.linalg.LinAlgError("gees info 1")
         return (*out[:-1], 1)              # info > 0, as on a failed convergence
 
-    monkeypatch.setattr(lapack, routine, failing)
+    monkeypatch.setattr(module, name, failing)
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
     with pytest.raises(RuntimeError, match="^Schur factorization failed for mode 1, dim 80$"):
         eigenvalues(pencil)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+@pytest.mark.parametrize("n", [16, 64])
+def test_gees_matches_scipys_dgees_bit_for_bit(n, vectors):
+    B = spectral._similarity(make_pencil(PhysicalParams(rho_damp=1.0), n=n, mode=1))
+    T = B.copy(order="F")
+    work = lapack.dgees(lambda *_: 0, B, compute_v=vectors, lwork=-1, overwrite_a=True)[5]
+    ref, _, wr, wi, Z, _, info = lapack.dgees(lambda *_: 0, B, compute_v=vectors,
+                                              lwork=int(work[0]), overwrite_a=True)
+    assert info == 0
+    got = spectral._gees(T, vectors)
+    assert T.tobytes() == ref.tobytes()
+    assert got[0].tobytes() == wr.tobytes() and got[1].tobytes() == wi.tobytes()
+    if vectors:
+        assert got[2].tobytes() == Z.tobytes()
+    else:
+        assert got[2] is None
+
+
+def test_gees_refuses_what_it_would_copy_and_raises_on_info():
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    for bad in (a, np.asfortranarray(a, dtype=np.float32), np.asfortranarray(a[:, :5])):
+        with pytest.raises(ValueError, match="^gees needs a square Fortran-ordered float64"):
+            spectral._gees(bad, False)
+    with pytest.raises(np.linalg.LinAlgError, match="^gees info "):
+        spectral._gees(np.full((6, 6), np.nan, order="F"), False)
 
 
 def test_eigenvalues_hold_one_dense_array():
@@ -336,12 +391,12 @@ def test_eigenvalues_hold_one_dense_array():
 def test_schur_vectors_are_made_only_for_the_projection(monkeypatch):
     asked = []
 
-    def spy(*args, **kwargs):
-        asked.append(bool(kwargs["compute_v"]))
-        return real(*args, **kwargs)
+    def spy(a, vectors):
+        asked.append(bool(vectors))
+        return real(a, vectors)
 
-    real = lapack.dgees
-    monkeypatch.setattr(lapack, "dgees", spy)
+    real = spectral._gees
+    monkeypatch.setattr(spectral, "_gees", spy)
     p = PhysicalParams(rho_damp=1.0)
     eigenvalues(make_pencil(p, n=16, mode=0))
     resolvent_scan(make_pencil(p, n=16, mode=1), 0.25, 20.0, 8)

@@ -119,3 +119,10 @@ def test_regime_report_render_mentions_verdict():
     text = report.render()
     assert text.startswith("predicted regime: ExponentialRhoDamped")
     assert f"verdict: {report.verdict}" in text
+
+
+def test_regime_experiment_with_no_modes_raises_the_sweeps_error():
+    # a named ValueError, not an "incomplete" (inconclusive) report
+    with pytest.raises(ValueError, match="^the sweep needs at least one mode, got none$"):
+        run_regime_experiment(PhysicalParams(rho_damp=1.0), GEO, 8, range(0),
+                              ["plate_bump"], t_end=1.0, dt=0.1)
