@@ -13,7 +13,12 @@ A state is the 1-D real coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form are real, so a complex solution is two real
 runs, one for each part.  A step is one solve with a sparse LU of
 M - dt/2 A and one CSR product with M + dt/2 A, both with their rows
-equilibrated.  The energy, its parts and the dissipation channels
+equilibrated.  Up to DENSE_STEP_DIM it is instead one product with the dense
+propagator (M - dt/2 A)^-1 (M + dt/2 A), made once from that LU: there the
+per-call overhead of the solve and the product, not their arithmetic, is
+the cost of a step.  Above the cap, making the propagator is repaid only
+after hundreds of steps, and from dim 400 its product is no faster.
+The energy, its parts and the dissipation channels
 are read through the pencil's two Forms, for any number of states at once.
 A SimulationTrace is one table of them per step, a row per TRACE_ROWS name.
 """
@@ -33,6 +38,12 @@ MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at t
 # steps at short horizons: 4e-4 relative error at t = 1.5e-3 on n = 64
 MIN_DEFAULT_STEPS = 128
 BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
+# Largest pencil stepped by the dense propagator.  Per step (one BLAS thread,
+# sparse / dense): 18 / 3 us at dim 80, 24-25 / 11-12 us at dim 240, 18-30 /
+# 23-30 us at dim 400.  Making it is repaid after 10 steps at dim 80, ~150 at
+# dim 240 and 300-560 at dim 320, so the benchmark's dim-80 decay runs take
+# it and its dim-320 simulate does not.
+DENSE_STEP_DIM = 256
 TRACE_ROWS = ("energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS)
 
 
@@ -78,7 +89,8 @@ def check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
 
 
 def _cn_factorization(pencil: ModePencil, dt: float):
-    """(sparse LU of D (M - dt/2 A), CSR D (M + dt/2 A)), cached per pencil and dt.
+    """(sparse LU of D (M - dt/2 A), CSR D (M + dt/2 A)), cached per pencil and dt;
+    (None, the dense propagator) up to DENSE_STEP_DIM.
 
     D scales every row of M - dt/2 A to a largest entry of one, so that
     partial pivoting compares entries on one scale: a u_t row carries
@@ -88,6 +100,7 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     Columns are ordered by minimum degree on the pattern of Mm^T Mm, the
     fastest of splu's orderings on these pencils.  A dt for which
     0.5 dt max|A| overflows is rejected before either matrix is formed.
+    The dense propagator is that LU's solve of the dense D (M + dt/2 A).
     """
     key = ("cn", float(dt))
     if key not in pencil._cache:
@@ -106,18 +119,24 @@ def _cn_factorization(pencil: ModePencil, dt: float):
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}") from exc
         if not (np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()):
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}")
-        pencil._cache[key] = (lu, (pencil.M + 0.5 * dt * pencil.A).multiply(D).tocsr())
+        Mp = (pencil.M + 0.5 * dt * pencil.A).multiply(D).tocsr()
+        if pencil.dim <= DENSE_STEP_DIM:
+            lu, Mp = None, lu.solve(Mp.toarray())
+            if not np.isfinite(Mp).all():
+                raise RuntimeError(f"singular trapezoidal matrix for dt={dt}")
+        pencil._cache[key] = (lu, Mp)
     return pencil._cache[key]
 
 
 def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
     """Crank-Nicolson states w_1, ..., w_steps from w_0.
 
-    The LU was checked for finiteness when it was factorized.
+    The LU and the dense propagator were checked for finiteness when they
+    were made.
     """
     lu, Mp = _cn_factorization(pencil, dt)
     for _ in range(steps):
-        w = lu.solve(Mp @ w)
+        w = Mp @ w if lu is None else lu.solve(Mp @ w)
         yield w
 
 

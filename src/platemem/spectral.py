@@ -9,6 +9,8 @@ off the undamped modes are read from the real form (T, Z); only the
 projection makes Z.  ||(i*lam - M^-1 A)^-1|| in the G inner product is the
 2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found
 by inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
+A sample stops at a Ritz residual of sqrt(eps) relative, where s(lam) is
+already exact to round-off (see LANCZOS_TOL).
 
 The real Schur form is LAPACK's dgees from scipy's Cython LAPACK table,
 called through ctypes, which releases the GIL for the call (scipy's f2py
@@ -36,10 +38,18 @@ AXIS_TOL_REL = 1e-8
 COLLISION_TOL = 1e-12
 COLLISION_NUDGE = 1e-9
 MAX_SAMPLES = 100_000     # samples per resolvent scan; 10**9 would allocate 7.45 GiB
-# ARPACK basis size for a resolvent sample: fewest Lanczos products (10.3-10.7
-# mean, at most 16) over ncv 3..20 on m = 0, rho = 1 scans at dims 80-640;
-# the default basis of 20 always takes 21
-LANCZOS_NCV = 6
+# ARPACK stops a resolvent sample once its Ritz residual ||r|| is at most
+# LANCZOS_TOL times the Ritz value theta.  The Ritz value's error is at most
+# ||r||^2 / gap (Parlett, The Symmetric Eigenvalue Problem, 1998), so a
+# residual of sqrt(eps) theta leaves eps theta^2 / gap: s(lam) to round-off
+# unless the top two eigenvalues of K^H K nearly coincide.  With tol = 0
+# (residual eps theta) and ncv 6 the scans below took 10.4-10.7 products per
+# sample, and their s(lam) moved by at most 2.1e-15 relative.
+LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
+# ARPACK basis size for a resolvent sample: fewest Lanczos products (6.7-6.9
+# mean, at most 9) over ncv 3..8 under LANCZOS_TOL, on m = 0, rho = 1 scans
+# at dims 80-640 (ncv 6 took 7.4-7.5); the default basis of 20 takes 21
+LANCZOS_NCV = 4
 
 # The cell-centered polar grid supports origin-localized membrane modes (the
 # n^2/r^2 barrier at the first cell) whose interface coupling is below machine
@@ -254,7 +264,11 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
                 raise RuntimeError(f"Schur reordering failed (info {info}) for mode "
                                    f"{pencil.mode}, dim {pencil.dim}")
             order, U = gram_factor(pencil)
-            pencil._cache[key] = dtbtrs(U, Zs[:, :k])[0][np.argsort(order)]
+            Q, info = dtbtrs(U, Zs[:, :k])
+            if info != 0:
+                raise RuntimeError(f"banded solve failed (info {info}) in the projection "
+                                   f"for mode {pencil.mode}, dim {pencil.dim}")
+            pencil._cache[key] = Q[np.argsort(order)]
     Q = pencil._cache[key]
     if Q is None:
         return w
@@ -292,9 +306,10 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     The G-norm is the 2-norm after the similarity by U P, and W is unitary, so
     s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top
     eigenvalue of K^H K, found by Lanczos (ARPACK on a LANCZOS_NCV-vector
-    basis, converged to machine precision from a fixed start vector); each
-    product is two triangular solves with T_c - i lam, which is T_c with its
-    diagonal shifted in place.
+    basis from a fixed start vector) to a Ritz residual of LANCZOS_TOL =
+    sqrt(eps) relative: the eigenvalue's error is at most ||r||^2 / gap, so
+    s(lam) is exact to round-off then; each product is two triangular solves
+    with T_c - i lam, which is T_c with its diagonal shifted in place.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -311,7 +326,7 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         return ztrtrs(R, ztrtrs(R, x)[0], trans=2)[0]
 
     op = LinearOperator((n, n), matvec=gram, dtype=complex)
-    top = eigsh(op, k=1, which="LA", ncv=min(n, LANCZOS_NCV), tol=0,
+    top = eigsh(op, k=1, which="LA", ncv=min(n, LANCZOS_NCV), tol=LANCZOS_TOL,
                 v0=np.ones(n, dtype=complex), return_eigenvectors=False)[0]
     return float(np.sqrt(top))
 

@@ -41,7 +41,7 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       parse_config, resolvent_scan, simulate, spectral_abscissa_sweep,
                       step_crank_nicolson)
 from platemem.cli import main
-from platemem.semigroup import TRACE_ROWS, SimulationTrace
+from platemem.semigroup import DENSE_STEP_DIM, TRACE_ROWS, SimulationTrace
 from platemem.spectral import project_resolvable
 
 from oracles import bessel_j0_zeros, matrix_exponential_reference, membrane_subpencil
@@ -131,6 +131,24 @@ def test_criterion_1_energy_balance_at_n256():
     elapsed = time.time() - t0
     announce(f"PASS criterion 1 at n=256: exact energy identity (<=1e-10 E0/dt), 6 cells x "
              f"modes {{0,4}}, 50 steps of dt=0.01 [{elapsed:.0f}s]")
+
+
+@criterion(1, "energy balance on the dense step at its cap")
+def test_criterion_1_energy_balance_on_the_dense_step_at_its_cap():
+    # dim 255, the largest pencil under DENSE_STEP_DIM, at long steps: the
+    # propagator (M - dt/2 A)^-1 (M + dt/2 A) is one dense product per step
+    t0 = time.time()
+    for name, (p, geo) in CELLS6.items():
+        pencil = make_pencil(p, geo, 51, 1)
+        assert pencil.dim == 255 <= DENSE_STEP_DIM
+        for dt in (0.1, 1.0):
+            trace = simulate(pencil, all_profile_state(pencil), dt, 40 * dt)
+            e0 = trace.energy[0]
+            assert np.abs(trace.residuals).max() <= 1e-10 * e0 / dt, (name, dt)
+            assert np.all(np.diff(trace.energy) <= 1e-10 * e0), (name, dt)
+    elapsed = time.time() - t0
+    announce(f"PASS criterion 1 on the dense step: exact energy identity (<=1e-10 E0/dt), "
+             f"6 cells at dim 255, 40 steps of dt 0.1 and 1 [{elapsed:.0f}s]")
 
 
 @criterion(2, "Crank-Nicolson vs matrix-exponential oracle")

@@ -74,8 +74,11 @@ def test_start_up_and_check_geometry_load_no_scipy(tmp_path):
             "import platemem, platemem.cli\n"
             "platemem.load_config(sys.argv[1])\n"
             "code = platemem.cli.main(['check-geometry', sys.argv[1]])\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _run_python(["-c", code, str(path)]).splitlines()[-1] == "0 []"
+            "import gc\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "      gc.get_freeze_count() > 0)")
+    # main freezes what is left for the interpreter's teardown to skip
+    assert _run_python(["-c", code, str(path)]).splitlines()[-1] == "0 [] True"
 
 
 def test_readme_library_example_uses_only_exported_names():
@@ -496,26 +499,32 @@ def test_spectrum_agrees_across_blas_thread_counts(tmp_path):
 
 
 def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
-    # a step is a SuperLU solve and a CSR product, which call no threaded
-    # BLAS kernel, so the traces do not move with the BLAS thread count
-    body = ("m = 1\nrho = 1\nn_plate = 64\nn_mem = 64\nmode_min = 0\nmode_max = 3\n"
-            "dt = 0.01\nt_end = 0.5\nprofiles = plate_bump,rough\n")
-    traces = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
-        cfg = tmp_path / f"blas{threads}.cfg"
-        cfg.write_text(body + f"output_dir = {out}\n")
-        _run_python(["-m", "platemem.cli", "simulate", str(cfg)], threads)
-        traces[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
-    assert sorted(traces["1"]) == [f"trace_mode{m}.csv" for m in range(4)]
-    assert traces["2"] == traces["1"]
+    # a sparse step is a SuperLU solve and a CSR product, which call no
+    # threaded BLAS kernel.  A dense step calls one: its product with the
+    # propagator.  Its traces must not move with the BLAS thread count
+    # either; at dims 80, 160 and 240 they were byte-identical
+    for grid in ("n_plate = 64\nn_mem = 64\n",                  # dim 320: sparse step
+                 "gamma = 1\nn_plate = 32\nn_mem = 32\n"):      # dim 160: dense step
+        body = ("m = 1\nrho = 1\nmode_min = 0\nmode_max = 3\ndt = 0.01\nt_end = 0.5\n"
+                "profiles = plate_bump,rough\n" + grid)
+        traces = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            cfg = tmp_path / f"blas{threads}.cfg"
+            cfg.write_text(body + f"output_dir = {out}\n")
+            _run_python(["-m", "platemem.cli", "simulate", str(cfg)], threads)
+            traces[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(traces["1"]) == [f"trace_mode{m}.csv" for m in range(4)]
+        assert traces["2"] == traces["1"], grid
 
 
 def test_importing_the_cli_does_not_load_scipy_sparse():
-    # scipy.sparse is imported at first use: at start-up it would cost ~20 ms
-    code = ("import sys, platemem.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    assert _run_python(["-c", code]).strip() == "[]"
+    # scipy.sparse is imported at first use: at start-up it would cost 0.13-0.21 s.
+    # Nor does the import freeze anything: main freezes once its command is done
+    code = ("import gc, sys, platemem.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')), "
+            "gc.get_freeze_count() == 0)")
+    assert _run_python(["-c", code]).strip() == "[] True"
 
 
 REGIME_FAST = """

@@ -11,8 +11,8 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       project_resolvable, simulate, step_crank_nicolson)
 from platemem import cli, semigroup
 from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS
-from platemem.semigroup import (BLOCK_STEPS, MAX_STEPS, MIN_DEFAULT_STEPS, PROFILES,
-                                 TRACE_ROWS, final_state)
+from platemem.semigroup import (BLOCK_STEPS, DENSE_STEP_DIM, MAX_STEPS, MIN_DEFAULT_STEPS,
+                                 PROFILES, TRACE_ROWS, final_state)
 
 from oracles import (expm_series_squaring, fake_pencil, matrix_exponential_reference,
                      membrane_subpencil)
@@ -362,6 +362,37 @@ def test_final_state_matches_last_simulated_energy():
     trace = simulate(pencil, state, 1e-2, 0.5)
     last = energy(pencil, final_state(pencil, state, 1e-2, 0.5)).total
     assert last == pytest.approx(trace.energy[-1], rel=1e-12)
+
+
+def test_dense_and_sparse_steps_agree(monkeypatch):
+    # gamma > 0 couples u_t through M, so M is not diagonal; two bookkeeping
+    # blocks on the dense propagator and on the sparse LU and product
+    p = PhysicalParams(m_damp=1.0, rho_damp=1.0, gamma=1.0)
+    state = make_initial_data(make_pencil(p, n=16, mode=1), "rough", seed=3)
+    dt, t_end = 1e-2, 2 * BLOCK_STEPS * 1e-2
+    runs = []
+    for cap in (DENSE_STEP_DIM, 0):
+        monkeypatch.setattr(semigroup, "DENSE_STEP_DIM", cap)
+        pencil = make_pencil(p, n=16, mode=1)
+        trace = simulate(pencil, state, dt, t_end)
+        assert (semigroup._cn_factorization(pencil, dt)[0] is None) == (cap > 0)
+        assert np.abs(trace.residuals).max() <= 1e-10 * trace.energy[0] / dt
+        assert np.all(np.diff(trace.energy) <= 1e-10 * trace.energy[0])
+        runs.append((trace, final_state(pencil, state, dt, t_end)))
+    (dense, w_dense), (sparse_, w_sparse) = runs
+    assert np.linalg.norm(w_dense - w_sparse) <= 1e-11 * np.linalg.norm(w_sparse)
+    np.testing.assert_allclose(dense.values, sparse_.values, rtol=1e-11,
+                               atol=1e-11 * dense.energy[0])
+
+
+@pytest.mark.parametrize("n_plate, n_mem, dense", [(51, 51, True), (51, 52, False)])
+def test_dense_step_up_to_its_cap(n_plate, n_mem, dense):
+    pencil = assemble_mode_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0),
+                                  build_radial_grid(GEO, n_plate, n_mem, 1))
+    assert pencil.dim == (255 if dense else 257)
+    lu, step = semigroup._cn_factorization(pencil, 1e-2)
+    assert (lu is None) == dense
+    assert isinstance(step, np.ndarray) == dense
 
 
 def test_non_integral_step_count_rejected():

@@ -178,7 +178,7 @@ def test_resolvent_samples_leave_the_cached_schur_form_intact():
 def test_resolvent_sample_takes_few_lanczos_products(monkeypatch):
     # one product of K^H K is two triangular solves.  ARPACK's default basis
     # of 20 vectors takes 21 products per sample, every time; the
-    # LANCZOS_NCV basis took 10.3-10.7 on average and at most 16 in m = 0,
+    # LANCZOS_NCV basis took 6.7-6.9 on average and at most 9 in m = 0,
     # rho = 1 scans at dims 80 to 640
     solves = []
 
@@ -190,6 +190,19 @@ def test_resolvent_sample_takes_few_lanczos_products(monkeypatch):
     monkeypatch.setattr(lapack, "ztrtrs", counting)
     scan = resolvent_scan(pencil, 0.25, 57.6, 60)
     assert len(solves) / 2 / len(scan.lambdas) <= 16
+
+
+def test_resolvent_samples_at_the_lanczos_tolerance_are_exact_to_round_off(monkeypatch):
+    # a Ritz value's error is at most ||r||^2 / gap, so stopping at a residual
+    # of sqrt(eps) moves no sample off ARPACK's tol = 0 value beyond round-off
+    for n in (16, 32, 64):
+        for mode in (0, 1):
+            pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=n, mode=mode)
+            got = resolvent_scan(pencil, 0.25, 1.8 * n, 40).norms
+            monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
+            ref = resolvent_scan(pencil, 0.25, 1.8 * n, 40).norms
+            monkeypatch.undo()
+            assert np.abs(got / ref - 1.0).max() <= 1e-13, (n, mode)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -330,6 +343,23 @@ def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
     with pytest.raises(RuntimeError, match="^Schur factorization failed for mode 1, dim 80$"):
         eigenvalues(pencil)
+
+
+def test_projection_names_a_failed_banded_solve(monkeypatch):
+    # only the projection's solve fails: the similarity's passes trans="T"
+    real = lapack.dtbtrs
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if kwargs.get("trans") == "T" else (*out[:-1], 1)
+
+    monkeypatch.setattr(lapack, "dtbtrs", failing)
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
+    w = np.random.default_rng(9).standard_normal(pencil.dim)
+    with pytest.raises(RuntimeError, match="^banded solve failed \\(info 1\\) in the "
+                                           "projection for mode 2, dim 160$"):
+        project_resolvable(pencil, w)
+    assert "undamped_basis" not in pencil._cache
 
 
 @pytest.mark.parametrize("vectors", [False, True])
