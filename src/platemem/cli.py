@@ -8,6 +8,7 @@ round-trip bit-exactly.  Exit codes: 0 success/consistent, 1 error,
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import math
 import os
@@ -26,6 +27,14 @@ from .util import fmt, parallel_map, write_csv
 
 TRACE_HEADER = ("t", *TRACE_ROWS, "residual")
 RENDER_N_THETA = 128
+
+# The interpreter's teardown collects every object still tracked, scipy's
+# modules included.  Frozen, they are skipped: main's return to process end
+# on the simulate-m1 config took 22-24 ms against 58-105 ms (10 runs each,
+# 2 vCPUs).  A collection first would cost 14-18 ms for 9 ms less teardown.
+# The freeze runs at exit, not in main, so a process that calls main many
+# times still frees each call's garbage.
+atexit.register(gc.freeze)
 
 
 def _default_t_end(cfg: RunConfig) -> float:
@@ -175,13 +184,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # A command ends its process, and the interpreter's teardown collects
-        # every object still tracked, scipy's modules included.  Frozen, they
-        # are skipped: main's return to process end on the simulate-m1 config
-        # took 22-24 ms against 58-105 ms (10 runs each, 2 vCPUs).  A
-        # collection first would cost 14-18 ms here for 9 ms less teardown.
-        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -321,49 +321,36 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
     pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
                         closures=closures, energy_forms=energy, dissipation_forms=dissipation)
-    pencil._cache["gram_factor"] = _check_definiteness(pencil)
+    gram_factor(pencil)                 # the definiteness check; its factor stays cached
     return pencil
-
-
-def _banded_cholesky(mat: csr_array, rank: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of the symmetric mat with row and column i moved
-    to rank[i], in LAPACK upper band storage; LinAlgError if it fails.
-    Stored as a band of the width the ordering gives, it costs O(dim band^2)."""
-    from scipy.linalg import cholesky_banded
-
-    c = mat.tocoo()
-    i, j = rank[c.row], rank[c.col]
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    band = int((j - i).max(initial=0))
-    ab = np.zeros((band + 1, mat.shape[0]))     # LAPACK upper band storage: ab[band + i - j, j]
-    ab[band + i - j, j] = c.data[upper]
-    return cholesky_banded(ab, overwrite_ab=True)
-
-
-def _factor_gram(G: csr_array) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    order = reverse_cuthill_mckee(G, symmetric_mode=True)
-    return order, _banded_cholesky(G, np.argsort(order))
-
-
-def _check_definiteness(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
-    """G must factor (positive definiteness); returns its factor, a band a few
-    entries wide in its reverse Cuthill-McKee ordering (2 at n = 16 to 400)."""
-    try:
-        return _factor_gram(pencil.G)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"G is not positive definite for mode {pencil.mode}") from exc
 
 
 def gram_factor(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
     """(order, U): G[order][:, order] = U^T U for the reverse Cuthill-McKee
     order of G, U in LAPACK upper band storage, so ||x||_G = ||U x[order]||_2.
-    Assembly keeps the check's factor; other pencils factor G on first use."""
-    if "gram_factor" not in pencil._cache:
-        pencil._cache["gram_factor"] = _factor_gram(pencil.G)
-    return pencil._cache["gram_factor"]
+    Made once per pencil and cached on it; assembly makes it as its check that
+    G is positive definite, and AssemblyError names the mode when it is not.
+    Stored as a band of the width the ordering gives (2 at n = 16 to 400), it
+    costs O(dim band^2)."""
+    key = "gram_factor"
+    if key not in pencil._cache:
+        from scipy.linalg import cholesky_banded
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        order = reverse_cuthill_mckee(pencil.G, symmetric_mode=True)
+        rank = np.argsort(order)
+        c = pencil.G.tocoo()
+        i, j = rank[c.row], rank[c.col]
+        upper = i <= j
+        i, j = i[upper], j[upper]
+        band = int((j - i).max(initial=0))
+        ab = np.zeros((band + 1, pencil.dim))   # LAPACK upper band storage: ab[band + i - j, j]
+        ab[band + i - j, j] = c.data[upper]
+        try:
+            pencil._cache[key] = order, cholesky_banded(ab, overwrite_ab=True)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"G is not positive definite for mode {pencil.mode}") from exc
+    return pencil._cache[key]
 
 
 def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Spectra of the generator pencil and energy-norm resolvent scans.
 
-Everything here is desk-scale dense linear algebra on one Schur
-factorization per pencil, of its one dense array.  With the banded Gram
+Everything here is desk-scale dense linear algebra on the real Schur
+factorization of a pencil's one dense array.  With the banded Gram
 factor P G P^T = U^T U (P a permutation), M^-1 A is similar to
 B = U P M^-1 A P^T U^-1 = Z T Z^T, and the G-norm of x is ||U P x||_2.  The
 spectrum, the spectral abscissa across modes and the G-orthogonal projection
 off the undamped modes are read from the real form (T, Z); only the
-projection makes Z.  ||(i*lam - M^-1 A)^-1|| in the G inner product is the
-2-norm of (i*lam - T_c)^-1 for the complex triangular form T_c of T, found
-by inverse Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
+projection makes Z, so it factors a second time when it follows
+`eigenvalues` on the same pencil, which no CLI command does (the regime
+experiment projects on pencils of its own).  Z on every factorization would
+cost every spectrum 1.2-1.3x in dgees and one more dim x dim array.
+||(i*lam - M^-1 A)^-1|| in the G inner product is the 2-norm of
+(i*lam - T_c)^-1 for the complex triangular form T_c of T, found by inverse
+Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
 A sample stops at a Ritz residual of sqrt(eps) relative, where s(lam) is
 already exact to round-off (see LANCZOS_TOL).
 

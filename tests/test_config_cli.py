@@ -1,5 +1,6 @@
 
 import ast
+import gc
 import importlib
 import os
 import subprocess
@@ -70,15 +71,18 @@ def test_start_up_and_check_geometry_load_no_scipy(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     path = tmp_path / "sample.cfg"
     path.write_text(readme.split("## Command line", 1)[1].split("```", 2)[1])
-    code = ("import sys\n"
+    # main freezes nothing; the heap is frozen at exit, for the interpreter's
+    # teardown to skip, by cli's atexit handler, which runs before this
+    # observer because atexit runs its handlers last registered first
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
             "import platemem, platemem.cli\n"
             "platemem.load_config(sys.argv[1])\n"
             "code = platemem.cli.main(['check-geometry', sys.argv[1]])\n"
-            "import gc\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
-            "      gc.get_freeze_count() > 0)")
-    # main freezes what is left for the interpreter's teardown to skip
-    assert _run_python(["-c", code, str(path)]).splitlines()[-1] == "0 [] True"
+            "      gc.get_freeze_count())")
+    lines = _run_python(["-c", code, str(path)]).splitlines()
+    assert lines[-2:] == ["0 [] 0", "frozen at exit True"]
 
 
 def test_readme_library_example_uses_only_exported_names():
@@ -258,6 +262,16 @@ def test_cli_simulate_outputs_are_deterministic_and_round_trip(tmp_path):
     for line in lines[1:3]:
         for cell in line.split(","):
             assert f"{float(cell):.17g}" == cell
+
+
+def test_repeated_main_calls_freeze_nothing(tmp_path):
+    # a process that calls main many times must free each call's garbage;
+    # the teardown freeze waits for the process's exit
+    path = write_cfg(tmp_path, "n_plate = 16\nn_mem = 16\nmode_min = 0\nmode_max = 1\n"
+                               "t_end = 0.5\n")
+    for _ in range(30):
+        assert main(["simulate", path]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_cli_spectrum_summary(tmp_path):
@@ -520,7 +534,7 @@ def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
 
 def test_importing_the_cli_does_not_load_scipy_sparse():
     # scipy.sparse is imported at first use: at start-up it would cost 0.13-0.21 s.
-    # Nor does the import freeze anything: main freezes once its command is done
+    # Nor does the import freeze anything: the freeze waits for the process's exit
     code = ("import gc, sys, platemem.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')), "
             "gc.get_freeze_count() == 0)")

@@ -8,12 +8,11 @@ import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
-                             _check_definiteness, _stack_forms, closed_laplacians,
-                             gram_factor)
+                             _stack_forms, closed_laplacians, gram_factor)
 
 from oracles import (closure_residuals, dense_eigenvalues_oracle, dense_forms_reference,
-                     dense_similarity_eigenvalues_oracle, dense_stencil, interface_trace,
-                     membrane_subpencil)
+                     dense_similarity_eigenvalues_oracle, dense_stencil, fake_pencil,
+                     interface_trace, membrane_subpencil)
 
 GEO = AnnulusGeometry()
 
@@ -97,9 +96,11 @@ def test_pencil_matrices_are_sparse_csr(name):
 
 def test_definiteness_check_names_the_indefinite_matrix():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
-    _check_definiteness(pencil)
     with pytest.raises(AssemblyError, match="^G is not positive definite for mode 1$"):
-        _check_definiteness(dataclasses.replace(pencil, G=-pencil.G))
+        gram_factor(dataclasses.replace(pencil, G=-pencil.G, _cache={}))
+    # a pencil that never went through assembly fails with the same named error
+    with pytest.raises(AssemblyError, match="^G is not positive definite for mode 0$"):
+        gram_factor(fake_pencil(np.eye(3), G=-np.eye(3)))
 
 
 def _dense_band(U):
