@@ -109,13 +109,6 @@ def _closed(S: np.ndarray, name: str, inner_row: np.ndarray, outer_row: np.ndarr
     return D
 
 
-def closed_laplacians(grid: RadialGrid, closures: Closures) -> dict[str, np.ndarray]:
-    """Each field's Laplacian with its ghost closures folded in, as _closed's band."""
-    Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
-    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, name, *rows)
-            for name, rows in closures.ghosts.items()}
-
-
 def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, ...]):
     """Edge-gradient factor F of field name's closed Laplacian on the nodes r,
     F^T F = -W L_closed, as (row, col, value) triplets on the field's nodes.

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, ModePencil,
-                     closed_laplacians, solve_mass)
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, solve_mass
 
 MAX_DEFAULT_STEPS = 20000
 MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
@@ -278,26 +277,14 @@ def _bump(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _smooth_field(L_closed: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """Implicit smoothing (I - (2h)^2 L)^-1 of the closed band L, twice (rough filter)."""
-    from scipy.linalg.lapack import dgtsv
-
-    S = -(2.0 * h) ** 2 * L_closed
-    for _ in range(2):
-        x, info = dgtsv(S[0, 1:], 1.0 + S[1], S[2, :-1], x)[3:]
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgtsv info {info} in the rough-profile smoothing")
-    return x
-
-
 def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.ndarray:
     """Named radial profile, unit-energy normalized.
 
     Bump profiles are compactly supported inside their subdomain, so every
     eliminated boundary/transmission row already holds and the constraint
-    projection is the identity here.  The rough profile is seeded noise on
-    all dofs passed through a mild implicit smoothing filter (the heuristic
-    stand-in for generator-domain smoothness).
+    projection is the identity here.  The rough profile is seeded
+    standard-normal noise on every dof.  It is not generator-domain data:
+    its graph-norm ratio ||M^-1 A w||_G / ||w||_G grows as h^-2.
     """
     grid = pencil.grid
     w = np.zeros(pencil.dim)
@@ -313,12 +300,7 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.nda
         hi = grid.r_outer - 0.25 * (grid.r_outer - grid.r_interface)
         w[pencil.block("theta")] = _bump(grid.plate_nodes, lo, hi)
     elif profile == "rough":
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal(pencil.dim)
-        stencils = closed_laplacians(grid, pencil.closures)
-        for name, a, b in pencil.dof_layout:
-            h = grid.h_mem if name in MEMBRANE_FIELDS else grid.h_plate
-            w[a:b] = _smooth_field(stencils[name], h, raw[a:b])
+        w = np.random.default_rng(seed).standard_normal(pencil.dim)
     else:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 

@@ -6,7 +6,8 @@ expm of the densified pencil instead of Crank-Nicolson, the exponential
 cross-oracle for it is a scaled truncated Taylor series with repeated
 squaring, the spectral oracles use the plain eigensolver and a dense solve
 instead of the Schur form, and the energy and dissipation forms are dense
-blocks made from the closed stencils instead of the pencil's sparse factors.
+blocks made from the closed stencils (closed_laplacians) instead of the
+pencil's sparse factors.
 fake_pencil builds a pencil straight from given matrices, membrane_subpencil
 slices the membrane block out of the coupled pencil, and closure_residuals
 evaluates the eliminated boundary and transmission rows of a state on its
@@ -121,6 +122,17 @@ def dense_stencil(band: np.ndarray, ghosts: bool = False) -> np.ndarray:
     return dense[:, 1:-1]
 
 
+def closed_laplacians(grid, closures) -> dict[str, np.ndarray]:
+    """Each field's Laplacian with its ghost closures folded in, as
+    pencil._closed's band."""
+    from platemem import laplacian_mode
+    from platemem.pencil import MEMBRANE_FIELDS, _closed
+
+    Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
+    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, name, *rows)
+            for name, rows in closures.ghosts.items()}
+
+
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Symmetrized Dirichlet form -W L of a conservatively closed Laplacian."""
     K = -(weights[:, None] * L_closed)
@@ -133,7 +145,6 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
     seminorms, Le^T W Le for bending, the Robin rim entry, and the
     interface jump (U - v[-1])^2 as an outer product."""
     from platemem import laplacian_mode
-    from platemem.pencil import closed_laplacians
 
     p, grid, closures = pencil.params, pencil.grid, pencil.closures
     Wp, Wm = grid.plate_weights, grid.membrane_weights

@@ -8,11 +8,11 @@ import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
-                             _stack_forms, closed_laplacians, gram_factor)
+                             _stack_forms, gram_factor)
 
-from oracles import (closure_residuals, dense_eigenvalues_oracle, dense_forms_reference,
-                     dense_similarity_eigenvalues_oracle, dense_stencil, fake_pencil,
-                     interface_trace, membrane_subpencil)
+from oracles import (closed_laplacians, closure_residuals, dense_eigenvalues_oracle,
+                     dense_forms_reference, dense_similarity_eigenvalues_oracle, dense_stencil,
+                     fake_pencil, interface_trace, membrane_subpencil)
 
 GEO = AnnulusGeometry()
 

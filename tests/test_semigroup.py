@@ -288,7 +288,7 @@ def test_simulate_names_the_step_of_a_non_finite_state(monkeypatch):
 
 
 def test_rough_initial_data_memory_is_linear_in_n():
-    # the dense smoothing matrix alone is 8.4 MB per plate field at n = 1024
+    # one dense n x n array is 8.4 MB at n = 1024; the state itself is 41 kB
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=1024, mode=1)
     tracemalloc.start()
     try:
@@ -475,6 +475,15 @@ def test_initial_data_unit_energy_and_support():
     st = make_initial_data(pencil, "plate_bump")
     assert np.all(st[pencil.block("v")] == 0.0)
     assert np.all(st[pencil.block("theta")] == 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rough_initial_data_is_seeded_noise_at_unit_energy(n, seed):
+    pencil = make_pencil(n=n, mode=1)
+    x = np.random.default_rng(seed).standard_normal(pencil.dim)
+    np.testing.assert_array_equal(make_initial_data(pencil, "rough", seed),
+                                  x / np.sqrt(2.0 * energy(pencil, x).total))
 
 
 def test_initial_data_rough_deterministic():
