@@ -6,8 +6,8 @@ with Gram matrix G, and verifies dissipation, spectral location, resolvent
 behaviour, and exponential vs polynomial decay across damping regimes.
 """
 from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel,
-                    ValidationError, analytic_max_q_dot_nu, check_geometric_condition,
-                    classify_regime, validate_params)
+                    ValidationError, check_geometric_condition, classify_regime,
+                    validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
 from .pencil import Closures, Forms, ModePencil, assemble_mode_pencil
 from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusGeometry", "GeometricCheck", "PhysicalParams", "RegimeLabel",
-    "ValidationError", "analytic_max_q_dot_nu", "check_geometric_condition",
+    "ValidationError", "check_geometric_condition",
     "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
     "Closures", "Forms", "ModePencil", "assemble_mode_pencil",

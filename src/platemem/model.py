@@ -100,23 +100,16 @@ def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> tuple[PhysicalPara
     return p, g
 
 
-def analytic_max_q_dot_nu(g: AnnulusGeometry) -> float:
-    """Exact maximum of q . nu over the interface: |x0| - r_interface.
-
-    On the interface, the outward normal of the annulus points toward the
-    disk center, nu = -(cos t, sin t), so with q(x) = x - x0 the product is
-    x0 . (cos t, sin t) - r_interface, largest when (cos t, sin t) is x0/|x0|.
-    """
-    return math.hypot(*g.x0) - g.r_interface
-
-
 def check_geometric_condition(g: AnnulusGeometry) -> GeometricCheck:
     """Test q . nu <= 0 on the interface circle with its exact maximum.
 
-    The equality case counts as satisfied (the condition is a non-strict
-    inequality).
+    On the interface, the outward normal of the annulus points toward the
+    disk center, nu = -(cos t, sin t), so with q(x) = x - x0 the product is
+    x0 . (cos t, sin t) - r_interface, largest when (cos t, sin t) is x0/|x0|:
+    the maximum is |x0| - r_interface.  The equality case counts as satisfied
+    (the condition is a non-strict inequality).
     """
-    best = analytic_max_q_dot_nu(g)
+    best = math.hypot(*g.x0) - g.r_interface
     return GeometricCheck(satisfied=best <= 0.0, max_q_dot_nu=best)
 
 

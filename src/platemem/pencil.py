@@ -180,7 +180,6 @@ class ModePencil:
     dof_layout: tuple[tuple[str, int, int], ...]
     grid: RadialGrid
     params: PhysicalParams
-    closures: Closures
     energy_forms: Forms
     dissipation_forms: Forms
     _cache: dict[Any, Any] = field(default_factory=dict, repr=False)
@@ -313,7 +312,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     ], (n, n))
 
     pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
-                        closures=closures, energy_forms=energy, dissipation_forms=dissipation)
+                        energy_forms=energy, dissipation_forms=dissipation)
     gram_factor(pencil)                 # the definiteness check; its factor stays cached
     return pencil
 

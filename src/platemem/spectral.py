@@ -3,16 +3,16 @@
 Everything here is desk-scale dense linear algebra on the real Schur
 factorization of a pencil's one dense array.  With the banded Gram
 factor P G P^T = U^T U (P a permutation), M^-1 A is similar to
-B = U P M^-1 A P^T U^-1 = Z T Z^T, and the G-norm of x is ||U P x||_2.  The
-spectrum, the spectral abscissa across modes and the G-orthogonal projection
-off the undamped modes are read from the real form (T, Z); only the
-projection makes Z, so it factors a second time when it follows
-`eigenvalues` on the same pencil, which no CLI command does (the regime
-experiment projects on pencils of its own).  Z on every factorization would
-cost every spectrum 1.2-1.3x in dgees and one more dim x dim array.
+B = U P M^-1 A P^T U^-1 = Z T Z^T, and the G-norm of x is ||U P x||_2.
+`_schur` makes the real form and caches nothing.  `eigenvalues` keeps T, and
+the first resolvent sample takes it out of the cache as the complex
+triangular form T_c, so a pencil is factored once in either order.  Only the
+G-orthogonal projection off the undamped modes makes Z, by a factorization of
+its own, which no CLI command runs beside `eigenvalues` on one pencil; Z on
+every form would cost dgees 1.2-1.3x and one more dim x dim array.
 ||(i*lam - M^-1 A)^-1|| in the G inner product is the 2-norm of
-(i*lam - T_c)^-1 for the complex triangular form T_c of T, found by inverse
-Lanczos: O(dim^2) per sample after one O(dim^3) factorization.
+(i*lam - T_c)^-1, found by inverse Lanczos: O(dim^2) per sample after one
+O(dim^3) factorization.
 A sample stops at a Ritz residual of sqrt(eps) relative, where s(lam) is
 already exact to round-off (see LANCZOS_TOL).
 
@@ -89,7 +89,6 @@ class SweepResult:
     spectra: list[SpectrumResult]           # at the requested resolution
     spectra_fine: list[SpectrumResult]      # at doubled resolution
     global_abscissa: float
-    global_abscissa_fine: float
     global_resolved_abscissa: float
     global_resolved_abscissa_fine: float
 
@@ -166,13 +165,11 @@ def _gees(a: np.ndarray, vectors: bool):
 
 
 def _schur(pencil: ModePencil, vectors: bool = False):
-    """(T, Z, eigenvalues): real Schur form B = Z T Z^T of the similarity B.
+    """(T, eigenvalues, Z): real Schur form B = Z T Z^T of the similarity B.
 
-    T and the eigenvalues (in Schur order) are cached, T until _complex_schur
-    replaces it.  Z is None unless asked for, then made by a new factorization.
+    A new factorization on every call; the eigenvalues are in Schur order, and
+    Z is None unless asked for.
     """
-    if "schur" in pencil._cache and not vectors:
-        return pencil._cache["schur"]
     if pencil.dim > EIG_DIM_CAP:
         raise ValueError(f"pencil dimension {pencil.dim} exceeds eigensolver cap {EIG_DIM_CAP}")
     try:
@@ -181,9 +178,7 @@ def _schur(pencil: ModePencil, vectors: bool = False):
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Schur factorization failed for mode {pencil.mode}, "
                            f"dim {pencil.dim}") from exc
-    lam = wr + 1j * wi
-    pencil._cache.setdefault("schur", (T, None, lam))
-    return T, Z, lam
+    return T, wr + 1j * wi, Z
 
 
 def _undamped(lam: np.ndarray) -> np.ndarray:
@@ -192,10 +187,10 @@ def _undamped(lam: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(pencil: ModePencil) -> SpectrumResult:
-    """All pencil eigenvalues A x = lambda M x, sorted by imaginary part."""
+    """All pencil eigenvalues A x = lambda M x, sorted by imaginary part; caches T too."""
     if "spectrum" in pencil._cache:
         return pencil._cache["spectrum"]
-    lam = _schur(pencil)[2]
+    pencil._cache["schur"], lam, _ = _schur(pencil)
     lam = lam[np.argsort(lam.imag, kind="stable")]
     mx = float(np.abs(lam).max())
     tol = AXIS_TOL_REL * mx
@@ -236,7 +231,6 @@ def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: i
         spectra=spectra,
         spectra_fine=spectra_fine,
         global_abscissa=max(s.spectral_abscissa for s in spectra),
-        global_abscissa_fine=max(s.spectral_abscissa for s in spectra_fine),
         global_resolved_abscissa=max(s.resolved_abscissa for s in spectra),
         global_resolved_abscissa_fine=max(s.resolved_abscissa for s in spectra_fine),
     )
@@ -258,7 +252,7 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     w = check_state(pencil, w)
     key = "undamped_basis"
     if key not in pencil._cache:
-        T, Z, lam = _schur(pencil, vectors=True)
+        T, lam, Z = _schur(pencil, vectors=True)
         bad = _undamped(lam)
         if not bad.any():
             pencil._cache[key] = None
@@ -282,14 +276,17 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
 def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
     """(R, d): the complex upper-triangular Schur form B = W T_c W^H and its diagonal.
 
-    Rotated out of the cached real form T, which it replaces, on the first
-    resolvent sample.  R starts as T_c, Fortran-ordered for the LAPACK
+    Rotated, on the first resolvent sample, out of the real form T that
+    `eigenvalues` caches (called first if T is not there), and T leaves the
+    cache as T_c enters it.  R starts as T_c, Fortran-ordered for the LAPACK
     solves; every sample overwrites its whole diagonal with a shift of the
     copy d, so the strict upper triangle is always that of T_c.
     """
     key = "schur_complex"
     if key not in pencil._cache:
-        T, _, lam = _schur(pencil)
+        if "schur" not in pencil._cache:
+            eigenvalues(pencil)
+        T = pencil._cache["schur"]
         R = np.asfortranarray(T, dtype=complex)
         # rsf2csf's rotations of the 2x2 blocks [[a, b], [c, a]] (pair a +- i w), without Z
         for m in np.flatnonzero(np.diag(T, -1)) + 1:
@@ -300,7 +297,7 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
             R[:m + 1, m - 1:m + 1] = R[:m + 1, m - 1:m + 1] @ G.conj().T
             R[m, m - 1] = 0.0
         pencil._cache[key] = (R, np.diag(R).copy())
-        pencil._cache["schur"] = (None, None, lam)      # T_c replaces T
+        del pencil._cache["schur"]
     return pencil._cache[key]
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import build_radial_grid
-from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationError,
-                    classify_regime)
+from .model import AnnulusGeometry, PhysicalParams, RegimeLabel, classify_regime
 from .pencil import AssemblyError, assemble_mode_pencil
 from .semigroup import SimulationTrace, default_dt, make_initial_data, simulate
 from .spectral import (membrane_band_edge, project_resolvable, resolvent_scan,
@@ -46,7 +45,6 @@ class DecayFit:
     rate: float                # delta (E ~ C exp(-2 delta t)) or alpha (||w|| ~ C t^-alpha)
     prefactor: float
     r_squared: float
-    window: tuple[float, float]
 
 
 def _decay_fit(model: str, t: np.ndarray, e: np.ndarray) -> DecayFit:
@@ -66,8 +64,7 @@ def _decay_fit(model: str, t: np.ndarray, e: np.ndarray) -> DecayFit:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     return DecayFit(model=model, rate=rate_per_slope * float(slope),
                     prefactor=float(np.exp(intercept)),
-                    r_squared=1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0,
-                    window=(float(t[0]), float(t[-1])))
+                    r_squared=1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0)
 
 
 def fit_exponential_rate(trace: SimulationTrace) -> DecayFit:
@@ -162,7 +159,7 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
                 poly_fits[profile] = fit_polynomial_rate(trace)
     except AssemblyError:
         raise   # a malformed operator is a bug, though it is a RuntimeError
-    except (FitError, ValidationError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (FitError, np.linalg.LinAlgError, RuntimeError) as exc:
         # partial evidence: inconclusive; any other exception is a bug and raises
         lines.append(f"experiment incomplete: {type(exc).__name__}: {exc}")
         return report

@@ -146,7 +146,7 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
     interface jump (U - v[-1])^2 as an outer product."""
     from platemem import laplacian_mode
 
-    p, grid, closures = pencil.params, pencil.grid, pencil.closures
+    p, grid, closures = pencil.params, pencil.grid, pencil_closures(pencil)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     L = {name: dense_stencil(band) for name, band in closed_laplacians(grid, closures).items()}
     K2, Kth = _dual(L["u_t"], Wp), _dual(L["theta"], Wp)
@@ -199,7 +199,7 @@ def dense_similarity_eigenvalues_oracle(A: np.ndarray, M: np.ndarray,
 
 def fake_pencil(A, M=None, G=None):
     """A ModePencil of the dense A, M and G (identity by default) on one dof
-    block, with no forms and no closures, for the stepping and spectral routes."""
+    block, with no forms, for the stepping and spectral routes."""
     from scipy import sparse
 
     from platemem import AnnulusGeometry, ModePencil, PhysicalParams, build_radial_grid
@@ -208,7 +208,7 @@ def fake_pencil(A, M=None, G=None):
     return ModePencil(mode=0, M=sparse.csr_array(eye if M is None else M), A=sparse.csr_array(A),
                       G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
-                      closures=None, energy_forms=None, dissipation_forms=None)
+                      energy_forms=None, dissipation_forms=None)
 
 
 def membrane_subpencil(p, grid):
@@ -231,7 +231,7 @@ def membrane_subpencil(p, grid):
         mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
         dof_layout=tuple((name, a - start, b - start)
                          for name, a, b in pencil.dof_layout if a >= start),
-        grid=grid, params=p, closures=pencil.closures,
+        grid=grid, params=p,
         energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
         dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
     )
@@ -242,17 +242,24 @@ def quadrature_weights(grid) -> np.ndarray:
     return np.concatenate([grid.plate_weights, grid.membrane_weights])
 
 
+def pencil_closures(pencil):
+    """The ghost closures the pencil was assembled with, built again."""
+    from platemem.pencil import make_closures
+
+    return make_closures(pencil.params, pencil.grid)
+
+
 def interface_trace(pencil, w: np.ndarray) -> complex:
     """Shared interface value U (plate side owns it)."""
     u = w[pencil.block("u")]
-    return complex(pencil.closures.trace_u @ u)
+    return complex(pencil_closures(pencil).trace_u @ u)
 
 
 def _ghost_values(pencil, w: np.ndarray) -> dict[str, list[complex]]:
     """Eliminated [inner, outer] ghost values for each field of a state; the
     interface ghost of v adds 2 U to its frozen-plate row."""
     g = {name: [complex(row @ w[pencil.block(name)]) for row in rows]
-         for name, rows in pencil.closures.ghosts.items()}
+         for name, rows in pencil_closures(pencil).ghosts.items()}
     g["v"][1] += 2.0 * interface_trace(pencil, w)
     return g
 

@@ -578,6 +578,14 @@ def test_cli_regimes_inconclusive_on_unfittable_horizon(tmp_path):
     assert "experiment incomplete: FitError" in report
 
 
+def test_cli_regimes_grid_size_out_of_range_is_an_error_not_a_verdict(tmp_path, capsys):
+    body = REGIME_FAST.replace("m = 1\nrho = 1", "m = 0\nrho = 1")
+    path = write_cfg(tmp_path, body.replace("16", "4"))
+    assert main(["regimes", path]) == 1
+    assert capsys.readouterr().err == "error: n_plate must be in [8, 4096], got 4\n"
+    assert not (tmp_path / "out" / "regime_report.txt").exists()
+
+
 def test_cli_regimes_rejects_unequal_grids(tmp_path, capsys):
     path = write_cfg(tmp_path, REGIME_FAST.replace("n_mem = 16", "n_mem = 12"))
     assert main(["regimes", path]) == 1
@@ -617,7 +625,7 @@ def test_cli_render_lands_on_requested_time(tmp_path, t):
 
 def test_regime_experiment_raises_bugs_and_records_expected_failures(monkeypatch):
     import platemem.stability as stability
-    from platemem import AnnulusGeometry, PhysicalParams
+    from platemem import AnnulusGeometry, PhysicalParams, ValidationError
     from platemem.pencil import AssemblyError
 
     def failing(exc):
@@ -641,4 +649,9 @@ def test_regime_experiment_raises_bugs_and_records_expected_failures(monkeypatch
     monkeypatch.setattr(stability, "spectral_abscissa_sweep",
                         failing(AssemblyError("form D_membrane has no rows")))
     with pytest.raises(AssemblyError, match="no rows"):
+        experiment()
+    # the inputs are validated before the sweep, so a ValidationError in it is a bug
+    monkeypatch.setattr(stability, "spectral_abscissa_sweep",
+                        failing(ValidationError("n_plate must be in [8, 4096], got 4")))
+    with pytest.raises(ValidationError, match="n_plate"):
         experiment()

@@ -8,7 +8,7 @@ import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
-                             _stack_forms, gram_factor)
+                             _stack_forms, gram_factor, make_closures)
 
 from oracles import (closed_laplacians, closure_residuals, dense_eigenvalues_oracle,
                      dense_forms_reference, dense_similarity_eigenvalues_oracle, dense_stencil,
@@ -291,8 +291,6 @@ def test_assembly_memory_is_linear_in_n():
 def test_gradient_rejects_a_two_point_ghost_row_naming_field_and_end(monkeypatch, name, end):
     # a second ghost coefficient that _closed folds into the band, but that a
     # gradient factor with one coefficient per end would drop
-    make_closures = pencil_module.make_closures
-
     def two_point(p, grid):
         closures = make_closures(p, grid)
         inner, outer = (row.copy() for row in closures.ghosts[name])
@@ -385,7 +383,7 @@ def test_frozen_plate_membrane_block_is_the_dirichlet_build(mode, n):
     p = PhysicalParams(beta2=1.7, m_damp=1.0)
     pencil = make_pencil(p, n=n, mode=mode)
     v, vt = pencil.block("v"), pencil.block("v_t")
-    L = dense_stencil(closed_laplacians(pencil.grid, pencil.closures)["v"])
+    L = dense_stencil(closed_laplacians(pencil.grid, make_closures(p, pencil.grid))["v"])
     A = pencil.A.toarray()[vt, v]
     assert np.abs(A - p.beta2 * L).max() <= 1e-15 * np.abs(A).max()
     K = -(pencil.grid.membrane_weights[:, None] * L)
