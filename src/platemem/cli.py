@@ -23,7 +23,7 @@ from .pencil import MEMBRANE_FIELDS, assemble_mode_pencil
 from .semigroup import TRACE_ROWS, default_dt, energy, final_state, make_initial_data, simulate
 from .spectral import eigenvalues, resolvent_scan
 from .stability import NOT_EXP_LABELS, run_regime_experiment
-from .util import fmt, parallel_map, write_csv
+from .util import fmt, output_file, parallel_map, write_csv
 
 TRACE_HEADER = ("t", *TRACE_ROWS, "residual")
 RENDER_N_THETA = 128
@@ -59,13 +59,7 @@ def _initial(pencil, cfg: RunConfig) -> np.ndarray:
     return w / math.sqrt(2.0 * e0)
 
 
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
-
-
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _outdir(cfg)
     t_end = _default_t_end(cfg)
 
     def run(mode: int):
@@ -74,31 +68,29 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         return mode, trace
 
     for mode, trace in [run(m) for m in cfg.modes]:
-        write_csv(os.path.join(out, f"trace_mode{mode}.csv"), TRACE_HEADER,
+        write_csv(os.path.join(cfg.output_dir, f"trace_mode{mode}.csv"), TRACE_HEADER,
                   np.column_stack((trace.times, trace.values.T, trace.residuals)))
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _outdir(cfg)
     results = parallel_map(lambda m: eigenvalues(_pencil(cfg, m)), list(cfg.modes))
     summary = []
     for spec in results:
-        write_csv(os.path.join(out, f"spectrum_mode{spec.mode}.csv"), ("re", "im"),
+        write_csv(os.path.join(cfg.output_dir, f"spectrum_mode{spec.mode}.csv"), ("re", "im"),
                   np.column_stack((spec.eigenvalues.real, spec.eigenvalues.imag)))
         summary.append((spec.mode, spec.spectral_abscissa, spec.imag_axis_gap,
                         spec.zero_in_resolvent))
-    write_csv(os.path.join(out, "spectrum_summary.csv"),
+    write_csv(os.path.join(cfg.output_dir, "spectrum_summary.csv"),
               ("mode", "abscissa", "imag_axis_gap", "zero_ok"), np.array(summary, dtype=float))
     return 0
 
 
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _outdir(cfg)
     results = [(m, resolvent_scan(_pencil(cfg, m), args.lmin, args.lmax, args.n))
                for m in cfg.modes]
     for mode, scan in results:
-        write_csv(os.path.join(out, f"resolvent_mode{mode}.csv"), ("lambda", "norm"),
+        write_csv(os.path.join(cfg.output_dir, f"resolvent_mode{mode}.csv"), ("lambda", "norm"),
                   np.column_stack((scan.lambdas, scan.norms)))
         print(f"mode {mode}: fitted growth exponent {fmt(scan.growth_exponent)} "
               f"(sup {fmt(scan.sup_norm)})")
@@ -109,12 +101,11 @@ def cmd_regimes(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.n_plate != cfg.n_mem:
         raise ConfigError(f"regimes runs both grids at one resolution: n_plate={cfg.n_plate} "
                           f"and n_mem={cfg.n_mem} must be equal")
-    out = _outdir(cfg)
     t_end = _default_t_end(cfg)
     report = run_regime_experiment(cfg.params, cfg.geometry, cfg.n_plate,
                                    cfg.modes, cfg.profiles, t_end, dt=cfg.dt,
                                    seed=cfg.seed)
-    with open(os.path.join(out, "regime_report.txt"), "w") as fh:
+    with open(output_file(os.path.join(cfg.output_dir, "regime_report.txt")), "w") as fh:
         fh.write(report.render())
     print(report.render(), end="")
     return {"consistent": 0, "inconsistent": 2, "inconclusive": 3}[report.verdict]
@@ -131,7 +122,6 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
     t = args.t
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"--t must be finite and non-negative, got {t}")
-    out = _outdir(cfg)
 
     def run(mode: int):
         pencil = _pencil(cfg, mode)
@@ -147,7 +137,7 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
         radii = grid0.membrane_nodes if fname in MEMBRANE_FIELDS else grid0.plate_nodes
         vals = sum(np.real(np.outer(w[pencil.block(fname)], np.exp(1j * mode * thetas)))
                    for mode, pencil, w in states)
-        write_csv(os.path.join(out, f"field_{fname}.csv"), ("x", "y", "value"),
+        write_csv(os.path.join(cfg.output_dir, f"field_{fname}.csv"), ("x", "y", "value"),
                   np.column_stack((np.outer(radii, np.cos(thetas)).ravel(),
                                    np.outer(radii, np.sin(thetas)).ravel(), vals.ravel())))
     return 0

@@ -1,9 +1,9 @@
 """Per-mode generator pencil (M, A) and energy Gram matrix G.
 
-State layout per mode: w = (u, u_t, theta, v, v_t) as contiguous blocks of
+State layout per mode: w = (u_t, v, u, v_t, theta) as contiguous blocks of
 nodal values.  The first-order system is M w' = A w with
 
-    M = diag(I, rho1*I - gamma*L2, rho0*I, I, rho2*I)
+    M = diag(rho1*I - gamma*L2, I, I, rho2*I, rho0*I)
 
 and A the block operator of the plate/heat/membrane equations.  A is
 assembled in the weak (energy-compatible) arrangement: the conservative
@@ -32,7 +32,9 @@ in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
 F^T F of the energy factor, and each block of A and M but the identities
 is a form divided row by row by its dof's weight, placed as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
-nonzeros per row, banded after reverse Cuthill-McKee.  Each scipy module
+nonzeros per row.  G couples two fields only in the membrane's interface
+row, which ties v[-1] to u[0] and u[1]; with v just before u in FIELDS, G is
+banded in the dof order itself, with half-bandwidth 2.  Each scipy module
 is imported at first use, not with the package, so start-up loads numpy alone.
 """
 from __future__ import annotations
@@ -48,7 +50,12 @@ from .model import AnnulusGeometry, PhysicalParams, validate_params
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-FIELDS = ("u", "u_t", "theta", "v", "v_t")
+# v[-1] next to u[0] keeps G's band at 2.  Of the 24 such orders, those that
+# start with v or v_t took 190-207 ms of dgees on a dim-640 similarity (one
+# pass) against 158-174 ms, and those with theta before u 1.8-2.7x the time
+# per sparse LU solve of the CN step (dims 320-2560, damped cells, one BLAS
+# thread).  The three orders left time alike.
+FIELDS = ("u_t", "v", "u", "v_t", "theta")
 MEMBRANE_FIELDS = ("v", "v_t")      # on the membrane grid; the others on the plate grid
 
 ENERGY_PARTS = ("E_bend", "E_kin_plate", "E_rot", "E_thermal", "E_mem_pot", "E_mem_kin")
@@ -236,14 +243,14 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     conservative stencils.  Every block of A and M but the identities is a
     form (of G, the dissipation factor, or K of u_t's gradient factor)
     divided row by row by its dof's quadrature weight W, so the energy
-    identity has one source and W M = diag(W, rho1 W + gamma K, rho0 W, W,
-    rho2 W) is positive definite once validate_params passes."""
+    identity has one source and W M = diag(rho1 W + gamma K, W, W, rho2 W,
+    rho0 W) is positive definite once validate_params passes."""
     validate_params(p, AnnulusGeometry(grid.r_interface, grid.r_outer))   # forms are sums of squares
     np_, nm = grid.n_plate, grid.n_mem
     layout = _layout(grid)
     n = layout[-1][2]
     index = {name: np.arange(a, b) for name, a, b in layout}
-    u, ut, th, v, vt = (index[name] for name in FIELDS)
+    u, ut, th, v, vt = (index[name] for name in ("u", "u_t", "theta", "v", "v_t"))
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     w = np.concatenate([Wm if name in MEMBRANE_FIELDS else Wp for name in FIELDS])
@@ -317,29 +324,24 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     return pencil
 
 
-def gram_factor(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
-    """(order, U): G[order][:, order] = U^T U for the reverse Cuthill-McKee
-    order of G, U in LAPACK upper band storage, so ||x||_G = ||U x[order]||_2.
+def gram_factor(pencil: ModePencil) -> np.ndarray:
+    """U: G = U^T U, U in LAPACK upper band storage, so ||x||_G = ||U x||_2.
     Made once per pencil and cached on it; assembly makes it as its check that
     G is positive definite, and AssemblyError names the mode when it is not.
-    Stored as a band of the width the ordering gives (2 at n = 16 to 400), it
-    costs O(dim band^2)."""
+    Stored as a band of G's own width (2 in the FIELDS order), it costs
+    O(dim band^2)."""
     key = "gram_factor"
     if key not in pencil._cache:
         from scipy.linalg import cholesky_banded
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        order = reverse_cuthill_mckee(pencil.G, symmetric_mode=True)
-        rank = np.argsort(order)
         c = pencil.G.tocoo()
-        i, j = rank[c.row], rank[c.col]
-        upper = i <= j
-        i, j = i[upper], j[upper]
+        upper = c.row <= c.col
+        i, j = c.row[upper], c.col[upper]
         band = int((j - i).max(initial=0))
         ab = np.zeros((band + 1, pencil.dim))   # LAPACK upper band storage: ab[band + i - j, j]
         ab[band + i - j, j] = c.data[upper]
         try:
-            pencil._cache[key] = order, cholesky_banded(ab, overwrite_ab=True)
+            pencil._cache[key] = cholesky_banded(ab, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"G is not positive definite for mode {pencil.mode}") from exc
     return pencil._cache[key]

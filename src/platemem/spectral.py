@@ -2,8 +2,8 @@
 
 Everything here is desk-scale dense linear algebra on the real Schur
 factorization of a pencil's one dense array.  With the banded Gram
-factor P G P^T = U^T U (P a permutation), M^-1 A is similar to
-B = U P M^-1 A P^T U^-1 = Z T Z^T, and the G-norm of x is ||U P x||_2.
+factor G = U^T U, M^-1 A is similar to B = U M^-1 A U^-1 = Z T Z^T, and the
+G-norm of x is ||U x||_2.
 `_schur` makes the real form and caches nothing.  `eigenvalues` keeps T, and
 the first resolvent sample takes it out of the cache as the complex
 triangular form T_c, so a pencil is factored once in either order.  Only the
@@ -99,19 +99,19 @@ def membrane_band_edge(pencil: ModePencil) -> float:
 
 
 def _similarity(pencil: ModePencil) -> np.ndarray:
-    """B = U P M^-1 A P^T U^-1, Fortran-ordered: mass solves fill its column
-    blocks, then banded solves from the right finish its row blocks, 32 at a time."""
+    """B = U M^-1 A U^-1, Fortran-ordered: mass solves fill its column blocks,
+    then banded solves from the right finish its row blocks, 32 at a time."""
     from scipy.linalg.lapack import dtbtrs
     from scipy.sparse import csr_array
 
-    order, U = gram_factor(pencil)
+    U = gram_factor(pencil)
     n, k, j = pencil.dim, *np.nonzero(U)
-    UP = csr_array((U[k, j], (j + k - len(U) + 1, order[j])), shape=(n, n))
-    AP = pencil.A.tocsc()[:, order]
+    Us = csr_array((U[k, j], (j + k - len(U) + 1, j)), shape=(n, n))
+    A = pencil.A.tocsc()
     B = np.empty((n, n), order="F")
     step = 32
     for c in range(0, n, step):
-        B[:, c:c + step] = UP @ solve_mass(pencil, AP[:, c:c + step].toarray())
+        B[:, c:c + step] = Us @ solve_mass(pencil, A[:, c:c + step].toarray())
     for r in range(0, n, step):
         rows, info = dtbtrs(U, B[r:r + step].T, trans="T")       # U^T X^T = B^T
         if info != 0:
@@ -244,7 +244,7 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     the noise floor), whose lack of damping would otherwise floor every long
     energy trace at the overlap level.  G-orthogonal projection off their
     invariant subspace: the Schur form is reordered to put them first, and
-    Q = P^T U^-1 Z[:, :k] is a G-orthonormal basis of it.  Q and G are real,
+    Q = U^-1 Z[:, :k] is a G-orthonormal basis of it.  Q and G are real,
     so a real state stays real.  A no-op when every mode is damped.
     """
     from scipy.linalg.lapack import dtbtrs, dtrsen
@@ -261,12 +261,11 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
             if info != 0:
                 raise RuntimeError(f"Schur reordering failed (info {info}) for mode "
                                    f"{pencil.mode}, dim {pencil.dim}")
-            order, U = gram_factor(pencil)
-            Q, info = dtbtrs(U, Zs[:, :k])
+            Q, info = dtbtrs(gram_factor(pencil), Zs[:, :k])
             if info != 0:
                 raise RuntimeError(f"banded solve failed (info {info}) in the projection "
                                    f"for mode {pencil.mode}, dim {pencil.dim}")
-            pencil._cache[key] = Q[np.argsort(order)]
+            pencil._cache[key] = Q
     Q = pencil._cache[key]
     if Q is None:
         return w
@@ -304,7 +303,7 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
 def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
-    The G-norm is the 2-norm after the similarity by U P, and W is unitary, so
+    The G-norm is the 2-norm after the similarity by U, and W is unitary, so
     s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top
     eigenvalue of K^H K, found by Lanczos (ARPACK on a LANCZOS_NCV-vector
     basis from a fixed start vector) to a Ritz residual of LANCZOS_TOL =

@@ -1,4 +1,4 @@
-"""Small shared helpers: the per-mode map and float formatting."""
+"""Small shared helpers: the per-mode map, float formatting and output files."""
 from __future__ import annotations
 
 import os
@@ -32,6 +32,14 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def output_file(path: str) -> str:
+    """path, with its directory made if missing: a run makes its output
+    directory at its first file, so a run that fails its checks leaves none."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def write_csv(path, header: Iterable[str], table: np.ndarray) -> None:
     """Plain CSV of a 2-D numeric table, every entry %.17g; header is written verbatim."""
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    np.savetxt(output_file(path), table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")

@@ -9,7 +9,9 @@ instead of the Schur form, and the energy and dissipation forms are dense
 blocks made from the closed stencils (closed_laplacians) instead of the
 pencil's sparse factors.
 fake_pencil builds a pencil straight from given matrices, membrane_subpencil
-slices the membrane block out of the coupled pencil, and closure_residuals
+slices the membrane block out of the coupled pencil, layout_state and
+quadrature_weights place per-field arrays by the pencil's dof_layout, so no
+test assumes an order of the fields, and closure_residuals
 evaluates the eliminated boundary and transmission rows of a state on its
 reconstructed ghost values.
 """
@@ -214,32 +216,49 @@ def fake_pencil(A, M=None, G=None):
 def membrane_subpencil(p, grid):
     """Membrane-only sub-pencil with the plate frozen (v = 0 on the interface).
 
-    It is the (v, v_t) slice of the coupled pencil: the rows and columns of
-    M, A and G on those dofs, and the forms' columns on them.  Freezing u
-    pins the shared trace to zero, so the jump term of E_mem_pot becomes the
-    Dirichlet closure; used by the Bessel-frequency validation and the
-    near-resonance resolvent checks.
+    It is the (v, v_t) slice of the coupled pencil, in its dof_layout order:
+    the rows and columns of M, A and G on those dofs, and the forms' columns
+    on them.  Freezing u pins the shared trace to zero, so the jump term of
+    E_mem_pot becomes the Dirichlet closure; used by the Bessel-frequency
+    validation and the near-resonance resolvent checks.
     """
     from dataclasses import replace
 
     from platemem import ModePencil, assemble_mode_pencil
+    from platemem.pencil import MEMBRANE_FIELDS
 
     pencil = assemble_mode_pencil(p, grid)
-    start = pencil.block("v").start          # v and v_t are the last two blocks
-    s = slice(start, pencil.dim)
+    blocks = [(name, a, b) for name, a, b in pencil.dof_layout if name in MEMBRANE_FIELDS]
+    s = np.concatenate([np.arange(a, b) for _, a, b in blocks])
+    stops = np.cumsum([b - a for _, a, b in blocks])
+    sub = lambda X: X[s][:, s]
     return ModePencil(
-        mode=grid.mode, M=pencil.M[s, s], A=pencil.A[s, s], G=pencil.G[s, s],
-        dof_layout=tuple((name, a - start, b - start)
-                         for name, a, b in pencil.dof_layout if a >= start),
+        mode=grid.mode, M=sub(pencil.M), A=sub(pencil.A), G=sub(pencil.G),
+        dof_layout=tuple((name, int(stop - (b - a)), int(stop))
+                         for (name, a, b), stop in zip(blocks, stops)),
         grid=grid, params=p,
         energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
         dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
     )
 
 
-def quadrature_weights(grid) -> np.ndarray:
-    """The plate's midpoint quadrature weights, then the membrane's."""
-    return np.concatenate([grid.plate_weights, grid.membrane_weights])
+def layout_state(pencil, fields: dict[str, np.ndarray]) -> np.ndarray:
+    """The state with fields[name] on each named field's dofs, zero elsewhere."""
+    w = np.zeros(pencil.dim)
+    for name, values in fields.items():
+        w[pencil.block(name)] = values
+    return w
+
+
+def quadrature_weights(pencil) -> np.ndarray:
+    """Each dof's midpoint quadrature weight, the plate's or the membrane's
+    by its field, in the pencil's dof_layout order."""
+    from platemem.pencil import MEMBRANE_FIELDS
+
+    grid = pencil.grid
+    return layout_state(pencil, {
+        name: grid.membrane_weights if name in MEMBRANE_FIELDS else grid.plate_weights
+        for name, _, _ in pencil.dof_layout})
 
 
 def pencil_closures(pencil):

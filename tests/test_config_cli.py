@@ -469,7 +469,7 @@ def test_cli_run_size_above_its_cap_is_one_error_line(tmp_path, body, args, name
                           env=_checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {named}"]
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_norms_agree_across_blas_thread_counts(tmp_path):
@@ -532,6 +532,17 @@ def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
         assert traces["2"] == traces["1"], grid
 
 
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_cli_runs_never_import_scipy_csgraph(tmp_path, command):
+    # G is banded in the dof order itself, so no run computes a graph ordering
+    path = write_cfg(tmp_path, FAST)
+    code = ("import sys\n"
+            "from platemem.cli import main\n"
+            f"assert main([{command!r}, {path!r}]) == 0\n"
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    assert _run_python(["-c", code]).strip() == "False"
+
+
 def test_importing_the_cli_does_not_load_scipy_sparse():
     # scipy.sparse is imported at first use: at start-up it would cost 0.13-0.21 s.
     # Nor does the import freeze anything: the freeze waits for the process's exit
@@ -584,6 +595,37 @@ def test_cli_regimes_grid_size_out_of_range_is_an_error_not_a_verdict(tmp_path, 
     assert main(["regimes", path]) == 1
     assert capsys.readouterr().err == "error: n_plate must be in [8, 4096], got 4\n"
     assert not (tmp_path / "out" / "regime_report.txt").exists()
+
+
+RUN_CHECKS = "n_plate = 16\nn_mem = 16\nmode_max = 0\n"
+
+
+@pytest.mark.parametrize("command, body, named", [
+    *[(command, "n_plate = 4\nn_mem = 4", "n_plate must be in [8, 4096], got 4")
+      for command in ("regimes", "simulate", "spectrum")],
+    *[(command, RUN_CHECKS + "dt = 0.3\nt_end = 1",
+       "t_end=1.0 is not an integer multiple of dt=0.3")
+      for command in ("simulate", "regimes")],
+    *[(command, RUN_CHECKS + "dt = 1e-6\nt_end = 10",
+       "t_end=10.0 / dt=1e-06 is 1e+07 steps, above the cap of 1000000")
+      for command in ("simulate", "regimes")],
+], ids=["regimes-grid", "simulate-grid", "spectrum-grid", "simulate-dt", "regimes-dt",
+        "simulate-steps", "regimes-steps"])
+def test_cli_run_that_fails_its_checks_leaves_no_output_directory(tmp_path, capsys, command,
+                                                                  body, named):
+    # the output directory is made with the run's first file, after its checks
+    path = write_cfg(tmp_path, body)
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_makes_a_nested_output_directory_with_its_first_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST + f"output_dir = {tmp_path / 'a' / 'b'}\n")
+    assert main(["spectrum", str(path)]) == 0
+    assert sorted(f.name for f in (tmp_path / "a" / "b").iterdir()) == [
+        "spectrum_mode0.csv", "spectrum_mode1.csv", "spectrum_summary.csv"]
 
 
 def test_cli_regimes_rejects_unequal_grids(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from platemem import AnnulusGeometry, ValidationError, build_radial_grid, laplacian_mode
 from platemem.grid import MAX_NODES
 
-from oracles import dense_stencil, quadrature_weights
+from oracles import dense_stencil
 
 GEO = AnnulusGeometry()
 
@@ -24,7 +24,7 @@ def test_membrane_nodes_cell_centered():
     assert grid.membrane_nodes[0] == pytest.approx(grid.h_mem / 2)
     assert np.all(np.diff(grid.plate_nodes) > 0)
     assert np.all(np.diff(grid.membrane_nodes) > 0)
-    assert np.all(quadrature_weights(grid) > 0)
+    assert np.all(grid.plate_weights > 0) and np.all(grid.membrane_weights > 0)
 
 
 def test_membrane_weights_sum_to_disk_area():

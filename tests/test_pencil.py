@@ -7,12 +7,13 @@ from scipy import sparse
 import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
-from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, AssemblyError, Closures,
-                             _stack_forms, gram_factor, make_closures)
+from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, AssemblyError,
+                             Closures, _stack_forms, gram_factor, make_closures)
 
 from oracles import (closed_laplacians, closure_residuals, dense_eigenvalues_oracle,
                      dense_forms_reference, dense_similarity_eigenvalues_oracle, dense_stencil,
-                     fake_pencil, interface_trace, membrane_subpencil)
+                     fake_pencil, interface_trace, layout_state, membrane_subpencil,
+                     quadrature_weights)
 
 GEO = AnnulusGeometry()
 
@@ -74,9 +75,7 @@ def test_gram_symmetric_exactly():
 def test_gram_and_mass_positive_definite(name, mode):
     pencil = make_pencil(CELLS[name], n=12, mode=mode)
     np.linalg.cholesky(pencil.G.toarray())  # raises if not PD
-    w = np.concatenate([pencil.grid.plate_weights] * 3
-                       + [pencil.grid.membrane_weights] * 2)
-    WM = w[:, None] * pencil.M.toarray()
+    WM = quadrature_weights(pencil)[:, None] * pencil.M.toarray()
     asym = np.abs(WM - WM.T).max()
     assert asym <= 1e-12 * np.abs(WM).max()
     np.linalg.cholesky(0.5 * (WM + WM.T))
@@ -114,16 +113,15 @@ def _dense_band(U):
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_gram_factor_reproduces_g_and_its_similarity_keeps_the_spectrum(name):
-    # P^T U^T U P = G, and the banded, permuted similarity the Schur form is
-    # taken of has the spectrum of the dense-Cholesky one
+    # U^T U = G, and the banded similarity the Schur form is taken of has the
+    # spectrum of the dense-Cholesky one
     for n in (16, 64):
         for mode in (0, 1, 3):
             pencil = make_pencil(CELLS[name], n=n, mode=mode)
-            order, U = gram_factor(pencil)
+            U = gram_factor(pencil)
             G = pencil.G.toarray()
             Ud = _dense_band(U)
-            rank = np.argsort(order)
-            err = np.abs((Ud.T @ Ud)[np.ix_(rank, rank)] - G).max()
+            err = np.abs(Ud.T @ Ud - G).max()
             assert err <= 1e-14 * np.abs(G).max(), (n, mode, err)
             lam = eigenvalues(pencil).eigenvalues
             ref = dense_similarity_eigenvalues_oracle(pencil.A.toarray(), pencil.M.toarray(), G)
@@ -136,11 +134,25 @@ def test_gram_factor_reproduces_g_and_its_similarity_keeps_the_spectrum(name):
 def test_gram_factor_is_the_one_assembly_made():
     pencil = make_pencil(CELLS["poly"], n=16, mode=1)
     assert "gram_factor" in pencil._cache          # the definiteness check's factor
-    order, U = gram_factor(pencil)
+    U = gram_factor(pencil)
     fresh = dataclasses.replace(pencil, _cache={})
-    order2, U2 = gram_factor(fresh)                 # factored on first use
-    np.testing.assert_array_equal(order2, order)
-    np.testing.assert_array_equal(U2, U)
+    np.testing.assert_array_equal(gram_factor(fresh), U)     # factored on first use
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_gram_is_banded_in_the_dof_order(name):
+    # the only coupling between fields is the membrane's interface row, v[-1]
+    # to u[0] and u[1], so in the FIELDS order G's factor needs no
+    # permutation and three band rows, at every size
+    for n in (16, 64, 400):
+        for mode in (0, 1, 4):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            U = gram_factor(pencil)
+            assert U.shape == (3, pencil.dim), (n, mode)
+            k, j = np.nonzero(U)
+            Us = sparse.csr_array((U[k, j], (j + k - 2, j)), shape=(pencil.dim,) * 2)
+            err = abs(Us.T @ Us - pencil.G).max()
+            assert err <= 1e-14 * abs(pencil.G).max(), (n, mode, err)
 
 
 def test_energy_forms_sum_to_gram():
@@ -165,7 +177,7 @@ def test_energy_forms_sum_to_gram():
             assert len(np.unique(F.indices)) < pencil.dim // 2, name
     u, v = pencil.block("u"), pencil.block("v")
     np.testing.assert_array_equal(np.unique(pencil.energy_forms["E_mem_pot"].indices),
-                                  np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)])
+                                  np.sort(np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)]))
 
 
 def test_gram_is_the_normal_matrix_of_the_energy_factor():
@@ -213,8 +225,7 @@ def test_a_and_m_are_the_weighted_duals_of_the_forms(name):
             keep = np.concatenate([np.arange(pencil.dim)[pencil.block(f)]
                                    for f in ("u_t", "theta", "v_t")])
             sub = np.ix_(keep, keep)
-            w = np.concatenate([pencil.grid.plate_weights] * 3
-                               + [pencil.grid.membrane_weights] * 2)[keep]
+            w = quadrature_weights(pencil)[keep]
             F = pencil.dissipation_forms.F
             WA = w[:, None] * pencil.A.toarray()[sub]
             WM = w[:, None] * pencil.M.toarray()[sub]
@@ -273,7 +284,7 @@ def test_assembly_memory_is_linear_in_n():
     # one dense n x n stencil is 33.6 MB at n = 2048; dense stencils peaked at 236 MB
     import tracemalloc
 
-    from scipy.sparse import csgraph  # noqa: F401  (imported before tracing)
+    from scipy.linalg import cholesky_banded  # noqa: F401  (imported before tracing)
 
     grid = build_radial_grid(GEO, 2048, 2048, 1)
     tracemalloc.start()
@@ -425,9 +436,9 @@ def test_gram_quadrature_converges_on_transmission_state():
     for n in (16, 32, 64):
         grid = build_radial_grid(GEO, n, n, 0)
         pencil = assemble_mode_pencil(p, grid)
-        w = np.concatenate([fns[0](grid.plate_nodes), fns[1](grid.plate_nodes),
-                            fns[2](grid.plate_nodes), fns[3](grid.membrane_nodes),
-                            fns[4](grid.membrane_nodes)])
+        w = layout_state(pencil, {
+            name: fn(grid.membrane_nodes if name in MEMBRANE_FIELDS else grid.plate_nodes)
+            for name, fn in zip(("u", "u_t", "theta", "v", "v_t"), fns)})
         errs.append(abs(float(w @ (pencil.G @ w)) - two_e))
     assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5, errs
 
@@ -441,13 +452,11 @@ def test_mesh_refinement_interior_order_at_least_two():
         p = PhysicalParams(m_damp=1.0, rho_damp=1.0, gamma=0.5)
         grid = build_radial_grid(GEO, n, n, 0)
         pencil = assemble_mode_pencil(p, grid)
-        w = np.concatenate([f["u"](grid.plate_nodes), f["w2"](grid.plate_nodes),
-                            f["th"](grid.plate_nodes), f["v"](grid.membrane_nodes),
-                            f["w5"](grid.membrane_nodes)])
-        Aw = pencil.A @ w
-        ref = np.concatenate([f["r1"](grid.plate_nodes), f["r2"](grid.plate_nodes),
-                              f["r3"](grid.plate_nodes), f["r4"](grid.membrane_nodes),
-                              f["r5"](grid.membrane_nodes)])
+        on_nodes = lambda keys: layout_state(pencil, {
+            name: f[key](grid.membrane_nodes if name in MEMBRANE_FIELDS else grid.plate_nodes)
+            for name, key in zip(("u", "u_t", "theta", "v", "v_t"), keys)})
+        Aw = pencil.A @ on_nodes(("u", "w2", "th", "v", "w5"))
+        ref = on_nodes(("r1", "r2", "r3", "r4", "r5"))
         err = 0.0
         win_p = (grid.plate_nodes > 1.25) & (grid.plate_nodes < 1.75)
         win_m = (grid.membrane_nodes > 0.2) & (grid.membrane_nodes < 0.8)
