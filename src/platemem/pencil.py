@@ -34,8 +34,9 @@ is a form divided row by row by its dof's weight, placed as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
 nonzeros per row.  G couples two fields only in the membrane's interface
 row, which ties v[-1] to u[0] and u[1]; with v just before u in FIELDS, G is
-banded in the dof order itself, with half-bandwidth 2.  Each scipy module
-is imported at first use, not with the package, so start-up loads numpy alone.
+banded in the dof order itself, with half-bandwidth 2, and M with 1, so both
+are factored in LAPACK band storage.  Each scipy module is imported at first
+use, not with the package, so start-up loads numpy alone.
 """
 from __future__ import annotations
 
@@ -52,9 +53,8 @@ if TYPE_CHECKING:
 
 # v[-1] next to u[0] keeps G's band at 2.  Of the 24 such orders, those that
 # start with v or v_t took 190-207 ms of dgees on a dim-640 similarity (one
-# pass) against 158-174 ms, and those with theta before u 1.8-2.7x the time
-# per sparse LU solve of the CN step (dims 320-2560, damped cells, one BLAS
-# thread).  The three orders left time alike.
+# pass) against 158-174 ms (one BLAS thread).  The CN step does not read
+# this order: it factors in node_order.
 FIELDS = ("u_t", "v", "u", "v_t", "theta")
 MEMBRANE_FIELDS = ("v", "v_t")      # on the membrane grid; the others on the plate grid
 
@@ -324,6 +324,42 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     return pencil
 
 
+def _band_storage(A) -> tuple[np.ndarray, int, int]:
+    """(ab, kl, ku): the sparse square A of bandwidths kl and ku in LAPACK band
+    storage with kl rows on top for an LU's fill, A[i, j] at ab[kl + ku + i - j, j];
+    for an upper triangle (kl = 0), the upper band storage of a Cholesky factor."""
+    c = A.tocoo()
+    kl, ku = (int(d.max(initial=0)) for d in (c.row - c.col, c.col - c.row))
+    ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
+    ab[kl + ku + c.row - c.col, c.col] = c.data
+    return ab, kl, ku
+
+
+def band_lu(A):
+    """solve(X) = A^-1 X for a real vector or n x k array X, by dgbtrf's LU of
+    the sparse square A (partial pivoting, band storage) and dgbtrs.  A zero
+    or non-finite pivot raises LinAlgError."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    ab, kl, ku = _band_storage(A)
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0 or not np.isfinite(lu).all():
+        raise np.linalg.LinAlgError(f"singular band matrix (dgbtrf info {info})")
+    return lambda X: dgbtrs(lu, kl, ku, X, piv)[0]
+
+
+def node_order(pencil: ModePencil) -> np.ndarray:
+    """The pencil's dofs node by node: the membrane's nodes, each as (v_t, v),
+    then the plate's, each as (u, u_t, theta), so that v[-1] sits next to
+    u[0] as it does in G.  A generator couples nodes at most two apart, so
+    M - dt/2 A is banded in this order with bandwidths (7, 5) at every n.
+    Fields not in the layout are skipped."""
+    blocks = {name: np.arange(a, b) for name, a, b in pencil.dof_layout}
+    groups = [[blocks[f] for f in fields if f in blocks]
+              for fields in (("v_t", "v"), ("u", "u_t", "theta"))]
+    return np.concatenate([np.column_stack(group).ravel() for group in groups if group])
+
+
 def gram_factor(pencil: ModePencil) -> np.ndarray:
     """U: G = U^T U, U in LAPACK upper band storage, so ||x||_G = ||U x||_2.
     Made once per pencil and cached on it; assembly makes it as its check that
@@ -333,13 +369,9 @@ def gram_factor(pencil: ModePencil) -> np.ndarray:
     key = "gram_factor"
     if key not in pencil._cache:
         from scipy.linalg import cholesky_banded
+        from scipy.sparse import triu
 
-        c = pencil.G.tocoo()
-        upper = c.row <= c.col
-        i, j = c.row[upper], c.col[upper]
-        band = int((j - i).max(initial=0))
-        ab = np.zeros((band + 1, pencil.dim))   # LAPACK upper band storage: ab[band + i - j, j]
-        ab[band + i - j, j] = c.data[upper]
+        ab = _band_storage(triu(pencil.G))[0]
         try:
             pencil._cache[key] = cholesky_banded(ab, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:
@@ -350,11 +382,9 @@ def gram_factor(pencil: ModePencil) -> np.ndarray:
 def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     """M^-1 X for a real vector or dim x k array X.
 
-    The sparse LU of M is made once per pencil and cached on it.
+    The band LU of M, as stored, is made once per pencil and cached on it.
     """
     key = "m_lu"
     if key not in pencil._cache:
-        from scipy.sparse.linalg import splu
-
-        pencil._cache[key] = splu(pencil.M.tocsc())
-    return pencil._cache[key].solve(X)
+        pencil._cache[key] = band_lu(pencil.M)
+    return pencil._cache[key](X)

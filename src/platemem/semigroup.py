@@ -11,10 +11,10 @@ so the energy can only decrease.
 
 A state is the 1-D real coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form are real, so a complex solution is two real
-runs, one for each part.  A step is one solve with a sparse LU of
-M - dt/2 A and one CSR product with M + dt/2 A, both with their rows
-equilibrated.  Up to DENSE_STEP_DIM it is instead one product with the dense
-propagator (M - dt/2 A)^-1 (M + dt/2 A), made once from that LU: there the
+runs, one for each part.  A step is one CSR product with M + dt/2 A and one
+solve with a LAPACK band LU of M - dt/2 A taken in node_order, both with
+their rows equilibrated.  Up to DENSE_STEP_DIM it is instead one product with
+the propagator (M - dt/2 A)^-1 (M + dt/2 A), made once from that LU: there the
 per-call overhead of the solve and the product, not their arithmetic, is
 the cost of a step.  Above the cap, making the propagator is repaid only
 after hundreds of steps, and from dim 400 its product is no faster.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, solve_mass
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, band_lu, node_order, solve_mass
 
 MAX_DEFAULT_STEPS = 20000
 MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
@@ -38,10 +38,10 @@ MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at t
 MIN_DEFAULT_STEPS = 128
 BLOCK_STEPS = 64                # states per bookkeeping pass in simulate
 # Largest pencil stepped by the dense propagator.  Per step (one BLAS thread,
-# sparse / dense): 18 / 3 us at dim 80, 24-25 / 11-12 us at dim 240, 18-30 /
-# 23-30 us at dim 400.  Making it is repaid after 10 steps at dim 80, ~150 at
-# dim 240 and 300-560 at dim 320, so the benchmark's dim-80 decay runs take
-# it and its dim-320 simulate does not.
+# band / dense): 8 / 2 us at dim 80, 15 / 6-9 us at dim 240, 17-18 / 11-16 us
+# at dim 320 and 21 / 18-24 us at dim 400.  Making it is repaid after 26-41
+# steps at dim 80, 210-380 at dim 240 and 600-3000 at dim 320, so the
+# benchmark's dim-80 decay runs take it and its dim-320 simulate does not.
 DENSE_STEP_DIM = 256
 TRACE_ROWS = ("energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS)
 
@@ -88,18 +88,19 @@ def check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
 
 
 def _cn_factorization(pencil: ModePencil, dt: float):
-    """(sparse LU of D (M - dt/2 A), CSR D (M + dt/2 A)), cached per pencil and dt;
-    (None, the dense propagator) up to DENSE_STEP_DIM.
+    """(solve, P D (M + dt/2 A)), solve(P D (M + dt/2 A) w) the next state, cached
+    per pencil and dt; (None, the dense propagator) up to DENSE_STEP_DIM.
 
+    solve is the band LU of D (M - dt/2 A) in node_order, whose permutation
+    P also orders the rows of the product; it returns states in dof order.
     D scales every row of M - dt/2 A to a largest entry of one, so that
-    partial pivoting compares entries on one scale: a u_t row carries
-    dt/2 times the bending stiffness (~h^-4), a u row carries ones.  Without
-    it the energy-identity residual reached 8.8e-10 E0/dt at n = 128 with
-    splu's default ordering; with it, it stays at the dense LU's level.
-    Columns are ordered by minimum degree on the pattern of Mm^T Mm, the
-    fastest of splu's orderings on these pencils.  A dt for which
-    0.5 dt max|A| overflows is rejected before either matrix is formed.
-    The dense propagator is that LU's solve of the dense D (M + dt/2 A).
+    partial pivoting compares entries on one scale: a u_t row carries dt/2
+    times the bending stiffness (~h^-4), a u row carries ones (without it a
+    sparse LU's energy-identity residual reached 8.8e-10 E0/dt at n = 128).
+    A dt for which 0.5 dt max|A| overflows is rejected before either matrix
+    is formed.  The dense propagator is the band LU's solve of the dense
+    P D (M + dt/2 A), not a dense LU, whose threaded getrf need not round
+    alike at every BLAS thread count.
     """
     key = ("cn", float(dt))
     if key not in pencil._cache:
@@ -108,22 +109,21 @@ def _cn_factorization(pencil: ModePencil, dt: float):
         if not math.isfinite(0.5 * float(dt) * float(np.abs(pencil.A.data).max(initial=0.0))):
             raise ValueError(
                 f"dt={dt} overflows the trapezoidal matrix: 0.5 dt max|A| is not finite")
-        from scipy.sparse.linalg import splu
-
-        Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()
+        order = node_order(pencil)
+        Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()[order][:, order]
         D = 1.0 / abs(Mm).max(axis=1).toarray()[:, None]
         try:
-            lu = splu(Mm.multiply(D).tocsc(), permc_spec="MMD_ATA")
-        except RuntimeError as exc:
+            lu = band_lu(Mm.multiply(D))
+        except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}") from exc
-        if not (np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()):
-            raise RuntimeError(f"singular trapezoidal matrix for dt={dt}")
-        Mp = (pencil.M + 0.5 * dt * pencil.A).multiply(D).tocsr()
+        back = np.argsort(order)
+        solve = lambda b: lu(b)[back]
+        Mp = (pencil.M + 0.5 * dt * pencil.A).tocsr()[order].multiply(D).tocsr()
         if pencil.dim <= DENSE_STEP_DIM:
-            lu, Mp = None, lu.solve(Mp.toarray())
+            solve, Mp = None, solve(Mp.toarray())
             if not np.isfinite(Mp).all():
                 raise RuntimeError(f"singular trapezoidal matrix for dt={dt}")
-        pencil._cache[key] = (lu, Mp)
+        pencil._cache[key] = (solve, Mp)
     return pencil._cache[key]
 
 
@@ -133,9 +133,9 @@ def _cn_states(pencil: ModePencil, w: np.ndarray, dt: float, steps: int):
     The LU and the dense propagator were checked for finiteness when they
     were made.
     """
-    lu, Mp = _cn_factorization(pencil, dt)
+    solve, Mp = _cn_factorization(pencil, dt)
     for _ in range(steps):
-        w = Mp @ w if lu is None else lu.solve(Mp @ w)
+        w = Mp @ w if solve is None else solve(Mp @ w)
         yield w
 
 

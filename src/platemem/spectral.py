@@ -42,18 +42,12 @@ AXIS_TOL_REL = 1e-8
 COLLISION_TOL = 1e-12
 COLLISION_NUDGE = 1e-9
 MAX_SAMPLES = 100_000     # samples per resolvent scan; 10**9 would allocate 7.45 GiB
-# ARPACK stops a resolvent sample once its Ritz residual ||r|| is at most
-# LANCZOS_TOL times the Ritz value theta.  The Ritz value's error is at most
-# ||r||^2 / gap (Parlett, The Symmetric Eigenvalue Problem, 1998), so a
-# residual of sqrt(eps) theta leaves eps theta^2 / gap: s(lam) to round-off
-# unless the top two eigenvalues of K^H K nearly coincide.  With tol = 0
-# (residual eps theta) and ncv 6 the scans below took 10.4-10.7 products per
-# sample, and their s(lam) moved by at most 2.1e-15 relative.
+# A resolvent sample stops once its Ritz residual ||r|| is at most LANCZOS_TOL
+# (eps, at 0) times the Ritz value theta.  Its error is at most ||r||^2 / gap
+# (Parlett, The Symmetric Eigenvalue Problem, 1998), so a residual of sqrt(eps)
+# theta leaves eps theta^2 / gap: s(lam) to round-off unless the top two
+# eigenvalues of K^H K nearly coincide.
 LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
-# ARPACK basis size for a resolvent sample: fewest Lanczos products (6.7-6.9
-# mean, at most 9) over ncv 3..8 under LANCZOS_TOL, on m = 0, rho = 1 scans
-# at dims 80-640 (ncv 6 took 7.4-7.5); the default basis of 20 takes 21
-LANCZOS_NCV = 4
 
 # The cell-centered polar grid supports origin-localized membrane modes (the
 # n^2/r^2 barrier at the first cell) whose interface coupling is below machine
@@ -304,12 +298,12 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
     The G-norm is the 2-norm after the similarity by U, and W is unitary, so
-    s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top
-    eigenvalue of K^H K, found by Lanczos (ARPACK on a LANCZOS_NCV-vector
-    basis from a fixed start vector) to a Ritz residual of LANCZOS_TOL =
-    sqrt(eps) relative: the eigenvalue's error is at most ||r||^2 / gap, so
-    s(lam) is exact to round-off then; each product is two triangular solves
-    with T_c - i lam, which is T_c with its diagonal shifted in place.
+    s(lam) = ||K||_2 with K = (i lam - T_c)^-1.  s(lam)^2 is the top eigenvalue
+    of K^H K, by Lanczos from the vector of ones with each new vector made
+    orthogonal to the whole basis in one classical Gram-Schmidt pass, to a
+    Ritz residual of LANCZOS_TOL relative or a Krylov space of dimension n.
+    A product is two triangular solves with T_c - i lam, T_c with its
+    diagonal shifted in place.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -319,16 +313,22 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
     n = len(R)
     R[np.diag_indices(n)] = shifted
-    from scipy.linalg.lapack import ztrtrs
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.linalg.lapack import dstev, ztrtrs
 
-    def gram(x: np.ndarray) -> np.ndarray:      # K^H K x
-        return ztrtrs(R, ztrtrs(R, x)[0], trans=2)[0]
-
-    op = LinearOperator((n, n), matvec=gram, dtype=complex)
-    top = eigsh(op, k=1, which="LA", ncv=min(n, LANCZOS_NCV), tol=LANCZOS_TOL,
-                v0=np.ones(n, dtype=complex), return_eigenvectors=False)[0]
-    return float(np.sqrt(top))
+    tol = max(LANCZOS_TOL, np.finfo(float).eps)
+    V = np.full((1, n), n ** -0.5, dtype=complex)
+    alpha, beta = [], []
+    while True:
+        w = ztrtrs(R, ztrtrs(R, V[-1])[0], trans=2)[0]        # K^H K v
+        h = V.conj() @ w
+        w -= V.T @ h
+        alpha.append(h[-1].real)
+        beta.append(float(np.linalg.norm(w)))
+        # the tridiagonal's Ritz pairs; dstev takes one off-diagonal even at size 1
+        theta, y, _ = dstev(np.array(alpha), np.array(beta[:-1] or [0.0]), compute_v=1)
+        if beta[-1] * abs(y[-1, -1]) <= tol * theta[-1] or len(V) == n:
+            return math.sqrt(theta[-1])
+        V = np.vstack((V, w / beta[-1]))
 
 
 def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,

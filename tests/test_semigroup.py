@@ -10,12 +10,13 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       make_initial_data, parse_config, pencil_dissipation,
                       project_resolvable, simulate, step_crank_nicolson)
 from platemem import cli, semigroup
-from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS
+from platemem.pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, _band_storage, node_order
 from platemem.semigroup import (BLOCK_STEPS, DENSE_STEP_DIM, MAX_STEPS, MIN_DEFAULT_STEPS,
                                  PROFILES, TRACE_ROWS, final_state)
 
 from oracles import (expm_series_squaring, fake_pencil, matrix_exponential_reference,
                      membrane_subpencil)
+from test_pencil import CELLS
 
 GEO = AnnulusGeometry()
 
@@ -35,6 +36,13 @@ def test_zero_generator_is_identity_propagator():
     w = np.arange(6.0)
     out = step_crank_nicolson(pencil, w, 0.3)
     np.testing.assert_allclose(out, w, rtol=0, atol=0)
+
+
+def test_singular_trapezoidal_matrix_is_named():
+    # M - dt/2 A = [[1, 1], [1, 1]]: the band LU meets a zero pivot
+    pencil = fake_pencil(np.array([[0.0, -4.0], [-4.0, 0.0]]))
+    with pytest.raises(RuntimeError, match="^singular trapezoidal matrix for dt=0.5$"):
+        step_crank_nicolson(pencil, np.ones(2), 0.5)
 
 
 STATE_ENTRY_POINTS = {
@@ -366,7 +374,7 @@ def test_final_state_matches_last_simulated_energy():
 
 def test_dense_and_sparse_steps_agree(monkeypatch):
     # gamma > 0 couples u_t through M, so M is not diagonal; two bookkeeping
-    # blocks on the dense propagator and on the sparse LU and product
+    # blocks on the dense propagator and on the band LU and product
     p = PhysicalParams(m_damp=1.0, rho_damp=1.0, gamma=1.0)
     state = make_initial_data(make_pencil(p, n=16, mode=1), "rough", seed=3)
     dt, t_end = 1e-2, 2 * BLOCK_STEPS * 1e-2
@@ -383,6 +391,39 @@ def test_dense_and_sparse_steps_agree(monkeypatch):
     assert np.linalg.norm(w_dense - w_sparse) <= 1e-11 * np.linalg.norm(w_sparse)
     np.testing.assert_allclose(dense.values, sparse_.values, rtol=1e-11,
                                atol=1e-11 * dense.energy[0])
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_a_step_is_the_dense_trapezoidal_solve(name):
+    # on both paths, the dense propagator at n = 16 (dim 80) and the band LU
+    # at n = 64 (dim 320).  The worst relative errors over the six cells,
+    # modes {0, 1, 4} and dt {0.01, 0.1} were 1.2e-12 and 1.7e-11, those of
+    # the unequilibrated dense solve: the former sparse LU read the same
+    for n, bound in ((16, 1e-11), (64, 1e-10)):
+        for mode in (0, 1, 4):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            M, A = pencil.M.toarray(), pencil.A.toarray()
+            w = make_initial_data(pencil, "rough", seed=mode)
+            for dt in (0.01, 0.1):
+                solve, _ = semigroup._cn_factorization(pencil, dt)
+                assert (solve is None) == (pencil.dim <= DENSE_STEP_DIM)
+                ref = np.linalg.solve(M - 0.5 * dt * A, (M + 0.5 * dt * A) @ w)
+                err = np.linalg.norm(step_crank_nicolson(pencil, w, dt) - ref)
+                assert err <= bound * np.linalg.norm(ref), (n, mode, dt, err)
+
+
+def test_cn_matrix_band_in_node_order_does_not_grow_with_n():
+    # a generator couples nodes at most two apart, and v[-1] sits next to u[0]
+    bands = set()
+    for n in (16, 64, 400):
+        for name in sorted(CELLS):
+            for mode in (0, 1, 4):
+                pencil = make_pencil(CELLS[name], n=n, mode=mode)
+                order = node_order(pencil)
+                assert sorted(order) == list(range(pencil.dim))
+                Mm = (pencil.M - 0.05 * pencil.A).tocsr()[order][:, order]
+                bands.add(_band_storage(Mm)[1:])
+    assert bands == {(7, 5)}
 
 
 @pytest.mark.parametrize("n_plate, n_mem, dense", [(51, 51, True), (51, 52, False)])
