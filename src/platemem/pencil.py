@@ -25,10 +25,10 @@ the membrane's interface half-edge gradient term in the Gram couples v's
 last node to U; that single term carries both the u = v continuity and the
 flux balance of the transmission conditions.
 
-Each closed Laplacian is its three diagonals with the ghost rows folded in.
-The energy parts and the dissipation channels are two Forms, sums of
-squares ||F_k w||^2 over row ranges of one CSR factor each, weights folded
-in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
+Each closed Laplacian is its three diagonals with the ghost coefficients
+folded in.  The energy parts and the dissipation channels are two Forms,
+sums of squares ||F_k w||^2 over row ranges of one CSR factor each, weights
+folded in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
 F^T F of the energy factor, and each block of A and M but the identities
 is a form divided row by row by its dof's weight, placed as triplets, so
 assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
@@ -68,55 +68,42 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Closures:
-    """Ghost-elimination rows: ghosts[field] = (inner, outer) rows over the
-    field's interior values, and the plate-side interface trace
-    U = trace_u @ u.  The membrane rows are the frozen-plate (Dirichlet)
-    closure; in a coupled state the interface ghost of v adds 2 U."""
+    """Ghost-elimination coefficients: ghosts[field] = (inner, outer), the
+    ghost's coefficients on (w[0], w[1]) and on (w[-2], w[-1]), and the
+    plate-side interface trace U = trace_u @ (u[0], u[1]).  The membrane pair
+    is the frozen-plate (Dirichlet) closure; in a coupled state the interface
+    ghost of v adds 2 U."""
 
-    ghosts: dict[str, tuple[np.ndarray, np.ndarray]]
-    trace_u: np.ndarray
+    ghosts: dict[str, tuple[tuple[float, float], tuple[float, float]]]
+    trace_u: tuple[float, float]
 
 
 def make_closures(p: PhysicalParams, grid: RadialGrid) -> Closures:
-    np_, nm = grid.n_plate, grid.n_mem
     hp = grid.h_plate
-
-    def row(n, entries):
-        r = np.zeros(n)
-        for i, c in entries:
-            r[i] = c
-        return r
-
     robin = (1.0 / hp - p.kappa / 2.0) / (1.0 / hp + p.kappa / 2.0)
-    membrane = (row(nm, [(0, 1.0 if grid.mode == 0 else -1.0)]), row(nm, [(nm - 1, -1.0)]))
     return Closures(
         ghosts={
-            "u": (row(np_, [(0, 1.0)]), row(np_, [(np_ - 1, 2.0), (np_ - 2, -1.0 / 9.0)])),
-            "u_t": (row(np_, [(0, 1.0)]), row(np_, [(np_ - 1, -1.0)])),
-            "theta": (row(np_, [(0, -1.0)]), row(np_, [(np_ - 1, robin)])),
-            "v": membrane,
-            "v_t": membrane,
+            "u": ((1.0, 0.0), (-1.0 / 9.0, 2.0)),
+            "u_t": ((1.0, 0.0), (0.0, -1.0)),
+            "theta": ((-1.0, 0.0), (0.0, robin)),
+            "v": ((1.0 if grid.mode == 0 else -1.0, 0.0), (0.0, -1.0)),
         },
-        trace_u=row(np_, [(0, 9.0 / 8.0), (1, -1.0 / 8.0)]),
+        trace_u=(9.0 / 8.0, -1.0 / 8.0),
     )
 
 
-def _closed(S: np.ndarray, name: str, inner_row: np.ndarray, outer_row: np.ndarray) -> np.ndarray:
+def _closed(S: np.ndarray, inner: tuple[float, float], outer: tuple[float, float]) -> np.ndarray:
     """Fold the ghost entries of the (3, n) stencil band S into its first and
     last rows: row i of the closed Laplacian D holds D[k, i] at node i - 1 + k,
-    and D[0, 0] and D[2, -1] are zero.  The inner ghost row may reach nodes 0
-    and 1, the outer one nodes n-2 and n-1; a band cannot hold a row that
-    reaches further, so AssemblyError names its field."""
-    if inner_row[2:].any() or outer_row[:-2].any():
-        raise AssemblyError(f"a ghost row of {name} reaches past the two nodes at its end")
+    and D[0, 0] and D[2, -1] are zero."""
     D = S.copy()
-    D[1:, 0] += S[0, 0] * inner_row[:2]
-    D[:2, -1] += S[2, -1] * outer_row[-2:]
+    D[1:, 0] += S[0, 0] * np.asarray(inner)
+    D[:2, -1] += S[2, -1] * np.asarray(outer)
     D[0, 0] = D[2, -1] = 0.0
     return D
 
 
-def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[np.ndarray, ...]):
+def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[tuple[float, float], ...]):
     """Edge-gradient factor F of field name's closed Laplacian on the nodes r,
     F^T F = -W L_closed, as (row, col, value) triplets on the field's nodes.
 
@@ -124,16 +111,16 @@ def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[np.nd
     sqrt(2 pi h m^2/r_i) w[i] per node, then sqrt(2 pi r_b/h (1 - a)) w[0]
     and the same at w[-1] for the ghosts a w[0] and a w[-1] of the two ends,
     whose outer radii are r_b.  The last triplet is the outer end's row.  A
-    ghost row that reaches a second node raises AssemblyError naming its end.
+    ghost with a second nonzero coefficient raises AssemblyError naming its end.
     """
-    for end, rest in (("inner", ghosts[0][1:]), ("outer", ghosts[1][:-1])):
-        if rest.any():
+    for end, second in (("inner", ghosts[0][1]), ("outer", ghosts[1][0])):
+        if second:
             raise AssemblyError(f"the {end} ghost row of {name} reaches past its end node")
     n = len(r)
     i = np.arange(n)
     edge = np.sqrt(TWO_PI * (r[:-1] + 0.5 * h) / h)
     r_b = np.array([r[0] - 0.5 * h, r[-1] + 0.5 * h])
-    a = np.array([ghosts[0][0], ghosts[1][-1]])
+    a = np.array([ghosts[0][0], ghosts[1][1]])
     rows = np.concatenate([i[:-1], i[:-1], n - 1 + i, [2 * n - 1, 2 * n]])
     cols = np.concatenate([i[:-1], i[1:], i, [0, n - 1]])
     vals = np.concatenate([-edge, edge, np.sqrt(TWO_PI * h * float(mode**2) / r),
@@ -166,11 +153,13 @@ class Forms:
         return np.array([P[self._rows(name)].sum(axis=0) for name in self.names])
 
 
-def _stack_forms(forms: dict[str, tuple], n: int) -> Forms:
-    """Forms of {name: (row count, triplets over those rows)} over n dofs."""
-    counts = np.array([rows for rows, _ in forms.values()])
+def _stack_forms(forms: dict[str, list], n: int) -> Forms:
+    """Forms of {name: (row, col, value) triplets} over n dofs; a form has
+    one row more than its largest row, and none without triplets."""
+    counts = np.array([1 + max((np.max(r) for r, _, _ in triplets), default=-1)
+                       for triplets in forms.values()])
     starts = np.cumsum(counts) - counts
-    F = _csr([(np.asarray(r) + a, c, v) for a, (_, triplets) in zip(starts, forms.values())
+    F = _csr([(np.asarray(r) + a, c, v) for a, triplets in zip(starts, forms.values())
               for r, c, v in triplets], (int(counts.sum()), n))
     return Forms(tuple(forms), F, starts)
 
@@ -246,7 +235,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     identity has one source and W M = diag(rho1 W + gamma K, W, W, rho2 W,
     rho0 W) is positive definite once validate_params passes."""
     validate_params(p, AnnulusGeometry(grid.r_interface, grid.r_outer))   # forms are sums of squares
-    np_, nm = grid.n_plate, grid.n_mem
+    np_ = grid.n_plate
     layout = _layout(grid)
     n = layout[-1][2]
     index = {name: np.arange(a, b) for name, a, b in layout}
@@ -254,10 +243,9 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     w = np.concatenate([Wm if name in MEMBRANE_FIELDS else Wp for name in FIELDS])
-    Le = _closed(laplacian_mode(grid, "plate"), "u", *closures.ghosts["u"])
+    Le = _closed(laplacian_mode(grid, "plate"), *closures.ghosts["u"])
 
-    factor = lambda n_rows, *triplets: (n_rows, triplets)
-    diagonal = lambda dofs, c, W: factor(len(dofs), (np.arange(len(dofs)), dofs, np.sqrt(c * W)))
+    diagonal = lambda dofs, c, W: [(np.arange(len(dofs)), dofs, np.sqrt(c * W))]
     gradient = lambda name, r, h: _gradient(name, r, h, grid.mode, closures.ghosts[name])
 
     i_ut, j_ut, f_ut = gradient("u_t", grid.plate_nodes, grid.h_plate)
@@ -265,16 +253,14 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     i_v, j_v, f_v = gradient("v", grid.membrane_nodes, grid.h_mem)
     # the membrane's interface row, f_v[-1] v[-1] for its Dirichlet ghost,
     # becomes f_v[-1] (v[-1] - U) once the plate-side trace U is added
-    trace = np.flatnonzero(closures.trace_u)
     s2 = np.sqrt(p.beta2)
     energy = _stack_forms({
-        "E_bend": factor(np_, _band(np.arange(np_), u, np.sqrt(p.beta1 * Wp) * Le)),
+        "E_bend": [_band(np.arange(np_), u, np.sqrt(p.beta1 * Wp) * Le)],
         "E_kin_plate": diagonal(ut, p.rho1, Wp),
-        "E_rot": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)),
+        "E_rot": [(i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)],
         "E_thermal": diagonal(th, p.rho0, Wp),
-        "E_mem_pot": factor(2 * nm + 1, (i_v, v[j_v], s2 * f_v),
-                            (np.full(len(trace), i_v[-1]), u[trace],
-                             -s2 * f_v[-1] * closures.trace_u[trace])),
+        "E_mem_pot": [(i_v, v[j_v], s2 * f_v),
+                      (np.full(2, i_v[-1]), u[:2], -s2 * f_v[-1] * np.asarray(closures.trace_u))],
         "E_mem_kin": diagonal(vt, p.rho2, Wm),
     }, n)
     # exactly symmetric: (i, j) and (j, i) sum the same products in one order
@@ -282,10 +268,9 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     # dissipation channels, an exact split of -Re <M^-1 A w, w>_G: the
     # thermal gradient's Robin row is the boundary channel
     dissipation = _stack_forms({
-        "D_struct": factor(2 * np_ + 1, (i_ut, ut[j_ut], np.sqrt(p.rho_damp) * f_ut)),
-        "D_thermal_bulk": factor(2 * np_,
-                                 (i_th[:-1], th[j_th[:-1]], np.sqrt(p.beta0) * f_th[:-1])),
-        "D_thermal_bdry": factor(1, ([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])),
+        "D_struct": [(i_ut, ut[j_ut], np.sqrt(p.rho_damp) * f_ut)],
+        "D_thermal_bulk": [(i_th[:-1], th[j_th[:-1]], np.sqrt(p.beta0) * f_th[:-1])],
+        "D_thermal_bdry": [([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])],
         "D_membrane": diagonal(vt, p.m_damp, Wm),
     }, n)
     D = (dissipation.F.T @ dissipation.F).tocoo()

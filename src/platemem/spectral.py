@@ -67,7 +67,6 @@ class SpectrumResult:
     imag_axis_gap: float
     zero_in_resolvent: bool
     resolved_abscissa: float     # abscissa of the eigenvalues off the noise floor
-    tol: float
 
 
 @dataclass
@@ -186,8 +185,6 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
         return pencil._cache["spectrum"]
     pencil._cache["schur"], lam, _ = _schur(pencil)
     lam = lam[np.argsort(lam.imag, kind="stable")]
-    mx = float(np.abs(lam).max())
-    tol = AXIS_TOL_REL * mx
     undamped = _undamped(lam)
     resolved = float(lam.real[~undamped].max()) if not undamped.all() else float(lam.real.max())
     result = SpectrumResult(
@@ -195,9 +192,8 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
         eigenvalues=lam,
         spectral_abscissa=float(lam.real.max()),
         imag_axis_gap=float(np.abs(lam.real).min()),
-        zero_in_resolvent=bool(np.abs(lam).min() > tol),
+        zero_in_resolvent=bool(np.abs(lam).min() > AXIS_TOL_REL * np.abs(lam).max()),
         resolved_abscissa=resolved,
-        tol=tol,
     )
     pencil._cache["spectrum"] = result
     return result
@@ -325,7 +321,10 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         alpha.append(h[-1].real)
         beta.append(float(np.linalg.norm(w)))
         # the tridiagonal's Ritz pairs; dstev takes one off-diagonal even at size 1
-        theta, y, _ = dstev(np.array(alpha), np.array(beta[:-1] or [0.0]), compute_v=1)
+        theta, y, info = dstev(np.array(alpha), np.array(beta[:-1] or [0.0]), compute_v=1)
+        if info != 0:
+            raise RuntimeError(f"Lanczos eigensolve failed (dstev info {info}) for mode "
+                               f"{pencil.mode}, lambda {lam}")
         if beta[-1] * abs(y[-1, -1]) <= tol * theta[-1] or len(V) == n:
             return math.sqrt(theta[-1])
         V = np.vstack((V, w / beta[-1]))

@@ -131,8 +131,8 @@ def closed_laplacians(grid, closures) -> dict[str, np.ndarray]:
     from platemem.pencil import MEMBRANE_FIELDS, _closed
 
     Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
-    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, name, *rows)
-            for name, rows in closures.ghosts.items()}
+    return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, *pairs)
+            for name, pairs in closures.ghosts.items()}
 
 
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -160,12 +160,13 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
     # jump across the interface half-edge, on the dofs (u, v)
     Lm_ext = dense_stencil(laplacian_mode(grid, "membrane"), ghosts=True)
     Lm = Lm_ext[:, 1:-1].copy()
-    Lm[0] += Lm_ext[0, 0] * closures.ghosts["v"][0]
-    Lm[-1] -= Lm_ext[-1, -1] * closures.ghosts["v"][1]
+    Lm[0, :2] += Lm_ext[0, 0] * np.asarray(closures.ghosts["v"][0])
+    Lm[-1, -2:] -= Lm_ext[-1, -1] * np.asarray(closures.ghosts["v"][1])
     n_p = grid.n_plate
     mem = np.zeros((n_p + grid.n_mem,) * 2)
     mem[n_p:, n_p:] = _dual(Lm, Wm)
-    jump = np.concatenate([closures.trace_u, np.zeros(grid.n_mem)])
+    jump = np.zeros(n_p + grid.n_mem)
+    jump[:2] = closures.trace_u
     jump[-1] = -1.0
     mem += 2.0 * 2.0 * np.pi * grid.r_interface / grid.h_mem * np.outer(jump, jump)
     u, ut, th, v, vt = (np.arange(*pencil.block(name).indices(pencil.dim))
@@ -271,14 +272,16 @@ def pencil_closures(pencil):
 def interface_trace(pencil, w: np.ndarray) -> complex:
     """Shared interface value U (plate side owns it)."""
     u = w[pencil.block("u")]
-    return complex(pencil_closures(pencil).trace_u @ u)
+    return complex(np.dot(pencil_closures(pencil).trace_u, u[:2]))
 
 
 def _ghost_values(pencil, w: np.ndarray) -> dict[str, list[complex]]:
     """Eliminated [inner, outer] ghost values for each field of a state; the
-    interface ghost of v adds 2 U to its frozen-plate row."""
-    g = {name: [complex(row @ w[pencil.block(name)]) for row in rows]
-         for name, rows in pencil_closures(pencil).ghosts.items()}
+    interface ghost of v adds 2 U to its frozen-plate closure."""
+    g = {}
+    for name, (inner, outer) in pencil_closures(pencil).ghosts.items():
+        x = w[pencil.block(name)]
+        g[name] = [complex(np.dot(inner, x[:2])), complex(np.dot(outer, x[-2:]))]
     g["v"][1] += 2.0 * interface_trace(pencil, w)
     return g
 

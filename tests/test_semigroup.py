@@ -496,6 +496,8 @@ def test_matrix_exponential_identity_at_t_zero():
 
 
 def test_matrix_exponential_reference_vs_series_oracle():
+    # the margin is thin and is scipy's own: against the same series run in
+    # long double, expm is 8.3e-13 off and the float64 series 5.4e-13
     pencil = make_pencil(n=8)  # dimension 40
     ref = expm_series_squaring(np.linalg.solve(pencil.M.toarray(), pencil.A.toarray()))
     out = matrix_exponential_reference(pencil, 1.0)

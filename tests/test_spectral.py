@@ -375,6 +375,26 @@ def test_projection_names_a_failed_banded_solve(monkeypatch):
     assert "undamped_basis" not in pencil._cache
 
 
+def test_projection_names_a_failed_schur_reordering(monkeypatch):
+    real = lapack.dtrsen
+    monkeypatch.setattr(lapack, "dtrsen", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 1))
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
+    w = np.random.default_rng(9).standard_normal(pencil.dim)
+    with pytest.raises(RuntimeError, match="^Schur reordering failed \\(info 1\\) for mode 2, "
+                                           "dim 160$"):
+        project_resolvable(pencil, w)
+    assert "undamped_basis" not in pencil._cache
+
+
+def test_resolvent_norm_names_a_failed_tridiagonal_eigensolve(monkeypatch):
+    real = lapack.dstev
+    monkeypatch.setattr(lapack, "dstev", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 1))
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
+    with pytest.raises(RuntimeError, match="^Lanczos eigensolve failed \\(dstev info 1\\) for "
+                                           "mode 1, lambda 0.5$"):
+        resolvent_norm(pencil, 0.5)
+
+
 @pytest.mark.parametrize("vectors", [False, True])
 @pytest.mark.parametrize("n", [16, 64])
 def test_gees_matches_scipys_dgees_bit_for_bit(n, vectors):
