@@ -9,11 +9,11 @@ from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel
                     ValidationError, check_geometric_condition, classify_regime,
                     validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
-from .pencil import Closures, Forms, ModePencil, assemble_mode_pencil
+from .pencil import Forms, ModePencil, assemble_mode_pencil
 from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
                         graph_norm, make_initial_data, pencil_dissipation, simulate,
                         step_crank_nicolson)
-from .spectral import (ResolventScan, SpectrumResult, SweepResult, eigenvalues,
+from .spectral import (ResolventScan, SpectrumResult, eigenvalues,
                        membrane_band_edge, project_resolvable, resolvent_norm,
                        resolvent_scan, spectral_abscissa_sweep)
 from .stability import (DecayFit, FitError, RegimeReport, fit_exponential_rate,
@@ -27,10 +27,10 @@ __all__ = [
     "ValidationError", "check_geometric_condition",
     "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
-    "Closures", "Forms", "ModePencil", "assemble_mode_pencil",
+    "Forms", "ModePencil", "assemble_mode_pencil",
     "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
     "make_initial_data", "pencil_dissipation", "simulate", "step_crank_nicolson",
-    "ResolventScan", "SpectrumResult", "SweepResult", "eigenvalues",
+    "ResolventScan", "SpectrumResult", "eigenvalues",
     "membrane_band_edge", "project_resolvable", "resolvent_norm",
     "resolvent_scan", "spectral_abscissa_sweep",
     "DecayFit", "FitError", "RegimeReport", "fit_exponential_rate",

@@ -68,20 +68,14 @@ def build_radial_grid(g: AnnulusGeometry, n_plate: int, n_mem: int, mode: int) -
     )
 
 
-def laplacian_mode(grid: RadialGrid, domain: str) -> np.ndarray:
-    """Delta_n stencil of one subdomain as a (3, n) band: column i holds
-    (c_minus, c_center, c_plus), the coefficients of the values at r_{i-1},
-    r_i and r_{i+1}, where r_{-1} and r_n are ghost nodes.  It is the
-    conservative flux form (1/r) d/dr (r d/dr) - n^2/r^2 on a uniform grid,
-    which makes the weighted stencil matrix exactly symmetric.  Interior rows
-    are exact on quadratics.
+def laplacian_mode(r: np.ndarray, h: float, mode: int) -> np.ndarray:
+    """Delta_n stencil on the uniform nodes r of spacing h as a (3, n) band:
+    column i holds (c_minus, c_center, c_plus), the coefficients of the
+    values at r_{i-1}, r_i and r_{i+1}, where r_{-1} and r_n are ghost nodes.
+    It is the conservative flux form (1/r) d/dr (r d/dr) - n^2/r^2, which
+    makes the weighted stencil matrix exactly symmetric.  Interior rows are
+    exact on quadratics.
     """
-    if domain == "plate":
-        r, h = grid.plate_nodes, grid.h_plate
-    elif domain == "membrane":
-        r, h = grid.membrane_nodes, grid.h_mem
-    else:
-        raise ValueError(f"domain must be 'plate' or 'membrane', got {domain!r}")
     return np.stack([1.0 / h**2 - 1.0 / (2.0 * h * r),
-                     -2.0 / h**2 - float(grid.mode * grid.mode) / r**2,
+                     -2.0 / h**2 - float(mode * mode) / r**2,
                      1.0 / h**2 + 1.0 / (2.0 * h * r)])

@@ -73,7 +73,7 @@ _POSITIVE = ("rho0", "rho1", "rho2", "beta0", "beta1", "beta2", "kappa")
 _NONNEGATIVE = ("mu", "gamma", "rho_damp", "m_damp")
 
 
-def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> tuple[PhysicalParams, AnnulusGeometry]:
+def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> None:
     """Check every invariant; raise ValidationError naming all violations."""
     problems = []
     for name in _POSITIVE:
@@ -97,7 +97,6 @@ def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> tuple[PhysicalPara
         problems.append(f"geometry: x0 must be finite, got {g.x0!r}")
     if problems:
         raise ValidationError("; ".join(problems))
-    return p, g
 
 
 def check_geometric_condition(g: AnnulusGeometry) -> GeometricCheck:

@@ -66,30 +66,23 @@ class AssemblyError(RuntimeError):
     """Raised when a pencil fails a structural check (symmetry, definiteness)."""
 
 
-@dataclass(frozen=True)
-class Closures:
-    """Ghost-elimination coefficients: ghosts[field] = (inner, outer), the
-    ghost's coefficients on (w[0], w[1]) and on (w[-2], w[-1]), and the
-    plate-side interface trace U = trace_u @ (u[0], u[1]).  The membrane pair
-    is the frozen-plate (Dirichlet) closure; in a coupled state the interface
+# the plate-side interface trace U = TRACE_U @ (u[0], u[1])
+TRACE_U = (9.0 / 8.0, -1.0 / 8.0)
+
+
+def make_closures(p: PhysicalParams, grid: RadialGrid) -> dict[str, tuple[tuple[float, float], ...]]:
+    """Ghost-elimination coefficients {field: (inner, outer)}, the ghost's
+    coefficients on (w[0], w[1]) and on (w[-2], w[-1]).  The membrane pair is
+    the frozen-plate (Dirichlet) closure; in a coupled state the interface
     ghost of v adds 2 U."""
-
-    ghosts: dict[str, tuple[tuple[float, float], tuple[float, float]]]
-    trace_u: tuple[float, float]
-
-
-def make_closures(p: PhysicalParams, grid: RadialGrid) -> Closures:
     hp = grid.h_plate
     robin = (1.0 / hp - p.kappa / 2.0) / (1.0 / hp + p.kappa / 2.0)
-    return Closures(
-        ghosts={
-            "u": ((1.0, 0.0), (-1.0 / 9.0, 2.0)),
-            "u_t": ((1.0, 0.0), (0.0, -1.0)),
-            "theta": ((-1.0, 0.0), (0.0, robin)),
-            "v": ((1.0 if grid.mode == 0 else -1.0, 0.0), (0.0, -1.0)),
-        },
-        trace_u=(9.0 / 8.0, -1.0 / 8.0),
-    )
+    return {
+        "u": ((1.0, 0.0), (-1.0 / 9.0, 2.0)),
+        "u_t": ((1.0, 0.0), (0.0, -1.0)),
+        "theta": ((-1.0, 0.0), (0.0, robin)),
+        "v": ((1.0 if grid.mode == 0 else -1.0, 0.0), (0.0, -1.0)),
+    }
 
 
 def _closed(S: np.ndarray, inner: tuple[float, float], outer: tuple[float, float]) -> np.ndarray:
@@ -212,17 +205,13 @@ def _identity(rows: np.ndarray, cols: np.ndarray, value: float):
 
 def _csr(triplets, shape: tuple[int, int]) -> csr_array:
     """CSR array from (row, col, value) triplets, zeros dropped and repeated
-    positions summed; sorted here, so that scipy takes them as CSR directly."""
+    positions summed."""
     from scipy import sparse
 
     r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
     keep = np.flatnonzero(v)
-    order = keep[np.lexsort((c[keep], r[keep]))]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(r[order], minlength=shape[0]), out=indptr[1:])
-    out = sparse.csr_array((v[order], c[order].astype(np.int32), indptr), shape=shape)
-    out.sum_duplicates()
-    return out
+    ij = np.array([r[keep], c[keep]], dtype=np.int32)
+    return sparse.coo_array((v[keep], ij), shape=shape).tocsr()
 
 
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
@@ -243,10 +232,10 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
     w = np.concatenate([Wm if name in MEMBRANE_FIELDS else Wp for name in FIELDS])
-    Le = _closed(laplacian_mode(grid, "plate"), *closures.ghosts["u"])
+    Le = _closed(laplacian_mode(grid.plate_nodes, grid.h_plate, grid.mode), *closures["u"])
 
     diagonal = lambda dofs, c, W: [(np.arange(len(dofs)), dofs, np.sqrt(c * W))]
-    gradient = lambda name, r, h: _gradient(name, r, h, grid.mode, closures.ghosts[name])
+    gradient = lambda name, r, h: _gradient(name, r, h, grid.mode, closures[name])
 
     i_ut, j_ut, f_ut = gradient("u_t", grid.plate_nodes, grid.h_plate)
     i_th, j_th, f_th = gradient("theta", grid.plate_nodes, grid.h_plate)
@@ -260,7 +249,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         "E_rot": [(i_ut, ut[j_ut], np.sqrt(p.gamma) * f_ut)],
         "E_thermal": diagonal(th, p.rho0, Wp),
         "E_mem_pot": [(i_v, v[j_v], s2 * f_v),
-                      (np.full(2, i_v[-1]), u[:2], -s2 * f_v[-1] * np.asarray(closures.trace_u))],
+                      (np.full(2, i_v[-1]), u[:2], -s2 * f_v[-1] * np.asarray(TRACE_U))],
         "E_mem_kin": diagonal(vt, p.rho2, Wm),
     }, n)
     # exactly symmetric: (i, j) and (j, i) sum the same products in one order
@@ -274,7 +263,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         "D_membrane": diagonal(vt, p.m_damp, Wm),
     }, n)
     D = (dissipation.F.T @ dissipation.F).tocoo()
-    F_ut = _csr([(i_ut, j_ut, f_ut)], (2 * np_ + 1, np_))
+    F_ut = _csr([(i_ut, j_ut, f_ut)], (i_ut[-1] + 1, np_))
     K = (F_ut.T @ F_ut).tocoo()                     # -Wp L of u_t's closed band
     KW = K.data / Wp[K.row]
 

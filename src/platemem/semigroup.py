@@ -107,8 +107,8 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     """
     key = ("cn", float(dt))
     if key not in pencil._cache:
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if not math.isfinite(0.5 * float(dt) * float(np.abs(pencil.A.data).max(initial=0.0))):
             raise ValueError(
                 f"dt={dt} overflows the trapezoidal matrix: 0.5 dt max|A| is not finite")

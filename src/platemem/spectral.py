@@ -77,15 +77,6 @@ class ResolventScan:
     growth_exponent: float
 
 
-@dataclass
-class SweepResult:
-    spectra: list[SpectrumResult]           # at the requested resolution
-    spectra_fine: list[SpectrumResult]      # at doubled resolution
-    global_abscissa: float
-    global_resolved_abscissa: float
-    global_resolved_abscissa_fine: float
-
-
 def membrane_band_edge(pencil: ModePencil) -> float:
     p = pencil.params
     return 2.0 * np.sqrt(p.beta2 / p.rho2) / pencil.grid.h_mem
@@ -200,8 +191,9 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
 
 
 def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
-                            modes: range) -> SweepResult:
-    """Per-mode abscissa at the requested and at doubled resolution.
+                            modes: range) -> tuple[list[SpectrumResult], list[SpectrumResult]]:
+    """(spectra, spectra_fine): the per-mode spectra at the requested
+    resolution, then at doubled resolution.
 
     The doubled-resolution pass also doubles the mode count, which is what
     the approach-to-zero diagnostic for the undamped membrane compares
@@ -215,15 +207,8 @@ def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: i
         raise ValueError(f"the sweep needs non-negative modes, got mode {min(modes)}")
     modes_fine = list(range(min(modes), 2 * max(modes) + 1))
     spectrum = lambda n, m: eigenvalues(assemble_mode_pencil(p, build_radial_grid(g, n, n, m)))
-    spectra = parallel_map(lambda m: spectrum(resolution, m), modes)
-    spectra_fine = parallel_map(lambda m: spectrum(2 * resolution, m), modes_fine)
-    return SweepResult(
-        spectra=spectra,
-        spectra_fine=spectra_fine,
-        global_abscissa=max(s.spectral_abscissa for s in spectra),
-        global_resolved_abscissa=max(s.resolved_abscissa for s in spectra),
-        global_resolved_abscissa_fine=max(s.resolved_abscissa for s in spectra_fine),
-    )
+    return (parallel_map(lambda m: spectrum(resolution, m), modes),
+            parallel_map(lambda m: spectrum(2 * resolution, m), modes_fine))
 
 
 def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:

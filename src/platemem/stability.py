@@ -132,7 +132,7 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
     lines = report.lines
     mode_list = list(modes)
     try:
-        sweep = spectral_abscissa_sweep(p, g, resolution, modes)
+        spectra, spectra_fine = spectral_abscissa_sweep(p, g, resolution, modes)
         grid0 = build_radial_grid(g, resolution, resolution, mode_list[0])
         pencil0 = assemble_mode_pencil(p, grid0)
         # scan the lowest configured mode up to 90% of the membrane band edge
@@ -164,11 +164,11 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
         lines.append(f"experiment incomplete: {type(exc).__name__}: {exc}")
         return report
 
-    absc = sweep.global_abscissa
-    band = sweep.global_resolved_abscissa
-    band_fine = sweep.global_resolved_abscissa_fine
-    gap_ok = all(s.imag_axis_gap > 0.0 for s in sweep.spectra)
-    zero_ok = all(s.zero_in_resolvent for s in sweep.spectra)
+    absc = max(s.spectral_abscissa for s in spectra)
+    band = max(s.resolved_abscissa for s in spectra)
+    band_fine = max(s.resolved_abscissa for s in spectra_fine)
+    gap_ok = all(s.imag_axis_gap > 0.0 for s in spectra)
+    zero_ok = all(s.zero_in_resolvent for s in spectra)
     sup_dev = abs(scan_fine.sup_norm - scan.sup_norm) / scan.sup_norm
     lines.append(f"global spectral abscissa (modes {mode_list[0]}..{mode_list[-1]}, "
                  f"n={resolution}): {absc:.6e}")

@@ -130,9 +130,10 @@ def closed_laplacians(grid, closures) -> dict[str, np.ndarray]:
     from platemem import laplacian_mode
     from platemem.pencil import MEMBRANE_FIELDS, _closed
 
-    Lp, Lm = laplacian_mode(grid, "plate"), laplacian_mode(grid, "membrane")
+    Lp = laplacian_mode(grid.plate_nodes, grid.h_plate, grid.mode)
+    Lm = laplacian_mode(grid.membrane_nodes, grid.h_mem, grid.mode)
     return {name: _closed(Lm if name in MEMBRANE_FIELDS else Lp, *pairs)
-            for name, pairs in closures.ghosts.items()}
+            for name, pairs in closures.items()}
 
 
 def _dual(L_closed: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -147,6 +148,7 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
     seminorms, Le^T W Le for bending, the Robin rim entry, and the
     interface jump (U - v[-1])^2 as an outer product."""
     from platemem import laplacian_mode
+    from platemem.pencil import TRACE_U
 
     p, grid, closures = pencil.params, pencil.grid, pencil_closures(pencil)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
@@ -155,18 +157,19 @@ def dense_forms_reference(pencil) -> dict[str, np.ndarray]:
     h, r = grid.h_plate, grid.plate_nodes
     robin = np.zeros_like(Kth)
     robin[-1, -1] = (Wp[-1] * (1.0 / h**2 + 1.0 / (2.0 * h * r[-1]))
-                     * (1.0 - closures.ghosts["theta"][1][-1]))
+                     * (1.0 - closures["theta"][1][-1]))
     # membrane: interior edges with a zero-flux interface closure, plus the
     # jump across the interface half-edge, on the dofs (u, v)
-    Lm_ext = dense_stencil(laplacian_mode(grid, "membrane"), ghosts=True)
+    Lm_ext = dense_stencil(laplacian_mode(grid.membrane_nodes, grid.h_mem, grid.mode),
+                           ghosts=True)
     Lm = Lm_ext[:, 1:-1].copy()
-    Lm[0, :2] += Lm_ext[0, 0] * np.asarray(closures.ghosts["v"][0])
-    Lm[-1, -2:] -= Lm_ext[-1, -1] * np.asarray(closures.ghosts["v"][1])
+    Lm[0, :2] += Lm_ext[0, 0] * np.asarray(closures["v"][0])
+    Lm[-1, -2:] -= Lm_ext[-1, -1] * np.asarray(closures["v"][1])
     n_p = grid.n_plate
     mem = np.zeros((n_p + grid.n_mem,) * 2)
     mem[n_p:, n_p:] = _dual(Lm, Wm)
     jump = np.zeros(n_p + grid.n_mem)
-    jump[:2] = closures.trace_u
+    jump[:2] = TRACE_U
     jump[-1] = -1.0
     mem += 2.0 * 2.0 * np.pi * grid.r_interface / grid.h_mem * np.outer(jump, jump)
     u, ut, th, v, vt = (np.arange(*pencil.block(name).indices(pencil.dim))
@@ -271,15 +274,17 @@ def pencil_closures(pencil):
 
 def interface_trace(pencil, w: np.ndarray) -> complex:
     """Shared interface value U (plate side owns it)."""
+    from platemem.pencil import TRACE_U
+
     u = w[pencil.block("u")]
-    return complex(np.dot(pencil_closures(pencil).trace_u, u[:2]))
+    return complex(np.dot(TRACE_U, u[:2]))
 
 
 def _ghost_values(pencil, w: np.ndarray) -> dict[str, list[complex]]:
     """Eliminated [inner, outer] ghost values for each field of a state; the
     interface ghost of v adds 2 U to its frozen-plate closure."""
     g = {}
-    for name, (inner, outer) in pencil_closures(pencil).ghosts.items():
+    for name, (inner, outer) in pencil_closures(pencil).items():
         x = w[pencil.block(name)]
         g[name] = [complex(np.dot(inner, x[:2])), complex(np.dot(outer, x[-2:]))]
     g["v"][1] += 2.0 * interface_trace(pencil, w)

@@ -62,7 +62,7 @@ def _apply(grid, domain, f):
     else:
         nodes, h = grid.membrane_nodes, grid.h_mem
     ext = np.concatenate([[nodes[0] - h], nodes, [nodes[-1] + h]])
-    return dense_stencil(laplacian_mode(grid, domain), ghosts=True) @ f(ext)
+    return dense_stencil(laplacian_mode(nodes, h, grid.mode), ghosts=True) @ f(ext)
 
 
 def test_laplacian_exact_on_r_squared_mode0():
@@ -83,9 +83,3 @@ def test_laplacian_mode0_kills_constants():
     grid = build_radial_grid(GEO, 16, 16, 0)
     out = _apply(grid, "plate", lambda r: np.ones_like(r))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_laplacian_rejects_unknown_domain():
-    grid = build_radial_grid(GEO, 8, 8, 0)
-    with pytest.raises(ValueError, match="domain"):
-        laplacian_mode(grid, "plates")

@@ -8,7 +8,7 @@ import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, AssemblyError,
-                             Closures, _stack_forms, gram_factor, make_closures)
+                             _stack_forms, gram_factor, make_closures)
 
 from oracles import (closed_laplacians, closure_residuals, dense_eigenvalues_oracle,
                      dense_forms_reference, dense_similarity_eigenvalues_oracle, dense_stencil,
@@ -83,14 +83,18 @@ def test_gram_and_mass_positive_definite(name, mode):
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_pencil_matrices_are_sparse_csr(name):
-    # every block is built from three-point stencils and closure rows
+    # every block is built from three-point stencils and closure rows; the
+    # arrays come out canonical (sorted, repeated positions summed) with no
+    # stored zero
     for mode in (0, 1, 3):
         pencil = make_pencil(CELLS[name], n=32, mode=mode)
         sub = membrane_subpencil(CELLS[name], pencil.grid)
         for pen in (pencil, sub):
-            for mat in (pen.M, pen.A, pen.G):
+            for mat in (pen.M, pen.A, pen.G, pen.energy_forms.F, pen.dissipation_forms.F):
                 assert sparse.issparse(mat) and mat.format == "csr"
                 assert mat.nnz <= 8 * pen.dim, (mode, mat.nnz, pen.dim)
+                assert mat.has_canonical_format, mode
+                assert np.count_nonzero(mat.data) == mat.nnz, mode
 
 
 def test_definiteness_check_names_the_indefinite_matrix():
@@ -265,9 +269,9 @@ def test_factors_match_the_dense_reference_forms(name):
 def test_closed_stencils_fold_two_point_ghost_closures():
     grid = build_radial_grid(GEO, 16, 16, 1)
     inner, outer = (0.5, -0.25), (-0.125, 2.0)
-    L = closed_laplacians(grid, Closures(ghosts={"u": (inner, outer)}, trace_u=(0.0, 0.0)))["u"]
+    L = closed_laplacians(grid, {"u": (inner, outer)})["u"]
     # the dense fold of the (n, n+2) stencil
-    S = dense_stencil(laplacian_mode(grid, "plate"), ghosts=True)
+    S = dense_stencil(laplacian_mode(grid.plate_nodes, grid.h_plate, grid.mode), ghosts=True)
     ref = S[:, 1:-1].copy()
     ref[0, :2] += S[0, 0] * np.array(inner)
     ref[-1, -2:] += S[-1, -1] * np.array(outer)
@@ -298,12 +302,12 @@ def test_gradient_rejects_a_two_point_ghost_row_naming_field_and_end(monkeypatch
     # gradient factor with one coefficient per end would drop
     def two_point(p, grid):
         closures = make_closures(p, grid)
-        inner, outer = closures.ghosts[name]
+        inner, outer = closures[name]
         if end == "inner":
             inner = (inner[0], 0.25)
         else:
             outer = (0.25, outer[1])
-        return dataclasses.replace(closures, ghosts={**closures.ghosts, name: (inner, outer)})
+        return {**closures, name: (inner, outer)}
 
     monkeypatch.setattr(pencil_module, "make_closures", two_point)
     with pytest.raises(AssemblyError, match=f"^the {end} ghost row of {name} reaches past"):

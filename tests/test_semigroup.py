@@ -105,6 +105,13 @@ def test_every_state_producer_returns_float64():
         assert state.dtype == np.float64 and state.ndim == 1, name
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+def test_single_step_names_a_non_positive_or_non_finite_dt(dt):
+    pencil = make_pencil()
+    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+        step_crank_nicolson(pencil, np.zeros(pencil.dim), dt)
+
+
 def test_dimension_mismatch_rejected():
     pencil = make_pencil()
     with pytest.raises(ValueError, match="dimension"):
