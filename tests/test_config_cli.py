@@ -533,19 +533,29 @@ def test_simulate_traces_are_identical_across_blas_thread_counts(tmp_path):
         assert traces["2"] == traces["1"], grid
 
 
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_cli_runs_never_import_scipy_csgraph(tmp_path, command):
+    # G is banded in the dof order itself, so no run computes a graph ordering
+    path = write_cfg(tmp_path, FAST)
+    code = ("import sys\n"
+            "from platemem.cli import main\n"
+            f"assert main([{command!r}, {path!r}]) == 0\n"
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    assert _run_python(["-c", code]).strip() == "False"
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["spectrum"], ["regimes"],
                                   ["scan", "--lmin", "0.25", "--lmax", "20", "--n", "8"]],
                          ids=lambda argv: argv[0])
 def test_cli_runs_never_import_scipy_sparse_linalg(tmp_path, argv):
     # the mass and CN solves are LAPACK band LUs and a resolvent sample runs
-    # its own Lanczos, so no run loads SuperLU or ARPACK; G is banded in the
-    # dof order itself, so no run computes a graph ordering with csgraph
+    # its own Lanczos, so no run loads SuperLU or ARPACK
     path = write_cfg(tmp_path, FAST if argv[0] != "regimes" else REGIME_FAST)
     code = ("import sys\n"
             "from platemem.cli import main\n"
             f"assert main({[argv[0], path, *argv[1:]]!r}) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse.csgraph' in sys.modules)")
-    assert _run_python(["-c", code]).splitlines()[-1] == "False False"
+            "print('scipy.sparse.linalg' in sys.modules)")
+    assert _run_python(["-c", code]).splitlines()[-1] == "False"
 
 
 def test_importing_the_cli_does_not_load_scipy_sparse():
