@@ -5,9 +5,8 @@ radial grids, realizes the generator as an energy-compatible pencil (M, A)
 with Gram matrix G, and verifies dissipation, spectral location, resolvent
 behaviour, and exponential vs polynomial decay across damping regimes.
 """
-from .model import (AnnulusGeometry, GeometricCheck, PhysicalParams, RegimeLabel,
-                    ValidationError, check_geometric_condition, classify_regime,
-                    validate_params)
+from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationError,
+                    check_geometric_condition, classify_regime, validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
 from .pencil import Forms, ModePencil, assemble_mode_pencil
 from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
@@ -23,9 +22,8 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnulusGeometry", "GeometricCheck", "PhysicalParams", "RegimeLabel",
-    "ValidationError", "check_geometric_condition",
-    "classify_regime", "validate_params",
+    "AnnulusGeometry", "PhysicalParams", "RegimeLabel", "ValidationError",
+    "check_geometric_condition", "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
     "Forms", "ModePencil", "assemble_mode_pencil",
     "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",

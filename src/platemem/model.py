@@ -63,12 +63,6 @@ class RegimeLabel(enum.Enum):
     NOT_EXPONENTIAL_GEOMETRY_FAILS = "NotExponentialGeometryFails"
 
 
-@dataclass(frozen=True)
-class GeometricCheck:
-    satisfied: bool
-    max_q_dot_nu: float
-
-
 _POSITIVE = ("rho0", "rho1", "rho2", "beta0", "beta1", "beta2", "kappa")
 _NONNEGATIVE = ("mu", "gamma", "rho_damp", "m_damp")
 
@@ -99,17 +93,16 @@ def validate_params(p: PhysicalParams, g: AnnulusGeometry) -> None:
         raise ValidationError("; ".join(problems))
 
 
-def check_geometric_condition(g: AnnulusGeometry) -> GeometricCheck:
-    """Test q . nu <= 0 on the interface circle with its exact maximum.
+def check_geometric_condition(g: AnnulusGeometry) -> float:
+    """The exact maximum of q . nu on the interface circle; the geometric
+    condition q . nu <= 0 holds when it is <= 0 (a non-strict inequality).
 
     On the interface, the outward normal of the annulus points toward the
     disk center, nu = -(cos t, sin t), so with q(x) = x - x0 the product is
     x0 . (cos t, sin t) - r_interface, largest when (cos t, sin t) is x0/|x0|:
-    the maximum is |x0| - r_interface.  The equality case counts as satisfied
-    (the condition is a non-strict inequality).
+    the maximum is |x0| - r_interface.
     """
-    best = math.hypot(*g.x0) - g.r_interface
-    return GeometricCheck(satisfied=best <= 0.0, max_q_dot_nu=best)
+    return math.hypot(*g.x0) - g.r_interface
 
 
 def classify_regime(p: PhysicalParams, g: AnnulusGeometry) -> RegimeLabel:
@@ -130,7 +123,7 @@ def classify_regime(p: PhysicalParams, g: AnnulusGeometry) -> RegimeLabel:
             return RegimeLabel.EXPONENTIAL_THERMAL_ONLY
         return RegimeLabel.STRONG_ONLY_UNPROVEN
     if p.rho_damp > 0.0:
-        if check_geometric_condition(g).satisfied:
+        if check_geometric_condition(g) <= 0.0:
             return RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL
         return RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS
     return RegimeLabel.NOT_EXPONENTIAL_NO_RATE

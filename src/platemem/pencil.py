@@ -162,7 +162,6 @@ class ModePencil:
     """Discrete generator pencil, Gram matrix, and the forms of the
     ENERGY_PARTS and DISSIPATION_CHANNELS for one mode."""
 
-    mode: int
     M: csr_array
     A: csr_array
     G: csr_array
@@ -174,6 +173,10 @@ class ModePencil:
     _cache: dict[Any, Any] = field(default_factory=dict, repr=False)
 
     @property
+    def mode(self) -> int:
+        return self.grid.mode
+
+    @property
     def dim(self) -> int:
         return self.A.shape[0]
 
@@ -181,7 +184,8 @@ class ModePencil:
         for fname, a, b in self.dof_layout:
             if fname == name:
                 return slice(a, b)
-        raise KeyError(name)
+        names = tuple(fname for fname, _, _ in self.dof_layout)
+        raise KeyError(f"unknown field {name!r}; expected one of {names}")
 
 
 def _layout(grid: RadialGrid) -> tuple[tuple[str, int, int], ...]:
@@ -292,7 +296,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         _identity(vt, vt, p.rho2),
     ], (n, n))
 
-    pencil = ModePencil(mode=grid.mode, M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
+    pencil = ModePencil(M=M, A=A, G=G, dof_layout=layout, grid=grid, params=p,
                         energy_forms=energy, dissipation_forms=dissipation)
     gram_factor(pencil)                 # the definiteness check; its factor stays cached
     return pencil
@@ -352,13 +356,3 @@ def gram_factor(pencil: ModePencil) -> np.ndarray:
             raise AssemblyError(f"G is not positive definite for mode {pencil.mode}") from exc
     return pencil._cache[key]
 
-
-def solve_mass(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
-    """M^-1 X for a real vector or dim x k array X.
-
-    The band LU of M, as stored, is made once per pencil and cached on it.
-    """
-    key = "m_lu"
-    if key not in pencil._cache:
-        pencil._cache[key] = band_lu(pencil.M)
-    return pencil._cache[key](X)

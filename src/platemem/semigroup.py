@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, band_lu, node_order, solve_mass
+from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, band_lu, node_order
 
 MAX_DEFAULT_STEPS = 20000
 MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
@@ -172,7 +172,7 @@ def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
     """-<M^-1 A w, w>_G through the energy factor F, G = F^T F: public as
     the tests' oracle for the channels' sum, and for the benchmark tracer."""
     F, w = pencil.energy_forms.F, check_state(pencil, w)
-    return -float(np.sum((F @ solve_mass(pencil, pencil.A @ w)) * (F @ w)))
+    return -float(np.sum((F @ band_lu(pencil.M)(pencil.A @ w)) * (F @ w)))
 
 
 def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
@@ -180,7 +180,7 @@ def graph_norm(pencil: ModePencil, w: np.ndarray) -> float:
     public as a test oracle, and for the benchmark tracer."""
     w = check_state(pencil, w)
     gn = lambda y: math.sqrt(float(pencil.energy_forms.values(y).sum()))
-    return gn(w) + gn(solve_mass(pencil, pencil.A @ w))
+    return gn(w) + gn(band_lu(pencil.M)(pencil.A @ w))
 
 
 def default_dt(pencil: ModePencil, t_end: float) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-from .pencil import ModePencil, assemble_mode_pencil, gram_factor, solve_mass
+from .pencil import ModePencil, assemble_mode_pencil, band_lu, gram_factor
 from .semigroup import check_state
 from .util import parallel_map
 
@@ -43,7 +43,7 @@ COLLISION_TOL = 1e-12
 COLLISION_NUDGE = 1e-9
 MAX_SAMPLES = 100_000     # samples per resolvent scan; 10**9 would allocate 7.45 GiB
 # A resolvent sample stops once its Ritz residual ||r|| is at most LANCZOS_TOL
-# (eps, at 0) times the Ritz value theta.  Its error is at most ||r||^2 / gap
+# times the Ritz value theta.  Its error is at most ||r||^2 / gap
 # (Parlett, The Symmetric Eigenvalue Problem, 1998), so a residual of sqrt(eps)
 # theta leaves eps theta^2 / gap: s(lam) to round-off unless the top two
 # eigenvalues of K^H K nearly coincide.
@@ -61,7 +61,6 @@ NOISE_FLOOR_REL = 1e-10
 
 @dataclass
 class SpectrumResult:
-    mode: int
     eigenvalues: np.ndarray
     spectral_abscissa: float
     imag_axis_gap: float
@@ -73,7 +72,6 @@ class SpectrumResult:
 class ResolventScan:
     lambdas: np.ndarray
     norms: np.ndarray
-    sup_norm: float
     growth_exponent: float
 
 
@@ -88,14 +86,14 @@ def _similarity(pencil: ModePencil) -> np.ndarray:
     from scipy.linalg.lapack import dtbtrs
     from scipy.sparse import csr_array
 
-    U = gram_factor(pencil)
+    U, solve_M = gram_factor(pencil), band_lu(pencil.M)
     n, k, j = pencil.dim, *np.nonzero(U)
     Us = csr_array((U[k, j], (j + k - len(U) + 1, j)), shape=(n, n))
     A = pencil.A.tocsc()
     B = np.empty((n, n), order="F")
     step = 32
     for c in range(0, n, step):
-        B[:, c:c + step] = Us @ solve_mass(pencil, A[:, c:c + step].toarray())
+        B[:, c:c + step] = Us @ solve_M(A[:, c:c + step].toarray())
     for r in range(0, n, step):
         rows, info = dtbtrs(U, B[r:r + step].T, trans="T")       # U^T X^T = B^T
         if info != 0:
@@ -179,7 +177,6 @@ def eigenvalues(pencil: ModePencil) -> SpectrumResult:
     undamped = _undamped(lam)
     resolved = float(lam.real[~undamped].max()) if not undamped.all() else float(lam.real.max())
     result = SpectrumResult(
-        mode=pencil.mode,
         eigenvalues=lam,
         spectral_abscissa=float(lam.real.max()),
         imag_axis_gap=float(np.abs(lam.real).min()),
@@ -296,7 +293,6 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     R[np.diag_indices(n)] = shifted
     from scipy.linalg.lapack import dstev, ztrtrs
 
-    tol = max(LANCZOS_TOL, np.finfo(float).eps)
     V = np.full((1, n), n ** -0.5, dtype=complex)
     alpha, beta = [], []
     while True:
@@ -310,7 +306,7 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         if info != 0:
             raise RuntimeError(f"Lanczos eigensolve failed (dstev info {info}) for mode "
                                f"{pencil.mode}, lambda {lam}")
-        if beta[-1] * abs(y[-1, -1]) <= tol * theta[-1] or len(V) == n:
+        if beta[-1] * abs(y[-1, -1]) <= LANCZOS_TOL * theta[-1] or len(V) == n:
             return math.sqrt(theta[-1])
         V = np.vstack((V, w / beta[-1]))
 
@@ -346,9 +342,4 @@ def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,
         slope = float(np.polyfit(np.log(lams[pos]), np.log(out[pos]), 1)[0])
     else:
         slope = float("nan")
-    return ResolventScan(
-        lambdas=lams,
-        norms=out,
-        sup_norm=float(out.max()),
-        growth_exponent=slope,
-    )
+    return ResolventScan(lambdas=lams, norms=out, growth_exponent=slope)

@@ -41,7 +41,6 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class DecayFit:
-    model: str                 # "exponential" | "polynomial"
     rate: float                # delta (E ~ C exp(-2 delta t)) or alpha (||w|| ~ C t^-alpha)
     prefactor: float
     r_squared: float
@@ -62,7 +61,7 @@ def _decay_fit(model: str, t: np.ndarray, e: np.ndarray) -> DecayFit:
     slope, intercept = np.polyfit(x, y, 1)
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return DecayFit(model=model, rate=rate_per_slope * float(slope),
+    return DecayFit(rate=rate_per_slope * float(slope),
                     prefactor=float(np.exp(intercept)),
                     r_squared=1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0)
 
@@ -130,6 +129,9 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
     predicted = classify_regime(p, g)
     report = RegimeReport(predicted=predicted, verdict="inconclusive")
     lines = report.lines
+    if predicted is RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS:
+        lines.append("x0 enters no operator: on these concentric circles this cell runs the "
+                     f"operator of {RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL.value}")
     mode_list = list(modes)
     try:
         spectra, spectra_fine = spectral_abscissa_sweep(p, g, resolution, modes)
@@ -169,12 +171,13 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
     band_fine = max(s.resolved_abscissa for s in spectra_fine)
     gap_ok = all(s.imag_axis_gap > 0.0 for s in spectra)
     zero_ok = all(s.zero_in_resolvent for s in spectra)
-    sup_dev = abs(scan_fine.sup_norm - scan.sup_norm) / scan.sup_norm
+    sup, sup_fine = scan.norms.max(), scan_fine.norms.max()
+    sup_dev = abs(sup_fine - sup) / sup
     lines.append(f"global spectral abscissa (modes {mode_list[0]}..{mode_list[-1]}, "
                  f"n={resolution}): {absc:.6e}")
     lines.append(f"resolved abscissa: {band:.6e} (doubled: {band_fine:.6e})")
-    lines.append(f"resolvent scan sup: {scan.sup_norm:.6e} "
-                 f"(doubled resolution: {scan_fine.sup_norm:.6e}, deviation {sup_dev:.1%})")
+    lines.append(f"resolvent scan sup: {sup:.6e} "
+                 f"(doubled resolution: {sup_fine:.6e}, deviation {sup_dev:.1%})")
     lines.append(f"resolvent growth exponent: {scan.growth_exponent:+.3f}")
     lines.append(f"max energy-balance residual over runs: {max_residual:.3e}")
     for profile, fitted in fits.items():

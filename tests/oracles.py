@@ -211,7 +211,7 @@ def fake_pencil(A, M=None, G=None):
     from platemem import AnnulusGeometry, ModePencil, PhysicalParams, build_radial_grid
 
     eye = np.eye(len(A))
-    return ModePencil(mode=0, M=sparse.csr_array(eye if M is None else M), A=sparse.csr_array(A),
+    return ModePencil(M=sparse.csr_array(eye if M is None else M), A=sparse.csr_array(A),
                       G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
                       energy_forms=None, dissipation_forms=None)
@@ -237,7 +237,7 @@ def membrane_subpencil(p, grid):
     stops = np.cumsum([b - a for _, a, b in blocks])
     sub = lambda X: X[s][:, s]
     return ModePencil(
-        mode=grid.mode, M=sub(pencil.M), A=sub(pencil.A), G=sub(pencil.G),
+        M=sub(pencil.M), A=sub(pencil.A), G=sub(pencil.G),
         dof_layout=tuple((name, int(stop - (b - a)), int(stop))
                          for (name, a, b), stop in zip(blocks, stops)),
         grid=grid, params=p,

@@ -225,7 +225,7 @@ def test_criterion_5_exponential_regimes():
         sups = []
         for res in (32, 64):
             pencil = make_pencil(p, GEO, res, 0)
-            sups.append(resolvent_scan(pencil, 0.25, lmax, 120).sup_norm)
+            sups.append(resolvent_scan(pencil, 0.25, lmax, 120).norms.max())
         dev_sup = abs(sups[1] - sups[0]) / sups[0]
         assert dev_sup <= 0.10, (name, sups)
         trace = combined_trace(p, GEO, 32, range(0, 5),

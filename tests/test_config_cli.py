@@ -3,6 +3,7 @@ import ast
 import gc
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 import platemem
-from platemem import ConfigError, RegimeLabel, classify_regime, parse_config
+from platemem import ConfigError, RegimeLabel, classify_regime, parse_config, stability
 from platemem.cli import TRACE_HEADER, main
 from platemem.grid import MAX_MODE
 from platemem.spectral import MAX_SAMPLES
-from platemem.semigroup import TRACE_ROWS
+from platemem.semigroup import TRACE_ROWS, default_dt
 from platemem.util import fmt, write_csv
 
 FAST = """
@@ -134,6 +135,18 @@ def test_unknown_profile_rejected():
 def test_non_finite_step_or_horizon_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config(f"{key} = {value}")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("seed = ", "line 1, column 8: empty value for 'seed'"),
+    ("profiles = ,", "line 1, column 12: empty profile list"),
+    ("r_interface = -1", "geometry: r_interface must be positive, got -1.0"),
+    ("r_outer = -2", "geometry: r_outer must be positive, got -2.0"),
+    ("x0_x = nan", "geometry: x0 must be finite, got (nan, 0.0)"),
+])
+def test_empty_values_and_bad_geometry_rejected_by_name(body, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(body)
 
 
 def test_negative_seed_rejected_with_line():
@@ -590,6 +603,21 @@ def test_cli_regimes_exit_codes(tmp_path):
     assert main(["regimes", bad]) == 2
     invalid = write_cfg(tmp_path, "kappa = -1", name="invalid.cfg")
     assert main(["regimes", invalid]) == 1
+
+
+def test_cli_regimes_without_dt_takes_the_default_step(tmp_path, monkeypatch):
+    horizons = []
+
+    def spy(pencil, t_end):
+        horizons.append(t_end)
+        return default_dt(pencil, t_end)
+
+    monkeypatch.setattr(stability, "default_dt", spy)
+    cfg = write_cfg(tmp_path, "rho = 1\nn_plate = 16\nn_mem = 16\nmode_min = 0\nmode_max = 1\n"
+                              "profiles = membrane_bump\nt_end = 20")
+    assert main(["regimes", cfg]) == 0
+    assert horizons == [20.0]
+    assert "verdict: consistent" in (tmp_path / "out" / "regime_report.txt").read_text()
 
 
 def test_cli_regimes_inconclusive_on_unfittable_horizon(tmp_path):

@@ -30,28 +30,26 @@ def test_validate_reports_every_violation():
 
 
 def test_geometric_condition_centered():
-    check = check_geometric_condition(AnnulusGeometry(x0=(0.0, 0.0)))
-    assert check.satisfied
-    assert check.max_q_dot_nu == pytest.approx(-1.0, abs=1e-14)
+    best = check_geometric_condition(AnnulusGeometry(x0=(0.0, 0.0)))
+    assert best == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_geometric_condition_violated():
-    check = check_geometric_condition(AnnulusGeometry(x0=(2.0, 0.0)))
-    assert not check.satisfied
-    assert check.max_q_dot_nu == pytest.approx(1.0, abs=1e-14)
+    best = check_geometric_condition(AnnulusGeometry(x0=(2.0, 0.0)))
+    assert best == pytest.approx(1.0, abs=1e-14)
 
 
 def test_geometric_condition_boundary_counts_as_satisfied():
-    check = check_geometric_condition(AnnulusGeometry(x0=(1.0, 0.0)))
-    assert check.satisfied
-    assert check.max_q_dot_nu == pytest.approx(0.0, abs=1e-14)
+    g = AnnulusGeometry(x0=(1.0, 0.0))
+    assert check_geometric_condition(g) == pytest.approx(0.0, abs=1e-14)
+    assert (classify_regime(PhysicalParams(rho_damp=1.0), g)
+            is RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 2.5))
 def test_geometric_condition_matches_analytic_maximum(x, y, r):
     g = AnnulusGeometry(r_interface=r, r_outer=r + 1.0, x0=(x, y))
-    check = check_geometric_condition(g)
-    assert check.satisfied == (check.max_q_dot_nu <= 0.0)
+    best = check_geometric_condition(g)
     # oracle: q . nu = x0 . (cos t, sin t) - r sampled densely on the circle;
     # the samples never exceed the true maximum and miss it by at most
     # |x0| (1 - cos(pi / n)) with n angles
@@ -59,7 +57,7 @@ def test_geometric_condition_matches_analytic_maximum(x, y, r):
     t = 2.0 * np.pi * np.arange(n) / n
     sampled = float(np.max(x * np.cos(t) + y * np.sin(t))) - r
     slack = math.hypot(x, y) * (1.0 - math.cos(math.pi / n)) + 1e-12
-    assert sampled - 1e-12 <= check.max_q_dot_nu <= sampled + slack
+    assert sampled - 1e-12 <= best <= sampled + slack
 
 
 def test_geometric_condition_is_exact_between_sample_angles():
@@ -69,9 +67,7 @@ def test_geometric_condition_is_exact_between_sample_angles():
     t = math.pi / 256
     g = AnnulusGeometry(r_interface=1.0, x0=((1.0 + 1e-7) * math.cos(t),
                                               (1.0 + 1e-7) * math.sin(t)))
-    check = check_geometric_condition(g)
-    assert not check.satisfied
-    assert check.max_q_dot_nu == pytest.approx(1e-7, rel=1e-6)
+    assert check_geometric_condition(g) == pytest.approx(1e-7, rel=1e-6)
     assert (classify_regime(PhysicalParams(rho_damp=1.0), g)
             is RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS)
 

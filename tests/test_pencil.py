@@ -409,6 +409,33 @@ def test_membrane_subpencil_dirichlet_structure():
     assert np.abs(H + H.T).max() <= 1e-10 * np.abs(H).max()
 
 
+def test_unknown_field_is_named_with_the_known_ones():
+    pencil = make_pencil(n=8)
+    with pytest.raises(KeyError, match=r"unknown field 'w'; expected one of "
+                                       r"\('u_t', 'v', 'u', 'v_t', 'theta'\)"):
+        pencil.block("w")
+    sub = membrane_subpencil(PhysicalParams(), build_radial_grid(GEO, 8, 8, 0))
+    with pytest.raises(KeyError, match=r"unknown field 'u'; expected one of \('v', 'v_t'\)"):
+        sub.block("u")
+
+
+def test_a_pencil_reads_its_mode_from_its_grid():
+    pencil = make_pencil(n=8, mode=3)
+    assert pencil.mode == 3
+    assert dataclasses.replace(pencil, grid=build_radial_grid(GEO, 8, 8, 5)).mode == 5
+    with pytest.raises(TypeError, match="mode"):
+        dataclasses.replace(pencil, mode=3)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0], [1.0, 1.0]],                 # a zero pivot
+    [[1.0, 1e308], [0.5, -1.5e308]],          # finite entries, an overflowing factor
+])
+def test_band_lu_raises_on_a_singular_or_non_finite_factor(rows):
+    with pytest.raises(np.linalg.LinAlgError, match="singular band matrix"):
+        pencil_module.band_lu(sparse.csr_array(np.array(rows)))
+
+
 def test_gram_quadrature_converges_on_transmission_state():
     # nonzero shared interface value exercises the u=v coupling inside G;
     # a closure mistake there (pinned or double-counted trace) diverges as 1/h

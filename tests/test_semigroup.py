@@ -460,6 +460,10 @@ def test_non_finite_or_capped_step_counts_are_named():
         for dt, t_end in ((np.nan, 1.0), (0.1, np.nan), (np.inf, 1.0), (0.1, np.inf)):
             with pytest.raises(ValueError, match=f"dt={dt!r} and t_end={t_end!r} must be finite"):
                 run(pencil, state, dt, t_end)
+        with pytest.raises(ValueError, match=r"^dt must be positive, got -0\.1$"):
+            run(pencil, state, -0.1, 1.0)
+        with pytest.raises(ValueError, match=r"^t_end must be positive, got -1\.0$"):
+            run(pencil, state, 0.1, -1.0)
         with pytest.raises(ValueError, match=r"t_end=1e\+300 / dt=1e-300 is inf steps"):
             run(pencil, state, 1e-300, 1e300)
         with pytest.raises(ValueError, match=f"t_end=1.0 / dt={1.0 / (MAX_STEPS + 1)!r} is "

@@ -21,7 +21,6 @@ def synth_trace(times, energies):
 def test_exponential_fit_recovers_exact_rate():
     t = np.linspace(0.0, 12.0, 100)
     fit = fit_exponential_rate(synth_trace(t, 3.0 * np.exp(-0.8 * t)))
-    assert fit.model == "exponential"
     assert fit.rate == pytest.approx(0.4, abs=1e-9)
     assert fit.prefactor == pytest.approx(3.0, rel=1e-9)
     assert fit.r_squared >= 1.0 - 1e-9
@@ -36,7 +35,6 @@ def test_exponential_fit_constant_energy_rate_zero():
 def test_polynomial_fit_recovers_exact_alpha():
     t = np.linspace(10.0, 1000.0, 400)
     fit = fit_polynomial_rate(synth_trace(t, 5.0 * t**-4.0))
-    assert fit.model == "polynomial"
     assert fit.rate == pytest.approx(2.0, abs=1e-9)   # ||w|| ~ t^-2
     assert fit.r_squared >= 1.0 - 1e-9
 
@@ -92,6 +90,49 @@ def test_regime_experiment_short_horizon_is_inconsistent():
     report = run_regime_experiment(p, GEO, resolution=16, modes=range(0, 2),
                                    profiles=["plate_bump"], t_end=4.0, dt=0.02)
     assert report.verdict == "inconsistent"
+
+
+def test_exponential_cell_without_an_exponential_fit_fails_that_check():
+    # 11 samples leave 5 in the fit's trailing half, fewer than the 8 it needs
+    p = PhysicalParams(m_damp=1.0, rho_damp=1.0)
+    report = run_regime_experiment(p, GEO, resolution=16, modes=range(0, 2),
+                                   profiles=["plate_bump"], t_end=0.5, dt=0.05)
+    assert "FAIL an exponential fit was obtained" in report.lines
+    assert report.verdict == "inconsistent"
+
+
+GEOMETRY_FAILS = AnnulusGeometry(x0=(2.0, 0.0))
+SAYS_OPERATOR = "x0 enters no operator: on these concentric circles this cell runs the operator of "
+
+
+# parameters and geometry of one cell per regime label
+CELL_OF = {
+    RegimeLabel.EXPONENTIAL_RHO_DAMPED: (dict(m_damp=1.0, rho_damp=1.0), GEO),
+    RegimeLabel.EXPONENTIAL_THERMAL_ONLY: (dict(m_damp=1.0), GEO),
+    RegimeLabel.STRONG_ONLY_UNPROVEN: (dict(m_damp=1.0, gamma=1.0), GEO),
+    RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL: (dict(rho_damp=1.0), GEO),
+    RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS: (dict(rho_damp=1.0), GEOMETRY_FAILS),
+    RegimeLabel.NOT_EXPONENTIAL_NO_RATE: (dict(), GEO),
+}
+
+
+@pytest.mark.parametrize("label", list(RegimeLabel), ids=lambda label: label.value)
+def test_only_the_geometry_fails_report_names_the_operator_it_ran(label):
+    kw, geo = CELL_OF[label]
+    report = run_regime_experiment(PhysicalParams(**kw), geo, resolution=8, modes=range(0, 1),
+                                   profiles=["plate_bump"], t_end=1.0, dt=0.1)
+    assert report.predicted is label
+    says = [line for line in report.lines if line.startswith(SAYS_OPERATOR)]
+    failing = label is RegimeLabel.NOT_EXPONENTIAL_GEOMETRY_FAILS
+    assert says == ([SAYS_OPERATOR + "NotExponentialPolynomial"] if failing else [])
+
+
+def test_the_geometry_fails_cell_measures_what_the_polynomial_cell_does():
+    p = PhysicalParams(rho_damp=1.0)
+    measured = lambda geo: [line for line in run_regime_experiment(
+        p, geo, resolution=8, modes=range(0, 1), profiles=["plate_bump"], t_end=1.0,
+        dt=0.1).lines if not line.startswith(("PASS ", "FAIL ", SAYS_OPERATOR))]
+    assert measured(GEOMETRY_FAILS) == measured(GEO)
 
 
 def test_regime_experiment_strong_only_never_inconsistent():
