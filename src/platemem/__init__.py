@@ -12,9 +12,9 @@ from .pencil import Forms, ModePencil, assemble_mode_pencil
 from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
                         graph_norm, make_initial_data, pencil_dissipation, simulate,
                         step_crank_nicolson)
-from .spectral import (ResolventScan, SpectrumResult, eigenvalues,
-                       membrane_band_edge, project_resolvable, resolvent_norm,
-                       resolvent_scan, spectral_abscissa_sweep)
+from .spectral import (ResolventScan, eigenvalues, membrane_band_edge,
+                       project_resolvable, resolved_abscissa, resolvent_norm,
+                       resolvent_scan, spectral_abscissa_sweep, zero_in_resolvent)
 from .stability import (DecayFit, FitError, RegimeReport, fit_exponential_rate,
                         fit_polynomial_rate, run_regime_experiment)
 from .config import ConfigError, RunConfig, load_config, parse_config
@@ -28,9 +28,9 @@ __all__ = [
     "Forms", "ModePencil", "assemble_mode_pencil",
     "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
     "make_initial_data", "pencil_dissipation", "simulate", "step_crank_nicolson",
-    "ResolventScan", "SpectrumResult", "eigenvalues",
-    "membrane_band_edge", "project_resolvable", "resolvent_norm",
-    "resolvent_scan", "spectral_abscissa_sweep",
+    "ResolventScan", "eigenvalues", "membrane_band_edge",
+    "project_resolvable", "resolved_abscissa", "resolvent_norm",
+    "resolvent_scan", "spectral_abscissa_sweep", "zero_in_resolvent",
     "DecayFit", "FitError", "RegimeReport", "fit_exponential_rate",
     "fit_polynomial_rate", "run_regime_experiment",
     "ConfigError", "RunConfig", "load_config", "parse_config",

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, spectrum, scan, regimes, check-geometry, render.
 All floating-point output is printed with 17 significant digits, so CSVs
-round-trip bit-exactly.  Exit codes: 0 success/consistent, 1 error,
-2 inconsistent, 3 inconclusive.
+round-trip bit-exactly.  Exit codes: 0 success/consistent, 1 error (usage
+errors too), 2 inconsistent, 3 inconclusive.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .grid import build_radial_grid
 from .model import ValidationError, check_geometric_condition, classify_regime
 from .pencil import MEMBRANE_FIELDS, assemble_mode_pencil
 from .semigroup import TRACE_ROWS, default_dt, energy, final_state, make_initial_data, simulate
-from .spectral import eigenvalues, resolvent_scan
+from .spectral import eigenvalues, resolvent_scan, zero_in_resolvent
 from .stability import NOT_EXP_LABELS, run_regime_experiment
 from .util import fmt, output_file, parallel_map, write_csv
 
@@ -76,10 +76,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     results = parallel_map(lambda m: eigenvalues(_pencil(cfg, m)), list(cfg.modes))
     summary = []
-    for mode, spec in zip(cfg.modes, results):
+    for mode, lam in zip(cfg.modes, results):
         write_csv(os.path.join(cfg.output_dir, f"spectrum_mode{mode}.csv"), ("re", "im"),
-                  np.column_stack((spec.eigenvalues.real, spec.eigenvalues.imag)))
-        summary.append((mode, spec.spectral_abscissa, spec.imag_axis_gap, spec.zero_in_resolvent))
+                  np.column_stack((lam.real, lam.imag)))
+        summary.append((mode, lam.real.max(), np.abs(lam.real).min(), zero_in_resolvent(lam)))
     write_csv(os.path.join(cfg.output_dir, "spectrum_summary.csv"),
               ("mode", "abscissa", "imag_axis_gap", "zero_ok"), np.array(summary, dtype=float))
     return 0
@@ -166,7 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:     # argparse's usage error is 2, which means inconsistent here
+        return 1 if exc.code else 0
     try:
         return args.run(load_config(args.config), args)
     except (ConfigError, ValidationError, OSError, ValueError, RuntimeError) as exc:

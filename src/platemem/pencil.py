@@ -341,15 +341,17 @@ def node_order(pencil: ModePencil) -> np.ndarray:
 def gram_factor(pencil: ModePencil) -> np.ndarray:
     """U: G = U^T U, U in LAPACK upper band storage, so ||x||_G = ||U x||_2.
     Made once per pencil and cached on it; assembly makes it as its check that
-    G is positive definite, and AssemblyError names the mode when it is not.
-    Stored as a band of G's own width (2 in the FIELDS order), it costs
-    O(dim band^2)."""
+    G is finite and positive definite, and AssemblyError names the mode when
+    it is not.  Stored as a band of G's own width (2 in the FIELDS order), it
+    costs O(dim band^2)."""
     key = "gram_factor"
     if key not in pencil._cache:
         from scipy.linalg import cholesky_banded
         from scipy.sparse import triu
 
         ab = _band_storage(triu(pencil.G))[0]
+        if not np.isfinite(ab).all():
+            raise AssemblyError(f"G is not finite for mode {pencil.mode}")
         try:
             pencil._cache[key] = cholesky_banded(ab, overwrite_ab=True)
         except np.linalg.LinAlgError as exc:

@@ -60,15 +60,6 @@ NOISE_FLOOR_REL = 1e-10
 
 
 @dataclass
-class SpectrumResult:
-    eigenvalues: np.ndarray
-    spectral_abscissa: float
-    imag_axis_gap: float
-    zero_in_resolvent: bool
-    resolved_abscissa: float     # abscissa of the eigenvalues off the noise floor
-
-
-@dataclass
 class ResolventScan:
     lambdas: np.ndarray
     norms: np.ndarray
@@ -168,29 +159,29 @@ def _undamped(lam: np.ndarray) -> np.ndarray:
     return np.abs(lam.real) <= NOISE_FLOOR_REL * np.abs(lam).max()
 
 
-def eigenvalues(pencil: ModePencil) -> SpectrumResult:
+def eigenvalues(pencil: ModePencil) -> np.ndarray:
     """All pencil eigenvalues A x = lambda M x, sorted by imaginary part; caches T too."""
-    if "spectrum" in pencil._cache:
-        return pencil._cache["spectrum"]
-    pencil._cache["schur"], lam, _ = _schur(pencil)
-    lam = lam[np.argsort(lam.imag, kind="stable")]
+    if "spectrum" not in pencil._cache:
+        pencil._cache["schur"], lam, _ = _schur(pencil)
+        pencil._cache["spectrum"] = lam[np.argsort(lam.imag, kind="stable")]
+    return pencil._cache["spectrum"]
+
+
+def zero_in_resolvent(lam: np.ndarray) -> bool:
+    """Whether 0 is off the spectrum: min |lambda| above AXIS_TOL_REL times max |lambda|."""
+    return bool(np.abs(lam).min() > AXIS_TOL_REL * np.abs(lam).max())
+
+
+def resolved_abscissa(lam: np.ndarray) -> float:
+    """The largest Re lambda off the noise floor; of all of lam when every one is on it."""
     undamped = _undamped(lam)
-    resolved = float(lam.real[~undamped].max()) if not undamped.all() else float(lam.real.max())
-    result = SpectrumResult(
-        eigenvalues=lam,
-        spectral_abscissa=float(lam.real.max()),
-        imag_axis_gap=float(np.abs(lam.real).min()),
-        zero_in_resolvent=bool(np.abs(lam).min() > AXIS_TOL_REL * np.abs(lam).max()),
-        resolved_abscissa=resolved,
-    )
-    pencil._cache["spectrum"] = result
-    return result
+    return float(lam.real.max() if undamped.all() else lam.real[~undamped].max())
 
 
 def spectral_abscissa_sweep(p: PhysicalParams, g: AnnulusGeometry, resolution: int,
-                            modes: range) -> tuple[list[SpectrumResult], list[SpectrumResult]]:
-    """(spectra, spectra_fine): the per-mode spectra at the requested
-    resolution, then at doubled resolution.
+                            modes: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(spectra, spectra_fine): the per-mode eigenvalue arrays at the
+    requested resolution, then at doubled resolution.
 
     The doubled-resolution pass also doubles the mode count, which is what
     the approach-to-zero diagnostic for the undamped membrane compares
@@ -326,7 +317,7 @@ def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,
         raise ValueError("lambda_max must exceed lambda_min")
     if not 4 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 4 to {MAX_SAMPLES} samples, got {n_samples}")
-    eigs = eigenvalues(pencil).eigenvalues
+    eigs = eigenvalues(pencil)
     scale = max(abs(lambda_min), abs(lambda_max))
     lams = np.linspace(lambda_min, lambda_max, n_samples)
     out = np.empty(n_samples)

@@ -42,7 +42,7 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       step_crank_nicolson)
 from platemem.cli import main
 from platemem.semigroup import DENSE_STEP_DIM, TRACE_ROWS, SimulationTrace
-from platemem.spectral import AXIS_TOL_REL, project_resolvable
+from platemem.spectral import AXIS_TOL_REL, project_resolvable, resolved_abscissa
 
 from oracles import bessel_j0_zeros, matrix_exponential_reference, membrane_subpencil
 
@@ -182,8 +182,8 @@ def test_criterion_3_bessel_frequency_validation():
     t0 = time.time()
     grid = build_radial_grid(GEO, 8, 128, 0)
     sub = membrane_subpencil(PhysicalParams(), grid)
-    spec = eigenvalues(sub)
-    freqs = np.unique(np.round(np.abs(spec.eigenvalues.imag), 10))
+    lam = eigenvalues(sub)
+    freqs = np.unique(np.round(np.abs(lam.imag), 10))
     freqs = freqs[freqs > 1e-9]
     refs = bessel_j0_zeros(3)
     assert abs(refs[0] - 2.404826) < 1e-6
@@ -203,12 +203,12 @@ def test_criterion_4_spectral_predicates():
     t0 = time.time()
     for name, (p, geo) in CELLS6.items():
         for mode in range(0, 9):
-            spec = eigenvalues(make_pencil(p, geo, 32, mode))
-            mx = np.abs(spec.eigenvalues).max()
-            assert spec.spectral_abscissa <= 1e-8 * mx, (name, mode)
-            assert np.abs(spec.eigenvalues).min() > AXIS_TOL_REL * mx, (name, mode)
+            lam = eigenvalues(make_pencil(p, geo, 32, mode))
+            mx = np.abs(lam).max()
+            assert lam.real.max() <= 1e-8 * mx, (name, mode)
+            assert np.abs(lam).min() > AXIS_TOL_REL * mx, (name, mode)
             if p.m_damp > 0:
-                assert spec.imag_axis_gap > 0.0, (name, mode)
+                assert np.abs(lam.real).min() > 0.0, (name, mode)
     elapsed = time.time() - t0
     announce(f"PASS criterion 4: dissipativity bound, 0 in resolvent set, and "
           f"m>0 axis gap, 6 cells x modes 0..8 [{elapsed:.0f}s]")
@@ -220,7 +220,7 @@ def test_criterion_5_exponential_regimes():
     lmax = 0.9 * 2.0 * 32  # 90% of the coarse membrane band edge
     for name, p in EXP_CELLS.items():
         spectra, _ = spectral_abscissa_sweep(p, GEO, 32, range(0, 5))
-        absc = max(s.spectral_abscissa for s in spectra)
+        absc = max(lam.real.max() for lam in spectra)
         assert absc < 0.0, name
         sups = []
         for res in (32, 64):
@@ -247,8 +247,8 @@ def test_criterion_6_non_exponential_diagnostics():
     lmax = 0.9 * 2.0 * 32
     for name, p in M0_CELLS.items():
         spectra, spectra_fine = spectral_abscissa_sweep(p, GEO, 32, range(0, 3))
-        coarse = abs(max(s.resolved_abscissa for s in spectra))
-        fine = abs(max(s.resolved_abscissa for s in spectra_fine))
+        coarse = abs(max(map(resolved_abscissa, spectra)))
+        fine = abs(max(map(resolved_abscissa, spectra_fine)))
         assert fine <= coarse / 2.0, (name, coarse, fine)
         scan = resolvent_scan(make_pencil(p, GEO, 32, 0), 0.25, lmax, 120)
         assert 0.0 < scan.growth_exponent <= 24.0, (name, scan.growth_exponent)

@@ -228,6 +228,33 @@ def test_cli_invalid_config_exits_one(tmp_path, capsys):
     assert "beta2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["scan", "{cfg}"], "the following arguments are required: --lmin, --lmax, --n"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["scan", "{cfg}", "--lmin", "x", "--lmax", "1", "--n", "4"],
+     "argument --lmin: invalid float value: 'x'")])
+def test_cli_usage_error_exits_one_not_two(tmp_path, capsys, args, named):
+    # 2 means "inconsistent"; a usage error is an error
+    path = write_cfg(tmp_path, "")
+    assert main([a.format(cfg=path) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: platemem") and named in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
+def test_cli_help_exits_zero(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("usage: platemem")
+
+
+def test_cli_regimes_on_an_overflowed_gram_matrix_is_an_error_not_a_verdict(tmp_path, capsys):
+    path = write_cfg(tmp_path, "beta1 = 1e305\nn_plate = 16\nn_mem = 16\nmode_max = 1\n"
+                               "dt = 0.1\nt_end = 1")
+    assert main(["regimes", path]) == 1
+    assert capsys.readouterr() == ("", "error: G is not finite for mode 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_file_exits_one(capsys):
     assert main(["simulate", "/nonexistent/run.cfg"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -53,7 +53,7 @@ def test_tiny_pencil_eigenvalues_match_dense_oracle():
     # dimension 40, and dimension 320 with undamped origin artifacts
     for name, n, mode in (("exp_rho", 8, 0), ("poly", 64, 1)):
         pencil = make_pencil(CELLS[name], n=n, mode=mode)
-        lam = eigenvalues(pencil).eigenvalues
+        lam = eigenvalues(pencil)
         ref = dense_eigenvalues_oracle(pencil.A.toarray(), pencil.M.toarray())
         scale = np.abs(ref).max()
         assert len(lam) == len(ref)
@@ -106,6 +106,13 @@ def test_definiteness_check_names_the_indefinite_matrix():
         gram_factor(fake_pencil(np.eye(3), G=-np.eye(3)))
 
 
+def test_an_overflowed_gram_matrix_is_named_before_its_factorization():
+    # beta1 = 1e305 passes validation, but G = F^T F overflows
+    grid = build_radial_grid(GEO, 16, 16, 0)
+    with pytest.raises(AssemblyError, match="^G is not finite for mode 0$"):
+        assemble_mode_pencil(PhysicalParams(beta1=1e305), grid)
+
+
 def _dense_band(U):
     """Dense upper triangle of a LAPACK upper band array, U[i, j] at [band + i - j, j]."""
     band, n = len(U) - 1, U.shape[1]
@@ -127,7 +134,7 @@ def test_gram_factor_reproduces_g_and_its_similarity_keeps_the_spectrum(name):
             Ud = _dense_band(U)
             err = np.abs(Ud.T @ Ud - G).max()
             assert err <= 1e-14 * np.abs(G).max(), (n, mode, err)
-            lam = eigenvalues(pencil).eigenvalues
+            lam = eigenvalues(pencil)
             ref = dense_similarity_eigenvalues_oracle(pencil.A.toarray(), pencil.M.toarray(), G)
             scale = np.abs(ref).max()
             dist = np.abs(lam[:, None] - ref[None, :])

@@ -4,8 +4,9 @@ from scipy.linalg import lapack
 from scipy.linalg.lapack import ztrtrs
 
 from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
-                      build_radial_grid, eigenvalues, project_resolvable, resolvent_norm,
-                      resolvent_scan, spectral_abscissa_sweep)
+                      build_radial_grid, eigenvalues, project_resolvable, resolved_abscissa,
+                      resolvent_norm, resolvent_scan, spectral_abscissa_sweep,
+                      zero_in_resolvent)
 from platemem import spectral
 
 from oracles import (bessel_j0, bessel_j0_zeros, fake_pencil, membrane_subpencil,
@@ -28,8 +29,8 @@ def test_bessel_oracle_self_check():
 def test_membrane_eigenfrequencies_match_bessel_zeros():
     grid = build_radial_grid(GEO, 8, 64, 0)
     sub = membrane_subpencil(PhysicalParams(), grid)
-    spec = eigenvalues(sub)
-    freqs = np.unique(np.round(np.abs(spec.eigenvalues.imag), 10))
+    lam = eigenvalues(sub)
+    freqs = np.unique(np.round(np.abs(lam.imag), 10))
     freqs = freqs[freqs > 1e-9]
     for got, ref in zip(freqs[:3], bessel_j0_zeros(3)):
         assert abs(got - ref) / ref < 1e-2
@@ -37,23 +38,22 @@ def test_membrane_eigenfrequencies_match_bessel_zeros():
 
 def test_eigenvalues_conjugate_symmetry_and_dissipativity():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=12, mode=1)
-    spec = eigenvalues(pencil)
-    lam = spec.eigenvalues
+    lam = eigenvalues(pencil)
     mx = np.abs(lam).max()
-    assert spec.spectral_abscissa <= 1e-8 * mx
+    assert lam.real.max() <= 1e-8 * mx
     # conjugate pairing within 1e-8
     for z in lam[np.abs(lam.imag) > 1e-8 * mx]:
         assert np.abs(lam - np.conj(z)).min() <= 1e-8 * mx
-    assert spec.zero_in_resolvent
-    assert spec.imag_axis_gap > 0.0
+    assert zero_in_resolvent(lam)
+    assert np.abs(lam.real).min() > 0.0
 
 
 def test_m_positive_gives_axis_gap_all_cells():
     for p in (PhysicalParams(m_damp=1.0), PhysicalParams(m_damp=1.0, gamma=1.0),
               PhysicalParams(m_damp=1.0, rho_damp=1.0)):
         for mode in (0, 2):
-            spec = eigenvalues(make_pencil(p, n=10, mode=mode))
-            assert spec.imag_axis_gap > 0.0
+            lam = eigenvalues(make_pencil(p, n=10, mode=mode))
+            assert np.abs(lam.real).min() > 0.0
 
 
 @pytest.mark.parametrize("modes, error", [
@@ -77,14 +77,14 @@ def test_sweep_spectra_do_not_depend_on_the_pool(monkeypatch):
     pairs = list(zip(threaded[0] + threaded[1], inline[0] + inline[1]))
     assert len(pairs) == 3 + 5
     for a, b in pairs:
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sweep_exponential_cell_has_negative_abscissa():
     spectra, spectra_fine = spectral_abscissa_sweep(PhysicalParams(m_damp=1.0, rho_damp=1.0),
                                                     GEO, resolution=12, modes=range(0, 3))
-    assert max(s.spectral_abscissa for s in spectra) < 0.0
-    assert max(s.spectral_abscissa for s in spectra_fine) < 0.0
+    assert max(lam.real.max() for lam in spectra) < 0.0
+    assert max(lam.real.max() for lam in spectra_fine) < 0.0
     assert len(spectra) == 3
     assert len(spectra_fine) == 5  # doubled mode count
 
@@ -108,9 +108,25 @@ def fake_diag_pencil(d):
 
 def test_resolved_abscissa_keeps_an_eigenvalue_above_the_noise_floor():
     # only |Re| within the noise floor is undamped: a growing eigenvalue is resolved
-    spec = eigenvalues(fake_diag_pencil([-1.0, 1e-3, -2.0]))
-    assert spec.spectral_abscissa == pytest.approx(1e-3, rel=1e-12)
-    assert spec.resolved_abscissa == pytest.approx(1e-3, rel=1e-12)
+    lam = eigenvalues(fake_diag_pencil([-1.0, 1e-3, -2.0]))
+    assert lam.real.max() == pytest.approx(1e-3, rel=1e-12)
+    assert resolved_abscissa(lam) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_resolved_abscissa_falls_back_to_the_abscissa_when_every_eigenvalue_is_undamped():
+    # the +-2i oscillator: both eigenvalues sit on the noise floor
+    lam = eigenvalues(fake_pencil(np.array([[0.0, 1.0], [-4.0, 0.0]])))
+    assert np.abs(lam.imag) == pytest.approx([2.0, 2.0], rel=1e-12)
+    assert np.abs(lam.real).max() <= spectral.NOISE_FLOOR_REL * np.abs(lam).max()
+    assert resolved_abscissa(lam) == lam.real.max()
+
+
+@pytest.mark.parametrize("d, expected", [
+    ([-1.0, 0.0, -2.0], False),
+    ([-1e-9, -1.0], False),      # below AXIS_TOL_REL relative to the largest modulus
+    ([-1e-7, -1.0], True)])
+def test_zero_in_resolvent_reads_the_smallest_modulus_against_the_largest(d, expected):
+    assert zero_in_resolvent(eigenvalues(fake_diag_pencil(d))) is expected
 
 
 def test_resolvent_norm_diagonal_pencil_exact(monkeypatch):
@@ -242,7 +258,7 @@ def test_resolvent_scan_rejects_an_empty_range_and_fits_no_exponent_below_zero()
 @pytest.mark.parametrize("mode", [0, 1])
 def test_resolvent_norm_matches_dense_oracle(mode):
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=64, mode=mode)
-    lam = eigenvalues(pencil).eigenvalues
+    lam = eigenvalues(pencil)
     mx = np.abs(lam).max()
     undamped = np.abs(lam.real) <= spectral.NOISE_FLOOR_REL * mx
     upper = lam[~undamped & (lam.imag > 0.0)]
@@ -276,7 +292,7 @@ def test_spectral_entry_points_reject_dimension_above_cap(monkeypatch):
 
 def test_resolvent_distance_inequality():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=10)
-    lam_all = eigenvalues(pencil).eigenvalues
+    lam_all = eigenvalues(pencil)
     for lam in (0.7, 2.3, 9.1):
         dist = np.abs(1j * lam - lam_all).min()
         assert resolvent_norm(pencil, lam) >= 1.0 / dist * (1.0 - 1e-9)
@@ -284,7 +300,7 @@ def test_resolvent_distance_inequality():
 
 def test_resolvent_decay_far_beyond_spectrum_imag_extent():
     pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=8)
-    top = np.abs(eigenvalues(pencil).eigenvalues.imag).max()
+    top = np.abs(eigenvalues(pencil).imag).max()
     s1 = resolvent_norm(pencil, 3.0 * top)
     s2 = resolvent_norm(pencil, 6.0 * top)
     assert s2 < s1
@@ -294,7 +310,7 @@ def test_resolvent_near_bessel_resonance_blows_up():
     grid = build_radial_grid(GEO, 8, 128, 0)
     sub = membrane_subpencil(PhysicalParams(m_damp=0.0), grid)
     j01 = bessel_j0_zeros(1)[0]  # first membrane frequency, r_interface = 1
-    lam = eigenvalues(sub).eigenvalues
+    lam = eigenvalues(sub)
     discrete = lam.imag[np.argmin(np.abs(lam.imag - j01))]
     assert abs(discrete - j01) / j01 < 5e-3  # the resonance sits at j01
     assert resolvent_norm(sub, float(discrete) + 1e-9) > 1e6
@@ -484,7 +500,7 @@ def test_schur_vectors_are_made_only_for_the_projection(monkeypatch):
         if first_the_spectrum:
             eigenvalues(pencil)
         norm = resolvent_norm(pencil, 3.1)
-        runs.append((eigenvalues(pencil).eigenvalues.tobytes(), norm))
+        runs.append((eigenvalues(pencil).tobytes(), norm))
         assert asked == [False]
     assert runs[0] == runs[1]
 
