@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_assembly_memory_is_linear_in_n():
     # one dense n x n stencil is 33.6 MB at n = 2048; dense stencils peaked at 236 MB
     import tracemalloc
 
-    from scipy.linalg import cholesky_banded  # noqa: F401  (imported before tracing)
+    pencil_module.lapack("dpbtrf")    # the LAPACK table, loaded before tracing
 
     grid = build_radial_grid(GEO, 2048, 2048, 1)
     tracemalloc.start()
@@ -441,6 +442,70 @@ def test_a_pencil_reads_its_mode_from_its_grid():
 def test_band_lu_raises_on_a_singular_or_non_finite_factor(rows):
     with pytest.raises(np.linalg.LinAlgError, match="singular band matrix"):
         pencil_module.band_lu(sparse.csr_array(np.array(rows)))
+
+
+def test_band_lu_matches_scipys_dgbtrf_and_dgbtrs_bit_for_bit():
+    # the table's routines are the ones scipy's f2py wrappers call, on the same
+    # arguments; the solution keeps f2py's layout, a Fortran-ordered copy
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    pencil = make_pencil(CELLS["exp_rho"], n=32, mode=1)
+    order = pencil_module.node_order(pencil)
+    A = (pencil.M - 0.05 * pencil.A).tocsr()[order][:, order]
+    ab, kl, ku = pencil_module._band_storage(A)
+    lu, piv, info = dgbtrf(ab, kl, ku)
+    assert info == 0
+    solve = pencil_module.band_lu(A)
+    X = np.random.default_rng(4).standard_normal((pencil.dim, 3))
+    for b in (X[:, 0], X, np.ascontiguousarray(X), X[:, 1:]):
+        ref, got = dgbtrs(lu, kl, ku, b, piv)[0], solve(b)
+        assert got.tobytes() == ref.tobytes() and got.flags.f_contiguous
+        assert got is not b
+    # a vector's solution leaves its thread's buffer as a new array
+    first = solve(X[:, 0])
+    solve(X[:, 1])
+    assert first.tobytes() == dgbtrs(lu, kl, ku, X[:, 0], piv)[0].tobytes()
+    # rows taken in an order, as the Crank-Nicolson step takes them back to dof order
+    back = np.argsort(order)
+    taken = pencil_module.band_lu(A, rows=back)
+    for b in (X[:, 0], X):
+        assert taken(b).tobytes() == dgbtrs(lu, kl, ku, b, piv)[0][back].tobytes()
+
+
+def test_band_lu_solves_vectors_from_many_threads_at_once():
+    # each thread solves in a buffer of its own
+    from concurrent.futures import ThreadPoolExecutor
+
+    pencil = make_pencil(CELLS["exp_rho"], n=32, mode=1)
+    solve = pencil_module.band_lu(pencil.M)
+    X = np.random.default_rng(8).standard_normal((64, pencil.dim))
+    expect = [solve(x).tobytes() for x in X]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(5):
+            assert [y.tobytes() for y in pool.map(solve, X)] == expect
+
+
+@pytest.mark.parametrize("mode", [0, 1, 3])
+def test_gram_factor_matches_scipys_cholesky_banded_bit_for_bit(mode):
+    from scipy.linalg import cholesky_banded
+
+    pencil = make_pencil(CELLS["poly"], n=32, mode=mode)
+    ref = cholesky_banded(pencil_module._band_storage(sparse.triu(pencil.G))[0])
+    got = gram_factor(pencil)
+    assert got.tobytes() == ref.tobytes() and got.flags.f_contiguous == ref.flags.f_contiguous
+
+
+@pytest.mark.parametrize("setting, low, high", [("beta2 = 1e305", "beta1 = 1", "beta2 = 1e+305"),
+                                                ("beta1 = 1e-305", "beta1 = 1e-305", "rho2 = 1")])
+def test_gram_factor_names_the_scale_gap_of_a_positive_diagonal(setting, low, high):
+    # G = F^T F is finite and positive definite there; the banded Cholesky fails
+    # on the 305 decades between blocks, and the error says so
+    name, value = setting.split(" = ")
+    with pytest.raises(AssemblyError, match=(
+            "^G's Cholesky factorization failed for mode 0 with a positive diagonal, "
+            "\\S+ to \\S+: its material constants span 305 decades "
+            + re.escape(f"({low}, {high})") + "$")):
+        make_pencil(PhysicalParams(**{name: float(value)}), n=16, mode=0)
 
 
 def test_gram_quadrature_converges_on_transmission_state():
