@@ -36,14 +36,11 @@ nonzeros per row.  G couples two fields only in the membrane's interface
 row, which ties v[-1] to u[0] and u[1]; with v just before u in FIELDS, G is
 banded in the dof order itself, with half-bandwidth 2, and M with 1, so both
 are factored in LAPACK band storage.  Each scipy module is imported at first
-use, not with the package, so start-up loads numpy alone.  Every LAPACK
-routine is called through `lapack`, from scipy's Cython LAPACK table, so no
-run imports scipy.linalg.
+use, not with the package, so start-up loads numpy alone, and LAPACK is
+scipy's f2py wrappers, loaded by `flapack` without scipy.linalg itself.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -313,115 +310,53 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
 
 def _band_storage(A) -> tuple[np.ndarray, int, int]:
     """(ab, kl, ku): the sparse square A of bandwidths kl and ku in LAPACK band
-    storage with kl rows on top for an LU's fill, A[i, j] at ab[kl + ku + i - j, j],
-    Fortran-ordered; for an upper triangle (kl = 0), the upper band storage
-    of a Cholesky factor."""
+    storage with kl rows on top for an LU's fill, A[i, j] at ab[kl + ku + i - j, j];
+    for an upper triangle (kl = 0), the upper band storage of a Cholesky factor."""
     c = A.tocoo()
     kl, ku = (int(d.max(initial=0)) for d in (c.row - c.col, c.col - c.row))
-    ab = np.zeros((2 * kl + ku + 1, A.shape[1]), order="F")
+    ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
     ab[kl + ku + c.row - c.col, c.col] = c.data
     return ab, kl, ku
 
 
-_LAPACK_LOCK = threading.Lock()
-_ROUTINES: dict[str, Any] = {}
-_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+_LOAD_LOCK = threading.Lock()
+_FLAPACK = "scipy.linalg._flapack"
 
 
-def _cython_lapack():
-    """scipy's Cython LAPACK table, the scipy.linalg.cython_lapack extension,
+def flapack():
+    """scipy's f2py LAPACK wrappers, the scipy.linalg._flapack extension,
     executed on its own: importing it by name would first run scipy.linalg's
-    package __init__, 42 more modules and about 6 MB.  An entry already in
-    sys.modules is reused, and a new one is registered there under that name.
-    Called under _LAPACK_LOCK: the extension enters sys.modules before its
-    table is filled, and a second thread must not read it then."""
-    module = sys.modules.get(_CYTHON_LAPACK)
-    if module is None:
-        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-        for path in importlib.util.find_spec("scipy").submodule_search_locations:
-            finder = importlib.machinery.FileFinder(f"{path}/linalg", loader)
-            spec = finder.find_spec(_CYTHON_LAPACK)
-            if spec is not None:
-                break
-        else:
-            raise ImportError(f"no {_CYTHON_LAPACK} extension in scipy")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module = sys.modules.setdefault(_CYTHON_LAPACK, module)
-    return module
+    package __init__, 42 more modules and about 5.5 MB.  An entry already in
+    sys.modules is reused, and a new one is registered there under that name,
+    where scipy.linalg finds it if it is imported later.  The lock makes
+    parallel workers execute it once."""
+    with _LOAD_LOCK:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            loader = (importlib.machinery.ExtensionFileLoader,
+                      importlib.machinery.EXTENSION_SUFFIXES)
+            for path in importlib.util.find_spec("scipy").submodule_search_locations:
+                spec = importlib.machinery.FileFinder(f"{path}/linalg", loader).find_spec(_FLAPACK)
+                if spec is not None:
+                    break
+            else:
+                raise ImportError(f"no {_FLAPACK} extension in scipy")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(_FLAPACK, module)
+        return module
 
 
-def lapack(name: str):
-    """LAPACK's routine name from scipy's Cython LAPACK table, as a ctypes
-    function that releases the GIL while it runs.  It takes every argument
-    by reference, as LAPACK does, with no conversion: characters as bytes,
-    integers as byref(c_int), arrays as `array_arg`.  A caller in a loop
-    builds its arguments once, since a converted call costs 4-5 us."""
-    with _LAPACK_LOCK:
-        if name not in _ROUTINES:
-            api = ctypes.pythonapi
-            get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-                ("PyCapsule_GetName", api))
-            get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-                ("PyCapsule_GetPointer", api))
-            capsule = _cython_lapack().__pyx_capi__[name]
-            _ROUTINES[name] = ctypes.CFUNCTYPE(None)(get_pointer(capsule, get_name(capsule)))
-        return _ROUTINES[name]
-
-
-_NO_BYTES = ctypes.c_char * 0
-
-
-def array_arg(a: np.ndarray):
-    """The C- or Fortran-contiguous writable array a as a LAPACK argument,
-    the address of its data: 0.4 us, against 1.2 us for a.ctypes.data."""
-    return _NO_BYTES.from_buffer(a if a.flags.c_contiguous else a.T)
-
-
-def int_arg(value: int):
-    """value as a LAPACK integer argument."""
-    return ctypes.byref(ctypes.c_int(value))
-
-
-def band_lu(A, rows=None):
+def band_lu(A):
     """solve(X) = A^-1 X for a real vector or n x k array X, by dgbtrf's LU of
-    the sparse square A (partial pivoting, band storage) and dgbtrs, with
-    the solution's rows taken in the order rows when given.  A zero or
-    non-finite pivot raises LinAlgError.  The solution is a new array,
-    Fortran-ordered unless rows are taken.
-
-    Each thread solves vectors in a buffer of its own, with dgbtrs's
-    arguments built once, which saves each Crank-Nicolson step the address
-    of a new array, 0.5 us against the ~10 us of a dim-320 solve."""
+    the sparse square A (partial pivoting, band storage) and dgbtrs.  A zero
+    or non-finite pivot raises LinAlgError."""
+    lapack = flapack()
     ab, kl, ku = _band_storage(A)
-    n = ab.shape[1]
-    piv, info = np.empty(n, dtype=np.intc), ctypes.c_int()
-    dims = int_arg(n), int_arg(kl), int_arg(ku)
-    lapack("dgbtrf")(dims[0], *dims, array_arg(ab), int_arg(len(ab)), array_arg(piv),
-                     ctypes.byref(info))
-    if info.value != 0 or not np.isfinite(ab).all():
-        raise np.linalg.LinAlgError(f"singular band matrix (dgbtrf info {info.value})")
-    dgbtrs, factor = lapack("dgbtrs"), (array_arg(ab), int_arg(len(ab)), array_arg(piv))
-    args = lambda x, nrhs: (b"N", *dims, int_arg(nrhs), *factor, array_arg(x), dims[0],
-                            ctypes.byref(ctypes.c_int()))
-    local = threading.local()
-
-    def solve(X):
-        if X.ndim == 1:
-            try:
-                buf, call = local.vector
-            except AttributeError:
-                buf = np.empty(n)
-                call = functools.partial(dgbtrs, *args(buf, 1))
-                local.vector = buf, call
-            buf[:] = X
-            call()
-            return buf.copy() if rows is None else buf[rows]
-        x = np.array(X, dtype=float, order="F")
-        dgbtrs(*args(x, x.shape[1]))
-        return x if rows is None else x[rows]
-
-    return solve
+    lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0 or not np.isfinite(lu).all():
+        raise np.linalg.LinAlgError(f"singular band matrix (dgbtrf info {info})")
+    return lambda X: lapack.dgbtrs(lu, kl, ku, X, piv)[0]
 
 
 def node_order(pencil: ModePencil) -> np.ndarray:
@@ -449,27 +384,31 @@ def gram_factor(pencil: ModePencil) -> np.ndarray:
         ab = _band_storage(triu(pencil.G))[0]
         if not np.isfinite(ab).all():
             raise AssemblyError(f"G is not finite for mode {pencil.mode}")
-        diagonal, info = ab[-1].copy(), ctypes.c_int()
-        lapack("dpbtrf")(b"U", int_arg(ab.shape[1]), int_arg(len(ab) - 1), array_arg(ab),
-                         int_arg(len(ab)), ctypes.byref(info))
-        if info.value != 0:
-            raise AssemblyError(_not_factored(pencil, diagonal))
-        pencil._cache[key] = ab
+        U, info = flapack().dpbtrf(ab, lower=0)
+        if info != 0:
+            raise AssemblyError(_not_factored(pencil, ab[-1]))
+        pencil._cache[key] = U
     return pencil._cache[key]
+
+
+# float64's significant digits: material constants further apart than this
+# many decades scale G's blocks past what one banded Cholesky can hold
+FLOAT64_DECADES = 16
 
 
 def _not_factored(pencil: ModePencil, diagonal: np.ndarray) -> str:
     """Why G's Cholesky factorization failed.  G = F^T F of a validated pencil
-    is positive definite with a positive diagonal; when it fails all the
-    same, the material constants that scale G lie too many decades apart for
-    float64, so the text names the diagonal's range and that gap."""
-    if not (diagonal > 0.0).all():
-        return f"G is not positive definite for mode {pencil.mode}"
+    is positive definite; when it fails all the same on a positive diagonal
+    and the material constants that scale G span more than FLOAT64_DECADES,
+    the text names the diagonal's range and that gap.  Otherwise G is not
+    positive definite."""
     scales = {name: getattr(pencil.params, name)
               for name in ("rho0", "rho1", "rho2", "beta1", "beta2", "gamma")}
     constants = sorted((value, name) for name, value in scales.items() if value > 0.0)
     (low, low_name), (high, high_name) = constants[0], constants[-1]
+    span = math.log10(high) - math.log10(low)
+    if not (diagonal > 0.0).all() or span <= FLOAT64_DECADES:
+        return f"G is not positive definite for mode {pencil.mode}"
     return (f"G's Cholesky factorization failed for mode {pencil.mode} with a positive "
             f"diagonal, {diagonal.min():.3g} to {diagonal.max():.3g}: its material constants "
-            f"span {math.log10(high) - math.log10(low):.0f} decades "
-            f"({low_name} = {low:g}, {high_name} = {high:g})")
+            f"span {span:.0f} decades ({low_name} = {low:g}, {high_name} = {high:g})")

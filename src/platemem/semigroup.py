@@ -116,9 +116,11 @@ def _cn_factorization(pencil: ModePencil, dt: float):
         Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()[order][:, order]
         D = 1.0 / abs(Mm).max(axis=1).toarray()[:, None]
         try:
-            solve = band_lu(Mm.multiply(D), rows=np.argsort(order))
+            lu = band_lu(Mm.multiply(D))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}") from exc
+        back = np.argsort(order)
+        solve = lambda b: lu(b)[back]
         Mp = (pencil.M + 0.5 * dt * pencil.A).tocsr()[order].multiply(D).tocsr()
         if pencil.dim <= DENSE_STEP_DIM:
             solve, Mp = None, solve(Mp.toarray())

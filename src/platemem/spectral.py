@@ -16,15 +16,16 @@ O(dim^3) factorization.
 A sample stops at a Ritz residual of sqrt(eps) relative, where s(lam) is
 already exact to round-off (see LANCZOS_TOL).
 
-Every LAPACK routine here is called through `pencil.lapack`, from scipy's
-Cython LAPACK table by ctypes, which releases the GIL for the call (scipy's
-f2py wrappers of the same routines hold it).  So the maps over modes in
-`spectral_abscissa_sweep` and `platemem spectrum`, whose time is the real
-Schur forms (dgees), run them on all cores.
+LAPACK is scipy's f2py wrappers, from `pencil.flapack`.  The real Schur
+form calls the Fortran dgees behind its wrapper through ctypes, which
+releases the GIL for the call (the wrapper holds it).  So the maps over
+modes in `spectral_abscissa_sweep` and `platemem spectrum`, whose time is
+these factorizations, run them on all cores.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-from .pencil import (ModePencil, array_arg, assemble_mode_pencil, band_lu, gram_factor, int_arg,
-                     lapack)
+from .pencil import ModePencil, assemble_mode_pencil, band_lu, flapack, gram_factor
 from .semigroup import check_state
 from .util import parallel_map
 
@@ -76,6 +76,7 @@ def _similarity(pencil: ModePencil) -> np.ndarray:
     then banded solves from the right finish its row blocks, 32 at a time."""
     from scipy.sparse import csr_array
 
+    dtbtrs = flapack().dtbtrs
     U, solve_M = gram_factor(pencil), band_lu(pencil.M)
     n, k, j = pencil.dim, *np.nonzero(U)
     Us = csr_array((U[k, j], (j + k - len(U) + 1, j)), shape=(n, n))
@@ -85,7 +86,7 @@ def _similarity(pencil: ModePencil) -> np.ndarray:
     for c in range(0, n, step):
         B[:, c:c + step] = Us @ solve_M(A[:, c:c + step].toarray())
     for r in range(0, n, step):
-        rows, info = _tbtrs(U, B[r:r + step].T, b"T")       # U^T X^T = B^T
+        rows, info = dtbtrs(U, B[r:r + step].T, trans="T")       # U^T X^T = B^T
         if info != 0:
             raise np.linalg.LinAlgError(f"dtbtrs info {info}")
         if not np.isfinite(rows).all():
@@ -94,14 +95,16 @@ def _similarity(pencil: ModePencil) -> np.ndarray:
     return B
 
 
-def _tbtrs(U: np.ndarray, X: np.ndarray, trans: bytes = b"N") -> tuple[np.ndarray, int]:
-    """(U^-1 X or, for trans b"T", U^-T X, dtbtrs's info), U in upper band
-    storage; the solution is a Fortran-ordered copy of X."""
-    x, info = np.array(X, dtype=float, order="F"), ctypes.c_int()
-    lapack("dtbtrs")(b"U", trans, b"N", int_arg(U.shape[1]), int_arg(len(U) - 1),
-                     int_arg(x.shape[1]), array_arg(U), int_arg(len(U)), array_arg(x),
-                     int_arg(len(x)), ctypes.byref(info))
-    return x, info.value
+@functools.cache
+def _dgees():
+    """The Fortran dgees behind scipy's f2py wrapper, its _cpointer, as a
+    ctypes function (GIL released)."""
+    capsule = flapack().dgees._cpointer
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(pointer(capsule, name(capsule)))
 
 
 def _gees(a: np.ndarray, vectors: bool):
@@ -117,13 +120,13 @@ def _gees(a: np.ndarray, vectors: bool):
     dim = len(a)
     wr, wi = np.empty(dim), np.empty(dim)
     Z = np.empty((dim, dim) if vectors else (1, 1), order="F")
-    n, sdim, info = int_arg(dim), ctypes.c_int(), ctypes.c_int()
+    n, ldz, sdim, info = ctypes.c_int(dim), ctypes.c_int(len(Z)), ctypes.c_int(), ctypes.c_int()
+    ref = ctypes.byref
 
     def gees(work: np.ndarray, lwork: int) -> None:
-        lapack("dgees")(b"V" if vectors else b"N", b"N", None, n, array_arg(a), n,
-                        ctypes.byref(sdim), array_arg(wr), array_arg(wi), array_arg(Z),
-                        int_arg(len(Z)), array_arg(work), int_arg(lwork), None,
-                        ctypes.byref(info))
+        _dgees()(b"V" if vectors else b"N", b"N", None, ref(n), a.ctypes.data, ref(n),
+                 ref(sdim), wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(ldz),
+                 work.ctypes.data, ref(ctypes.c_int(lwork)), None, ref(info))
         if info.value != 0:
             raise np.linalg.LinAlgError(f"gees info {info.value}")
 
@@ -206,6 +209,7 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     Q = U^-1 Z[:, :k] is a G-orthonormal basis of it.  Q and G are real,
     so a real state stays real.  A no-op when every mode is damped.
     """
+    lapack = flapack()
     w = check_state(pencil, w)
     key = "undamped_basis"
     if key not in pencil._cache:
@@ -214,11 +218,11 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
         if not bad.any():
             pencil._cache[key] = None
         else:
-            k, info = _trsen(bad, T, Z)
+            _, Zs, _, _, k, _, _, info = lapack.dtrsen(bad, T, Z, job="N", overwrite_q=True)
             if info != 0:
                 raise RuntimeError(f"Schur reordering failed (info {info}) for mode "
                                    f"{pencil.mode}, dim {pencil.dim}")
-            Q, info = _tbtrs(gram_factor(pencil), Z[:, :k])
+            Q, info = lapack.dtbtrs(gram_factor(pencil), Zs[:, :k])
             if info != 0:
                 raise RuntimeError(f"banded solve failed (info {info}) in the projection "
                                    f"for mode {pencil.mode}, dim {pencil.dim}")
@@ -227,20 +231,6 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
     if Q is None:
         return w
     return w - Q @ (Q.T @ (pencil.G @ w))
-
-
-def _trsen(select: np.ndarray, T: np.ndarray, Z: np.ndarray) -> tuple[int, int]:
-    """(k, info): dtrsen's reordering of the real Schur form T = Z^T B Z, both
-    Fortran-ordered and updated in place, that puts the k selected
-    eigenvalues first; no condition numbers."""
-    n, k, info = len(T), ctypes.c_int(), ctypes.c_int()
-    wr, wi, work, iwork = np.empty(n), np.empty(n), np.empty(max(n, 1)), np.empty(1, np.intc)
-    lapack("dtrsen")(b"N", b"V", array_arg(select.astype(np.intc)), int_arg(n), array_arg(T),
-                     int_arg(n), array_arg(Z), int_arg(n), array_arg(wr), array_arg(wi),
-                     ctypes.byref(k), ctypes.byref(ctypes.c_double()),
-                     ctypes.byref(ctypes.c_double()), array_arg(work), int_arg(len(work)),
-                     array_arg(iwork), int_arg(1), ctypes.byref(info))
-    return k.value, info.value
 
 
 def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
@@ -271,36 +261,6 @@ def _complex_schur(pencil: ModePencil) -> tuple[np.ndarray, np.ndarray]:
     return pencil._cache[key]
 
 
-class _Lanczos:
-    """resolvent_norm's buffers and LAPACK arguments on one T_c, made at a
-    pencil's first sample and cached beside T_c: made per sample they cost
-    ~8 us of a ~130 us sample at dim 80, and a converted call 4-5 us more
-    than one with its arguments built.  x holds the newest Lanczos vector v,
-    then K^H K v from two solves in place; a and b hold the tridiagonal's
-    diagonal and off-diagonal, dstev overwrites its copies t and e of them,
-    and y holds dstev's eigenvectors, k x k in y[:k * k], regrown as k grows.
-    A pencil's samples share these and T_c's diagonal, so they run one at a
-    time, as resolvent_scan runs them."""
-
-    def __init__(self, R: np.ndarray):
-        n = len(R)
-        self.x = np.empty(n, dtype=complex)
-        self.a, self.b, self.t, self.e = np.empty((4, n))
-        self.k, self.info = ctypes.c_int(), ctypes.c_int()
-        self.ztrtrs, self.dstev = lapack("ztrtrs"), lapack("dstev")
-        dim, info = int_arg(n), ctypes.byref(self.info)
-        solve = (dim, int_arg(1), array_arg(R), dim, array_arg(self.x), dim, info)
-        self.solves = (b"U", b"N", b"N", *solve), (b"U", b"C", b"N", *solve)   # K v, K^H v
-        self._work = array_arg(np.empty(2 * n))
-        self.grow(8)
-
-    def grow(self, m: int) -> None:
-        """Room in y for the eigenvectors of a tridiagonal of size 2 m, or n."""
-        self.y = np.empty(min(2 * m, len(self.x)) ** 2)
-        k, t, e = ctypes.byref(self.k), array_arg(self.t), array_arg(self.e)
-        self.ritz = (b"V", k, t, e, array_arg(self.y), k, self._work, ctypes.byref(self.info))
-
-
 def resolvent_norm(pencil: ModePencil, lam: float) -> float:
     """s(lam) = ||(i lam - M^-1 A)^-1|| in the energy norm.
 
@@ -320,34 +280,25 @@ def resolvent_norm(pencil: ModePencil, lam: float) -> float:
         raise RuntimeError(f"i*{lam} is (numerically) an eigenvalue of the pencil")
     n = len(R)
     R[np.diag_indices(n)] = shifted
-    if "lanczos" not in pencil._cache:
-        pencil._cache["lanczos"] = _Lanczos(R)
-    ws = pencil._cache["lanczos"]
-    x, a, b, t, e = ws.x, ws.a, ws.b, ws.t, ws.e
-    ztrtrs, dstev, (forward, back) = ws.ztrtrs, ws.dstev, ws.solves
+    lapack = flapack()
+    dstev, ztrtrs = lapack.dstev, lapack.ztrtrs
 
-    x[:] = n ** -0.5
-    V = x[None].copy()
+    V = np.full((1, n), n ** -0.5, dtype=complex)
+    alpha, beta = [], []
     while True:
-        ztrtrs(*forward)
-        ztrtrs(*back)                                       # x = K^H K v
-        h = V.conj() @ x
-        x -= V.T @ h
-        m = ws.k.value = len(V)
-        a[m - 1] = h[-1].real
-        b[m - 1] = beta = float(np.linalg.norm(x))
-        # the tridiagonal's Ritz pairs; dstev overwrites t with them and e
-        t[:m], e[:m - 1] = a[:m], b[:m - 1]
-        if m * m > len(ws.y):
-            ws.grow(m)
-        dstev(*ws.ritz)
-        if ws.info.value != 0:
-            raise RuntimeError(f"Lanczos eigensolve failed (dstev info {ws.info.value}) for "
-                               f"mode {pencil.mode}, lambda {lam}")
-        if beta * abs(ws.y[m * m - 1]) <= LANCZOS_TOL * t[m - 1] or m == n:
-            return math.sqrt(t[m - 1])
-        x /= beta
-        V = np.vstack((V, x))
+        w = ztrtrs(R, ztrtrs(R, V[-1])[0], trans=2)[0]        # K^H K v
+        h = V.conj() @ w
+        w -= V.T @ h
+        alpha.append(h[-1].real)
+        beta.append(float(np.linalg.norm(w)))
+        # the tridiagonal's Ritz pairs; dstev takes one off-diagonal even at size 1
+        theta, y, info = dstev(np.array(alpha), np.array(beta[:-1] or [0.0]), compute_v=1)
+        if info != 0:
+            raise RuntimeError(f"Lanczos eigensolve failed (dstev info {info}) for mode "
+                               f"{pencil.mode}, lambda {lam}")
+        if beta[-1] * abs(y[-1, -1]) <= LANCZOS_TOL * theta[-1] or len(V) == n:
+            return math.sqrt(theta[-1])
+        V = np.vstack((V, w / beta[-1]))
 
 
 def resolvent_scan(pencil: ModePencil, lambda_min: float, lambda_max: float,

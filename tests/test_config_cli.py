@@ -602,63 +602,52 @@ def test_cli_runs_never_import_scipy_sparse_linalg(tmp_path, argv):
                                   ["scan", "--lmin", "0.25", "--lmax", "20", "--n", "8"]],
                          ids=lambda argv: argv[0])
 def test_cli_runs_never_import_scipy_linalg(tmp_path, argv):
-    # every LAPACK routine comes from scipy's Cython table, whose extension is
-    # loaded without scipy.linalg's package __init__; the m = 0 regimes run
-    # projects its data, so it calls all eight routines (its coarse verdict
-    # reads "inconsistent", exit 2)
+    # LAPACK is scipy's f2py wrappers, loaded without scipy.linalg's package
+    # __init__; the m = 0 regimes run projects its data, so it calls every
+    # routine (its coarse verdict reads "inconsistent", exit 2)
     body = FAST if argv[0] != "regimes" else REGIME_FAST.replace("\nm = 1\n", "\nm = 0\n")
     path = write_cfg(tmp_path, body)
     code = ("import sys\n"
             "from platemem.cli import main\n"
             f"assert main({[argv[0], path, *argv[1:]]!r}) in (0, 2)\n"
-            "from platemem.pencil import _ROUTINES\n"
-            "print('scipy.linalg' in sys.modules, sorted(_ROUTINES))")
-    linalg, routines = _run_python(["-c", code]).splitlines()[-1].split(" ", 1)
-    assert linalg == "False"
-    assert "dgbtrs" in routines
-    if argv[0] == "regimes":
-        assert routines == str(sorted(["dgbtrf", "dgbtrs", "dgees", "dpbtrf", "dstev", "dtbtrs",
-                                       "dtrsen", "ztrtrs"]))
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))")
+    assert _run_python(["-c", code]).splitlines()[-1] == str(["scipy.linalg._flapack"])
 
 
-def test_threads_loading_the_lapack_table_together_get_one_table():
-    # without the lock, two parallel_map workers raced: one read the extension
-    # from sys.modules before its table was filled, and raised AttributeError
+def test_threads_loading_lapack_together_get_one_module():
+    # a barrier releases 8 threads into the loader at once, in a process
+    # that has not loaded it
     code = ("import sys, threading\n"
-            "from platemem.pencil import lapack\n"
-            "names = ['dgbtrf', 'dgbtrs', 'dgees', 'dpbtrf', 'dstev', 'dtbtrs', 'dtrsen', 'ztrtrs']\n"
-            "barrier, got = threading.Barrier(len(names)), {}\n"
-            "def load(name):\n"
+            "from platemem.pencil import flapack\n"
+            "barrier, got = threading.Barrier(8), []\n"
+            "def load():\n"
             "    barrier.wait()\n"
-            "    got[name] = lapack(name)\n"
-            "threads = [threading.Thread(target=load, args=(name,)) for name in names]\n"
+            "    got.append(flapack())\n"
+            "threads = [threading.Thread(target=load) for _ in range(8)]\n"
             "for t in threads: t.start()\n"
             "for t in threads: t.join()\n"
-            "capi = sys.modules['scipy.linalg.cython_lapack'].__pyx_capi__\n"
-            "print(sorted(got) == names, all(got[n] is lapack(n) for n in names),\n"
-            "      len(capi) > 1000, 'scipy.linalg' in sys.modules)")
-    assert _run_python(["-c", code]).strip() == "True True True False"
+            "module = sys.modules['scipy.linalg._flapack']\n"
+            "print(len(got), all(m is module for m in got), callable(module.dgees),\n"
+            "      'scipy.linalg' in sys.modules)")
+    assert _run_python(["-c", code]).strip() == "8 True True False"
 
 
-@pytest.mark.parametrize("first", ["table", "scipy.linalg"])
-def test_the_lapack_table_and_scipy_linalg_load_in_either_order(first):
-    # each finds the one extension the other loaded, and scipy.linalg's own
-    # Cython modules take their routines from it
-    steps = ["lapack('dpbtrf')", "import scipy.linalg"]
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "from platemem.pencil import array_arg, int_arg, lapack\n"
-            + "\n".join(steps if first == "table" else steps[::-1]) + "\n"
-            "from scipy.linalg import cholesky_banded, cython_lapack, lu\n"
-            "ab = np.array([[0.0, 1.0, 1.0], [4.0, 5.0, 6.0]], order='F')\n"
-            "ref = cholesky_banded(ab)\n"
-            "lapack('dpbtrf')(b'U', int_arg(3), int_arg(1), array_arg(ab), int_arg(2), int_arg(0))\n"
-            "print(sys.modules['scipy.linalg.cython_lapack'] is cython_lapack,\n"
-            "      ab.tobytes() == ref.tobytes())\n"
+@pytest.mark.parametrize("first", ["flapack", "scipy.linalg"])
+def test_lapack_and_scipy_linalg_load_in_either_order(first):
+    # each finds the module the other loaded, so platemem and scipy.linalg
+    # call the same wrappers
+    steps = ["module = flapack()", "import scipy.linalg"]
+    code = ("import numpy as np\n"
+            "from platemem.pencil import flapack\n"
+            + "\n".join(steps if first == "flapack" else steps[::-1]) + "\n"
+            "from scipy.linalg import cholesky_banded, lapack, lu\n"
+            "print(module is lapack._flapack is flapack(), lapack.dpbtrf is module.dpbtrf)\n"
+            "ab = np.array([[0.0, 1.0, 1.0], [4.0, 5.0, 6.0]])\n"
+            "print(cholesky_banded(ab).tobytes() == module.dpbtrf(ab)[0].tobytes())\n"
             "a = np.array([[1.0, 2.0], [3.0, 4.0]])\n"
             "p, l, u = lu(a)\n"
             "print(np.allclose(p @ l @ u, a))")
-    assert _run_python(["-c", code]).splitlines() == ["True True", "True"]
+    assert _run_python(["-c", code]).splitlines() == ["True True", "True", "True"]
 
 
 @pytest.mark.parametrize("setting, constants", [

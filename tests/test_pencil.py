@@ -290,7 +290,7 @@ def test_assembly_memory_is_linear_in_n():
     # one dense n x n stencil is 33.6 MB at n = 2048; dense stencils peaked at 236 MB
     import tracemalloc
 
-    pencil_module.lapack("dpbtrf")    # the LAPACK table, loaded before tracing
+    pencil_module.flapack()    # LAPACK, loaded before tracing
 
     grid = build_radial_grid(GEO, 2048, 2048, 1)
     tracemalloc.start()
@@ -444,47 +444,6 @@ def test_band_lu_raises_on_a_singular_or_non_finite_factor(rows):
         pencil_module.band_lu(sparse.csr_array(np.array(rows)))
 
 
-def test_band_lu_matches_scipys_dgbtrf_and_dgbtrs_bit_for_bit():
-    # the table's routines are the ones scipy's f2py wrappers call, on the same
-    # arguments; the solution keeps f2py's layout, a Fortran-ordered copy
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-    pencil = make_pencil(CELLS["exp_rho"], n=32, mode=1)
-    order = pencil_module.node_order(pencil)
-    A = (pencil.M - 0.05 * pencil.A).tocsr()[order][:, order]
-    ab, kl, ku = pencil_module._band_storage(A)
-    lu, piv, info = dgbtrf(ab, kl, ku)
-    assert info == 0
-    solve = pencil_module.band_lu(A)
-    X = np.random.default_rng(4).standard_normal((pencil.dim, 3))
-    for b in (X[:, 0], X, np.ascontiguousarray(X), X[:, 1:]):
-        ref, got = dgbtrs(lu, kl, ku, b, piv)[0], solve(b)
-        assert got.tobytes() == ref.tobytes() and got.flags.f_contiguous
-        assert got is not b
-    # a vector's solution leaves its thread's buffer as a new array
-    first = solve(X[:, 0])
-    solve(X[:, 1])
-    assert first.tobytes() == dgbtrs(lu, kl, ku, X[:, 0], piv)[0].tobytes()
-    # rows taken in an order, as the Crank-Nicolson step takes them back to dof order
-    back = np.argsort(order)
-    taken = pencil_module.band_lu(A, rows=back)
-    for b in (X[:, 0], X):
-        assert taken(b).tobytes() == dgbtrs(lu, kl, ku, b, piv)[0][back].tobytes()
-
-
-def test_band_lu_solves_vectors_from_many_threads_at_once():
-    # each thread solves in a buffer of its own
-    from concurrent.futures import ThreadPoolExecutor
-
-    pencil = make_pencil(CELLS["exp_rho"], n=32, mode=1)
-    solve = pencil_module.band_lu(pencil.M)
-    X = np.random.default_rng(8).standard_normal((64, pencil.dim))
-    expect = [solve(x).tobytes() for x in X]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for _ in range(5):
-            assert [y.tobytes() for y in pool.map(solve, X)] == expect
-
-
 @pytest.mark.parametrize("mode", [0, 1, 3])
 def test_gram_factor_matches_scipys_cholesky_banded_bit_for_bit(mode):
     from scipy.linalg import cholesky_banded
@@ -506,6 +465,14 @@ def test_gram_factor_names_the_scale_gap_of_a_positive_diagonal(setting, low, hi
             "\\S+ to \\S+: its material constants span 305 decades "
             + re.escape(f"({low}, {high})") + "$")):
         make_pencil(PhysicalParams(**{name: float(value)}), n=16, mode=0)
+
+
+def test_gram_factor_names_an_indefinite_g_with_a_positive_diagonal():
+    # the diagonal alone does not make G positive definite, and default
+    # constants span too few decades to explain a failure
+    G = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(AssemblyError, match="^G is not positive definite for mode 0$"):
+        gram_factor(fake_pencil(np.eye(2), G=G))
 
 
 def test_gram_quadrature_converges_on_transmission_state():

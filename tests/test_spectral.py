@@ -6,33 +6,19 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       resolvent_norm, resolvent_scan, spectral_abscissa_sweep,
                       zero_in_resolvent)
 from platemem import spectral
+from platemem.pencil import flapack
 
 from oracles import (bessel_j0, bessel_j0_zeros, fake_pencil, membrane_subpencil,
                      resolvent_norm_dense_oracle)
 
 GEO = AnnulusGeometry()
+# the f2py LAPACK wrappers spectral calls, patched in place below
+lapack = flapack()
+ztrtrs = lapack.ztrtrs
 
 
 def make_pencil(p, n=16, mode=0):
     return assemble_mode_pencil(p, build_radial_grid(GEO, n, n, mode))
-
-
-def route(monkeypatch, name, wrap):
-    """Make spectral's LAPACK routine name call wrap(real, *args), real the
-    routine itself, with the arguments of pencil.lapack's call seam."""
-    table = spectral.lapack
-
-    def lookup(routine):
-        real = table(routine)
-        return real if routine != name else (lambda *args: wrap(real, *args))
-
-    monkeypatch.setattr(spectral, "lapack", lookup)
-
-
-def fail(real, *args):
-    """The routine's results, with info set to 1: its last argument, byref of a c_int."""
-    real(*args)
-    args[-1]._obj.value = 1
 
 
 def test_bessel_oracle_self_check():
@@ -149,8 +135,13 @@ def test_resolvent_norm_diagonal_pencil_exact(monkeypatch):
     # dim 3: Lanczos ends with the Krylov space all of C^3, three products, at
     # either tolerance, and the Ritz value is the exact top eigenvalue then
     solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return ztrtrs(*args, **kwargs)
+
     d = np.array([-1.0, -2.0, -0.5])
-    route(monkeypatch, "ztrtrs", lambda real, *args: solves.append(real(*args)))
+    monkeypatch.setattr(lapack, "ztrtrs", counting)
     for tol in (spectral.LANCZOS_TOL, 0.0):
         monkeypatch.setattr(spectral, "LANCZOS_TOL", tol)
         for lam in (0.0, 0.3, 1.7, 4.0, 100.0):
@@ -220,8 +211,13 @@ def test_resolvent_sample_takes_few_lanczos_products(monkeypatch):
     # a 4-vector basis; m = 0, rho = 1 scans took 5.9-6.3 at dims 320 and
     # 640, and 7.5 and 11.2 at dim 80 (modes 1 and 0; ARPACK 8.7 and 18.4)
     solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return ztrtrs(*args, **kwargs)
+
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=0)
-    route(monkeypatch, "ztrtrs", lambda real, *args: solves.append(real(*args)))
+    monkeypatch.setattr(lapack, "ztrtrs", counting)
     scan = resolvent_scan(pencil, 0.25, 57.6, 60)
     assert solves                  # the count reads the solves the samples made
     assert len(solves) / 2 / len(scan.lambdas) <= 16
@@ -376,13 +372,16 @@ def test_non_finite_generator_is_named_before_the_schur_form():
 @pytest.mark.parametrize("routine", ["dgees", "dtbtrs"])
 def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
     # dgees is called through spectral._gees, which raises on info != 0 itself
-    if routine == "dgees":
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("gees info 1")
+    module, name = (spectral, "_gees") if routine == "dgees" else (lapack, routine)
+    real = getattr(module, name)
 
-        monkeypatch.setattr(spectral, "_gees", failing)
-    else:
-        route(monkeypatch, routine, fail)
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if routine == "dgees":
+            raise np.linalg.LinAlgError("gees info 1")
+        return (*out[:-1], 1)              # info > 0, as on a failed convergence
+
+    monkeypatch.setattr(module, name, failing)
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
     with pytest.raises(RuntimeError, match="^Schur factorization failed for mode 1, dim 80$"):
         eigenvalues(pencil)
@@ -390,8 +389,13 @@ def test_lapack_failures_name_the_mode_and_dimension(monkeypatch, routine):
 
 def test_projection_names_a_failed_banded_solve(monkeypatch):
     # only the projection's solve fails: the similarity's passes trans="T"
-    route(monkeypatch, "dtbtrs",
-          lambda real, *args: real(*args) if args[1] == b"T" else fail(real, *args))
+    real = lapack.dtbtrs
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if kwargs.get("trans") == "T" else (*out[:-1], 1)
+
+    monkeypatch.setattr(lapack, "dtbtrs", failing)
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
     w = np.random.default_rng(9).standard_normal(pencil.dim)
     with pytest.raises(RuntimeError, match="^banded solve failed \\(info 1\\) in the "
@@ -401,7 +405,8 @@ def test_projection_names_a_failed_banded_solve(monkeypatch):
 
 
 def test_projection_names_a_failed_schur_reordering(monkeypatch):
-    route(monkeypatch, "dtrsen", fail)
+    real = lapack.dtrsen
+    monkeypatch.setattr(lapack, "dtrsen", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 1))
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
     w = np.random.default_rng(9).standard_normal(pencil.dim)
     with pytest.raises(RuntimeError, match="^Schur reordering failed \\(info 1\\) for mode 2, "
@@ -411,7 +416,8 @@ def test_projection_names_a_failed_schur_reordering(monkeypatch):
 
 
 def test_resolvent_norm_names_a_failed_tridiagonal_eigensolve(monkeypatch):
-    route(monkeypatch, "dstev", fail)
+    real = lapack.dstev
+    monkeypatch.setattr(lapack, "dstev", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 1))
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
     with pytest.raises(RuntimeError, match="^Lanczos eigensolve failed \\(dstev info 1\\) for "
                                            "mode 1, lambda 0.5$"):
@@ -421,8 +427,6 @@ def test_resolvent_norm_names_a_failed_tridiagonal_eigensolve(monkeypatch):
 @pytest.mark.parametrize("vectors", [False, True])
 @pytest.mark.parametrize("n", [16, 64])
 def test_gees_matches_scipys_dgees_bit_for_bit(n, vectors):
-    from scipy.linalg import lapack
-
     B = spectral._similarity(make_pencil(PhysicalParams(rho_damp=1.0), n=n, mode=1))
     T = B.copy(order="F")
     work = lapack.dgees(lambda *_: 0, B, compute_v=vectors, lwork=-1, overwrite_a=True)[5]
@@ -529,90 +533,3 @@ def test_schur_form_is_the_same_with_and_without_vectors():
     B = spectral._similarity(pencil)
     np.testing.assert_allclose(Z.T @ Z, np.eye(pencil.dim), atol=1e-12)
     assert np.abs(Z @ T @ Z.T - B).max() <= 1e-12 * np.abs(B).max()
-
-
-def test_banded_solves_match_scipys_dtbtrs_bit_for_bit():
-    from scipy.linalg.lapack import dtbtrs
-
-    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
-    U = spectral.gram_factor(pencil)
-    X = np.random.default_rng(5).standard_normal((pencil.dim, 40))
-    for trans in ("N", "T"):
-        # a Fortran-, a C-ordered and a strided right side, as the similarity's rows
-        for b in (X[:, :32], np.ascontiguousarray(X[:, :7]), X[:, ::3]):
-            ref, ref_info = dtbtrs(U, b, trans=trans)
-            got, info = spectral._tbtrs(U, b, trans.encode())
-            assert (info, ref_info) == (0, 0)
-            assert got.tobytes() == ref.tobytes() and got.flags.f_contiguous
-
-
-def test_schur_reordering_matches_scipys_dtrsen_bit_for_bit():
-    from scipy.linalg.lapack import dtrsen
-
-    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
-    T, lam, Z = spectral._schur(pencil, vectors=True)
-    bad = spectral._undamped(lam)
-    assert bad.any()
-    t_ref, z_ref, _, _, k_ref, _, _, info = dtrsen(bad, T, Z.copy(order="F"), job="N")
-    assert info == 0
-    assert spectral._trsen(bad, T, Z) == (k_ref, 0)
-    assert T.tobytes() == t_ref.tobytes() and Z.tobytes() == z_ref.tobytes()
-
-
-def test_lanczos_routines_match_scipys_ztrtrs_and_dstev_bit_for_bit():
-    import ctypes
-
-    from scipy.linalg.lapack import dstev, ztrtrs
-
-    from platemem.pencil import array_arg, int_arg, lapack
-
-    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=1)
-    R = spectral._complex_schur(pencil)[0]
-    n, info = len(R), ctypes.c_int()
-    b = np.random.default_rng(6).standard_normal((n, 2)) @ [1.0, 1j]
-    for trans, code in ((0, b"N"), (2, b"C")):
-        x = b.copy()
-        lapack("ztrtrs")(b"U", code, b"N", int_arg(n), int_arg(1), array_arg(R), int_arg(n),
-                         array_arg(x), int_arg(n), ctypes.byref(info))
-        assert info.value == 0 and x.tobytes() == ztrtrs(R, b, trans=trans)[0].tobytes()
-    d, e = np.random.default_rng(7).standard_normal((2, 9))
-    theta, z, ref_info = dstev(d, e[:-1], compute_v=1)
-    t, off, y = d.copy(), e.copy(), np.empty((9, 9), order="F")
-    lapack("dstev")(b"V", int_arg(9), array_arg(t), array_arg(off), array_arg(y), int_arg(9),
-                    array_arg(np.empty(16)), ctypes.byref(info))
-    assert (info.value, ref_info) == (0, 0)
-    assert t.tobytes() == theta.tobytes() and y.tobytes() == z.tobytes()
-
-
-def f2py_resolvent_norm(pencil, lam):
-    """resolvent_norm's Lanczos loop on scipy's f2py wrappers of ztrtrs and dstev."""
-    from scipy.linalg.lapack import dstev, ztrtrs
-
-    R, d = spectral._complex_schur(pencil)
-    n = len(R)
-    R[np.diag_indices(n)] = d - 1j * lam
-    V = np.full((1, n), n ** -0.5, dtype=complex)
-    alpha, beta = [], []
-    while True:
-        w = ztrtrs(R, ztrtrs(R, V[-1])[0], trans=2)[0]
-        h = V.conj() @ w
-        w -= V.T @ h
-        alpha.append(h[-1].real)
-        beta.append(float(np.linalg.norm(w)))
-        theta, y, info = dstev(np.array(alpha), np.array(beta[:-1] or [0.0]), compute_v=1)
-        assert info == 0
-        if beta[-1] * abs(y[-1, -1]) <= spectral.LANCZOS_TOL * theta[-1] or len(V) == n:
-            return np.sqrt(theta[-1])
-        V = np.vstack((V, w / beta[-1]))
-
-
-@pytest.mark.parametrize("tol", [spectral.LANCZOS_TOL, 0.0])
-@pytest.mark.parametrize("mode", [0, 1])
-def test_resolvent_samples_match_the_f2py_lanczos_loop_bit_for_bit(monkeypatch, mode, tol):
-    # at tol = 0 the Krylov spaces reach dimension 14 to 35, past the first
-    # eigenvector buffer of 16 x 16 and the regrown one of 34 x 34
-    monkeypatch.setattr(spectral, "LANCZOS_TOL", tol)
-    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=mode)
-    lams = np.linspace(0.25, 30.0, 40 if tol else 5)
-    got = [resolvent_norm(pencil, float(lam)) for lam in lams]
-    assert got == [f2py_resolvent_norm(pencil, float(lam)) for lam in lams]
