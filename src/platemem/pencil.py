@@ -27,17 +27,17 @@ flux balance of the transmission conditions.
 
 Each closed Laplacian is its three diagonals with the ghost coefficients
 folded in.  The energy parts and the dissipation channels are two Forms,
-sums of squares ||F_k w||^2 over row ranges of one CSR factor each, weights
+sums of squares ||F_k w||^2 over row ranges of one sparse factor each, weights
 folded in (a diagonal form c W |w|^2 is the rows sqrt(c W) on its dofs); G is
 F^T F of the energy factor, and each block of A and M but the identities
 is a form divided row by row by its dof's weight, placed as triplets, so
-assembly makes no dense n x n array.  M, A and G are CSR arrays with a few
-nonzeros per row.  G couples two fields only in the membrane's interface
-row, which ties v[-1] to u[0] and u[1]; with v just before u in FIELDS, G is
-banded in the dof order itself, with half-bandwidth 2, and M with 1, so both
-are factored in LAPACK band storage.  Each scipy module is imported at first
-use, not with the package, so start-up loads numpy alone, and LAPACK is
-scipy's f2py wrappers, loaded by `flapack` without scipy.linalg itself.
+assembly makes no dense n x n array.  M, A and G are TripletMatrix arrays
+with a few nonzeros per row.  G couples two fields only in the membrane's
+interface row, which ties v[-1] to u[0] and u[1]; with v just before u in
+FIELDS, G is banded in the dof order itself, with half-bandwidth 2, and M
+with 1, so both are factored in LAPACK band storage.  LAPACK is scipy's f2py
+wrappers, loaded by `flapack` at first use without the scipy package, so
+start-up loads numpy alone and no run loads another scipy module.
 """
 from __future__ import annotations
 
@@ -47,15 +47,12 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from .grid import TWO_PI, RadialGrid, laplacian_mode
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 # v[-1] next to u[0] keeps G's band at 2.  Of the 24 such orders, those that
 # start with v or v_t took 190-207 ms of dgees on a dim-640 similarity (one
@@ -127,13 +124,66 @@ def _gradient(name: str, r: np.ndarray, h: float, mode: int, ghosts: tuple[tuple
     return rows, cols, vals
 
 
+@dataclass(frozen=True, eq=False)
+class TripletMatrix:
+    """A sparse matrix as (row, col, val) triplets, one per nonzero, sorted by row and
+    column.  A product sums each row's terms in that order from zero, as CSR does."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, triplets, shape: tuple[int, int]) -> TripletMatrix:
+        """From (row, col, value) triplets in any order: the values at one
+        position summed in input order, and zero sums dropped."""
+        r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
+        at, group = np.unique(r.astype(np.intp) * shape[1] + c, return_inverse=True)
+        v = np.bincount(group, v, minlength=len(at))
+        return cls(*np.divmod(at[v != 0.0], shape[1]), v[v != 0.0], shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.val)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.row, self.col] = self.val
+        return dense
+
+    @np.errstate(over="ignore")                 # an overflow is inf, which gram_factor names
+    def gram(self) -> TripletMatrix:
+        """F^T F of this F: (i, j) and (j, i) both sum F[k, i] F[k, j] over
+        the rows k in increasing order, so the result is exactly symmetric."""
+        width = np.bincount(self.row, minlength=self.shape[0])[self.row]
+        term = np.repeat(np.arange(self.nnz), width)
+        offset = np.arange(len(term)) - np.repeat(np.cumsum(width) - width, width)
+        other = np.searchsorted(self.row, self.row)[term] + offset
+        return TripletMatrix.of([(self.col[term], self.col[other],
+                                  self.val[term] * self.val[other])], (self.shape[1],) * 2)
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """The product with a vector or block X, one column per state."""
+        if np.iscomplexobj(X):
+            return self @ X.real + 1j * (self @ X.imag)
+        k = X[:1].size
+        if k == 1:
+            out = np.bincount(self.row, self.val * X.ravel()[self.col], minlength=self.shape[0])
+        else:
+            bins = (self.row * k)[:, None] + np.arange(k)
+            out = np.bincount(bins.ravel(), (self.val[:, None] * X[self.col]).ravel(),
+                              minlength=self.shape[0] * k)
+        return out.reshape(self.shape[0], *X.shape[1:])
+
+
 @dataclass(frozen=True)
 class Forms:
-    """Named forms ||F_k w||^2 over a pencil's dofs, F_k the rows of the CSR
+    """Named forms ||F_k w||^2 over a pencil's dofs, F_k the rows of the sparse
     factor F from starts[k] to the next start: F^T F is their sum."""
 
     names: tuple[str, ...]
-    F: csr_array
+    F: TripletMatrix
     starts: np.ndarray
 
     def _rows(self, name: str) -> slice:
@@ -142,12 +192,14 @@ class Forms:
         k = self.names.index(name)
         return slice(self.starts[k], self.starts[k + 1] if k + 1 < len(self.starts) else None)
 
-    def __getitem__(self, name: str) -> csr_array:
-        return self.F[self._rows(name)]
+    def __getitem__(self, name: str) -> TripletMatrix:
+        start, stop, _ = self._rows(name).indices(self.F.shape[0])
+        F, k = self.F, slice(*np.searchsorted(self.F.row, [start, stop]))
+        return TripletMatrix(F.row[k] - start, F.col[k], F.val[k], (stop - start, F.shape[1]))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """||F_k w||^2 per form (rows) and state w (columns of X, or one 1-D w)."""
-        P = self.F @ np.ascontiguousarray(X)    # a sparse product copies any other layout
+        P = self.F @ X
         P *= P
         return np.array([P[self._rows(name)].sum(axis=0) for name in self.names])
 
@@ -158,8 +210,8 @@ def _stack_forms(forms: dict[str, list], n: int) -> Forms:
     counts = np.array([1 + max((np.max(r) for r, _, _ in triplets), default=-1)
                        for triplets in forms.values()])
     starts = np.cumsum(counts) - counts
-    F = _csr([(np.asarray(r) + a, c, v) for a, triplets in zip(starts, forms.values())
-              for r, c, v in triplets], (int(counts.sum()), n))
+    F = TripletMatrix.of([(np.asarray(r) + a, c, v) for a, triplets in zip(starts, forms.values())
+                          for r, c, v in triplets], (int(counts.sum()), n))
     return Forms(tuple(forms), F, starts)
 
 
@@ -168,9 +220,9 @@ class ModePencil:
     """Discrete generator pencil, Gram matrix, and the forms of the
     ENERGY_PARTS and DISSIPATION_CHANNELS for one mode."""
 
-    M: csr_array
-    A: csr_array
-    G: csr_array
+    M: TripletMatrix
+    A: TripletMatrix
+    G: TripletMatrix
     dof_layout: tuple[tuple[str, int, int], ...]
     grid: RadialGrid
     params: PhysicalParams
@@ -213,17 +265,6 @@ def _identity(rows: np.ndarray, cols: np.ndarray, value: float):
     return rows, cols, np.full(len(rows), float(value))
 
 
-def _csr(triplets, shape: tuple[int, int]) -> csr_array:
-    """CSR array from (row, col, value) triplets, zeros dropped and repeated
-    positions summed."""
-    from scipy import sparse
-
-    r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
-    keep = np.flatnonzero(v)
-    ij = np.array([r[keep], c[keep]], dtype=np.int32)
-    return sparse.coo_array((v[keep], ij), shape=shape).tocsr()
-
-
 def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     """Build (M, A, G) for one Fourier mode.
 
@@ -262,8 +303,7 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
                       (np.full(2, i_v[-1]), u[:2], -s2 * f_v[-1] * np.asarray(TRACE_U))],
         "E_mem_kin": diagonal(vt, p.rho2, Wm),
     }, n)
-    # exactly symmetric: (i, j) and (j, i) sum the same products in one order
-    G = (energy.F.T @ energy.F).tocsr()
+    G = energy.F.gram()
     # dissipation channels, an exact split of -Re <M^-1 A w, w>_G: the
     # thermal gradient's Robin row is the boundary channel
     dissipation = _stack_forms({
@@ -272,28 +312,26 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
         "D_thermal_bdry": [([0], th[-1:], np.sqrt(p.beta0) * f_th[-1:])],
         "D_membrane": diagonal(vt, p.m_damp, Wm),
     }, n)
-    D = (dissipation.F.T @ dissipation.F).tocoo()
-    F_ut = _csr([(i_ut, j_ut, f_ut)], (i_ut[-1] + 1, np_))
-    K = (F_ut.T @ F_ut).tocoo()                     # -Wp L of u_t's closed band
-    KW = K.data / Wp[K.row]
+    D = dissipation.F.gram()
+    K = TripletMatrix.of([(i_ut, j_ut, f_ut)], (i_ut[-1] + 1, np_)).gram()   # -Wp L of u_t's band
+    KW = K.val / Wp[K.row]
 
     # velocity identities, damping -(F_D^T F_D)/W and thermo-coupling +-mu K/W
     entries = [
         _identity(u, ut, 1.0),
         _identity(v, vt, 1.0),
-        (D.row, D.col, -(D.data / w[D.row])),
+        (D.row, D.col, -(D.val / w[D.row])),
         (ut[K.row], th[K.col], p.mu * KW),
         (th[K.row], ut[K.col], -p.mu * KW),
     ]
     # conservative rows: minus the weighted dual of the (w1, w4) pair form,
     # bending + membrane potential, which are the only parts on those rows
-    Gc = G.tocoo()
     for src, dst in ((u, ut), (v, vt)):
-        k = (Gc.row >= src[0]) & (Gc.row <= src[-1])
-        entries.append((Gc.row[k] - src[0] + dst[0], Gc.col[k], -(Gc.data[k] / w[Gc.row[k]])))
-    A = _csr(entries, (n, n))
+        k = (G.row >= src[0]) & (G.row <= src[-1])
+        entries.append((G.row[k] - src[0] + dst[0], G.col[k], -(G.val[k] / w[G.row[k]])))
+    A = TripletMatrix.of(entries, (n, n))
 
-    M = _csr([
+    M = TripletMatrix.of([
         _identity(u, u, 1.0),
         _identity(ut, ut, p.rho1),
         (ut[K.row], ut[K.col], p.gamma * KW),
@@ -308,14 +346,13 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     return pencil
 
 
-def _band_storage(A) -> tuple[np.ndarray, int, int]:
+def _band_storage(A: TripletMatrix) -> tuple[np.ndarray, int, int]:
     """(ab, kl, ku): the sparse square A of bandwidths kl and ku in LAPACK band
     storage with kl rows on top for an LU's fill, A[i, j] at ab[kl + ku + i - j, j];
-    for an upper triangle (kl = 0), the upper band storage of a Cholesky factor."""
-    c = A.tocoo()
-    kl, ku = (int(d.max(initial=0)) for d in (c.row - c.col, c.col - c.row))
+    ab[kl:kl + ku + 1] is A's upper band storage, as a Cholesky factorization reads it."""
+    kl, ku = (int(d.max(initial=0)) for d in (A.row - A.col, A.col - A.row))
     ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
-    ab[kl + ku + c.row - c.col, c.col] = c.data
+    ab[kl + ku + A.row - A.col, A.col] = A.val
     return ab, kl, ku
 
 
@@ -379,9 +416,8 @@ def gram_factor(pencil: ModePencil) -> np.ndarray:
     costs O(dim band^2)."""
     key = "gram_factor"
     if key not in pencil._cache:
-        from scipy.sparse import triu
-
-        ab = _band_storage(triu(pencil.G))[0]
+        ab, kl, ku = _band_storage(pencil.G)
+        ab = ab[kl:kl + ku + 1]
         if not np.isfinite(ab).all():
             raise AssemblyError(f"G is not finite for mode {pencil.mode}")
         U, info = flapack().dpbtrf(ab, lower=0)

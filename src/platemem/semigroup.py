@@ -11,7 +11,7 @@ so the energy can only decrease.
 
 A state is the 1-D real coefficient array w in the pencil's dof_layout
 order.  M, A, G and every form are real, so a complex solution is two real
-runs, one for each part.  A step is one CSR product with M + dt/2 A and one
+runs, one for each part.  A step is one sparse product with M + dt/2 A and one
 solve with a LAPACK band LU of M - dt/2 A taken in node_order, both with
 their rows equilibrated.  Up to DENSE_STEP_DIM it is instead one product with
 the propagator (M - dt/2 A)^-1 (M + dt/2 A), made once from that LU: there the
@@ -25,11 +25,12 @@ A SimulationTrace is one table of them per step, a row per TRACE_ROWS name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pencil import DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, band_lu, node_order
+from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, TripletMatrix, band_lu,
+                     node_order)
 
 MAX_DEFAULT_STEPS = 20000
 MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
@@ -109,19 +110,23 @@ def _cn_factorization(pencil: ModePencil, dt: float):
     if key not in pencil._cache:
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
-        if not math.isfinite(0.5 * float(dt) * float(np.abs(pencil.A.data).max(initial=0.0))):
+        if not math.isfinite(0.5 * float(dt) * float(np.abs(pencil.A.val).max(initial=0.0))):
             raise ValueError(
                 f"dt={dt} overflows the trapezoidal matrix: 0.5 dt max|A| is not finite")
-        order = node_order(pencil)
-        Mm = (pencil.M - 0.5 * dt * pencil.A).tocsr()[order][:, order]
-        D = 1.0 / abs(Mm).max(axis=1).toarray()[:, None]
+        back = np.argsort(node_order(pencil))           # each dof's place in node_order
+        M, A = pencil.M, pencil.A
+        rows, cols = back[np.r_[M.row, A.row]], np.r_[M.col, A.col]
+        Mm, Mp = (TripletMatrix.of([(rows, c, np.r_[M.val, s * A.val])], M.shape)
+                  for s, c in ((-0.5 * dt, back[cols]), (0.5 * dt, cols)))
+        D = np.zeros(pencil.dim)
+        np.maximum.at(D, Mm.row, np.abs(Mm.val))
+        D = 1.0 / D
         try:
-            lu = band_lu(Mm.multiply(D))
+            lu = band_lu(replace(Mm, val=Mm.val * D[Mm.row]))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular trapezoidal matrix for dt={dt}") from exc
-        back = np.argsort(order)
         solve = lambda b: lu(b)[back]
-        Mp = (pencil.M + 0.5 * dt * pencil.A).tocsr()[order].multiply(D).tocsr()
+        Mp = replace(Mp, val=Mp.val * D[Mp.row])
         if pencil.dim <= DENSE_STEP_DIM:
             solve, Mp = None, solve(Mp.toarray())
             if not np.isfinite(Mp).all():

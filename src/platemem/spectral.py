@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
-from .pencil import ModePencil, assemble_mode_pencil, band_lu, flapack, gram_factor
+from .pencil import ModePencil, TripletMatrix, assemble_mode_pencil, band_lu, flapack, gram_factor
 from .semigroup import check_state
 from .util import parallel_map
 
@@ -74,17 +74,16 @@ def membrane_band_edge(pencil: ModePencil) -> float:
 def _similarity(pencil: ModePencil) -> np.ndarray:
     """B = U M^-1 A U^-1, Fortran-ordered: mass solves fill its column blocks,
     then banded solves from the right finish its row blocks, 32 at a time."""
-    from scipy.sparse import csr_array
-
     dtbtrs = flapack().dtbtrs
-    U, solve_M = gram_factor(pencil), band_lu(pencil.M)
-    n, k, j = pencil.dim, *np.nonzero(U)
-    Us = csr_array((U[k, j], (j + k - len(U) + 1, j)), shape=(n, n))
-    A = pencil.A.tocsc()
-    B = np.empty((n, n), order="F")
+    U, solve_M, A, n = gram_factor(pencil), band_lu(pencil.M), pencil.A, pencil.dim
+    B = np.zeros((n, n), order="F")
     step = 32
     for c in range(0, n, step):
-        B[:, c:c + step] = Us @ solve_M(A[:, c:c + step].toarray())
+        k = (A.col >= c) & (A.col < c + step)
+        Y = B[:, c:c + step]                    # U X: each row's terms from zero in column order
+        X = solve_M(TripletMatrix(A.row[k], A.col[k] - c, A.val[k], Y.shape).toarray())
+        for o in range(len(U)):                 # U[i, i + o] is U[-1 - o, i + o]
+            Y[:n - o] += U[-1 - o, o:, None] * X[o:]
     for r in range(0, n, step):
         rows, info = dtbtrs(U, B[r:r + step].T, trans="T")       # U^T X^T = B^T
         if info != 0:

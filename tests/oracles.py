@@ -8,10 +8,11 @@ squaring, the spectral oracles use the plain eigensolver and a dense solve
 instead of the Schur form, and the energy and dissipation forms are dense
 blocks made from the closed stencils (closed_laplacians) instead of the
 pencil's sparse factors.
-fake_pencil builds a pencil straight from given matrices, membrane_subpencil
-slices the membrane block out of the coupled pencil, layout_state and
-quadrature_weights place per-field arrays by the pencil's dof_layout, so no
-test assumes an order of the fields, and closure_residuals
+triplets makes the pencil's sparse type of a dense array and csr scipy's
+CSR array of it, fake_pencil builds a pencil straight from given matrices,
+membrane_subpencil slices the membrane block out of the coupled pencil,
+layout_state and quadrature_weights place per-field arrays by the pencil's
+dof_layout, so no test assumes an order of the fields, and closure_residuals
 evaluates the eliminated boundary and transmission rows of a state on its
 reconstructed ghost values.
 """
@@ -203,16 +204,31 @@ def dense_similarity_eigenvalues_oracle(A: np.ndarray, M: np.ndarray,
     return np.linalg.eigvals(B)
 
 
+def triplets(dense):
+    """The pencil's sparse type of a dense array: its nonzeros in row order."""
+    from platemem.pencil import TripletMatrix
+
+    dense = np.asarray(dense, dtype=float)
+    row, col = np.nonzero(dense)
+    return TripletMatrix(row, col, dense[row, col], dense.shape)
+
+
+def csr(matrix):
+    """scipy's CSR array of a TripletMatrix, the reference its products are
+    held to bit for bit."""
+    from scipy import sparse
+
+    return sparse.csr_array((matrix.val, (matrix.row, matrix.col)), shape=matrix.shape)
+
+
 def fake_pencil(A, M=None, G=None):
     """A ModePencil of the dense A, M and G (identity by default) on one dof
     block, with no forms, for the stepping and spectral routes."""
-    from scipy import sparse
-
     from platemem import AnnulusGeometry, ModePencil, PhysicalParams, build_radial_grid
 
     eye = np.eye(len(A))
-    return ModePencil(M=sparse.csr_array(eye if M is None else M), A=sparse.csr_array(A),
-                      G=sparse.csr_array(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
+    return ModePencil(M=triplets(eye if M is None else M), A=triplets(A),
+                      G=triplets(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
                       energy_forms=None, dissipation_forms=None)
 
@@ -235,14 +251,15 @@ def membrane_subpencil(p, grid):
     blocks = [(name, a, b) for name, a, b in pencil.dof_layout if name in MEMBRANE_FIELDS]
     s = np.concatenate([np.arange(a, b) for _, a, b in blocks])
     stops = np.cumsum([b - a for _, a, b in blocks])
-    sub = lambda X: X[s][:, s]
+    sub = lambda X: triplets(X.toarray()[np.ix_(s, s)])
+    columns = lambda forms: replace(forms, F=triplets(forms.F.toarray()[:, s]))
     return ModePencil(
         M=sub(pencil.M), A=sub(pencil.A), G=sub(pencil.G),
         dof_layout=tuple((name, int(stop - (b - a)), int(stop))
                          for (name, a, b), stop in zip(blocks, stops)),
         grid=grid, params=p,
-        energy_forms=replace(pencil.energy_forms, F=pencil.energy_forms.F[:, s]),
-        dissipation_forms=replace(pencil.dissipation_forms, F=pencil.dissipation_forms.F[:, s]),
+        energy_forms=columns(pencil.energy_forms),
+        dissipation_forms=columns(pencil.dissipation_forms),
     )
 
 

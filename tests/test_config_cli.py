@@ -614,6 +614,21 @@ def test_cli_runs_never_import_scipy_linalg(tmp_path, argv):
     assert _run_python(["-c", code]).splitlines()[-1] == str(["scipy.linalg._flapack"])
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["spectrum"], ["regimes"], ["render", "--t", "0.5"],
+                                  ["scan", "--lmin", "0.25", "--lmax", "20", "--n", "8"]],
+                         ids=lambda argv: argv[0])
+def test_cli_runs_load_no_scipy_module_but_flapack(tmp_path, argv):
+    # a pencil's matrices are numpy triplets, so neither scipy.sparse nor the
+    # scipy package's __init__ loads: LAPACK's extension is the one scipy module
+    body = FAST if argv[0] != "regimes" else REGIME_FAST.replace("\nm = 1\n", "\nm = 0\n")
+    path = write_cfg(tmp_path, body)
+    code = ("import sys\n"
+            "from platemem.cli import main\n"
+            f"assert main({[argv[0], path, *argv[1:]]!r}) in (0, 2)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _run_python(["-c", code]).splitlines()[-1] == str(["scipy.linalg._flapack"])
+
+
 def test_threads_loading_lapack_together_get_one_module():
     # a barrier releases 8 threads into the loader at once, in a process
     # that has not loaded it

@@ -9,12 +9,12 @@ import platemem.pencil as pencil_module
 from platemem import (AnnulusGeometry, PhysicalParams, ValidationError, assemble_mode_pencil,
                       build_radial_grid, eigenvalues, energy, laplacian_mode)
 from platemem.pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, MEMBRANE_FIELDS, AssemblyError,
-                             _stack_forms, gram_factor, make_closures)
+                             TripletMatrix, _stack_forms, gram_factor, make_closures)
 
-from oracles import (closed_laplacians, closure_residuals, dense_eigenvalues_oracle,
+from oracles import (closed_laplacians, closure_residuals, csr, dense_eigenvalues_oracle,
                      dense_forms_reference, dense_similarity_eigenvalues_oracle, dense_stencil,
                      fake_pencil, interface_trace, layout_state, membrane_subpencil,
-                     quadrature_weights)
+                     quadrature_weights, triplets)
 
 GEO = AnnulusGeometry()
 
@@ -85,23 +85,51 @@ def test_gram_and_mass_positive_definite(name, mode):
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_pencil_matrices_are_sparse_csr(name):
     # every block is built from three-point stencils and closure rows; the
-    # arrays come out canonical (sorted, repeated positions summed) with no
-    # stored zero
+    # triplets come out in CSR's canonical order (sorted by row, then column,
+    # repeated positions summed) with no stored zero
     for mode in (0, 1, 3):
         pencil = make_pencil(CELLS[name], n=32, mode=mode)
         sub = membrane_subpencil(CELLS[name], pencil.grid)
         for pen in (pencil, sub):
             for mat in (pen.M, pen.A, pen.G, pen.energy_forms.F, pen.dissipation_forms.F):
-                assert sparse.issparse(mat) and mat.format == "csr"
+                assert isinstance(mat, TripletMatrix)
                 assert mat.nnz <= 8 * pen.dim, (mode, mat.nnz, pen.dim)
-                assert mat.has_canonical_format, mode
-                assert np.count_nonzero(mat.data) == mat.nnz, mode
+                assert np.all(np.diff(mat.row * mat.shape[1] + mat.col) > 0), mode
+                assert np.count_nonzero(mat.val) == mat.nnz, mode
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_triplet_products_match_scipys_csr_bit_for_bit(name):
+    # a product sums each row's terms in CSR's order from zero, and F^T F
+    # sums each entry over the factor's rows in increasing order, as
+    # scipy.sparse does: states, form values and G read as they did with it
+    rng = np.random.default_rng(12)
+    for mode in (0, 3):
+        for n in (16, 64):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            w = rng.standard_normal(pencil.dim)
+            for mat in (pencil.M, pencil.A, pencil.G):
+                assert (mat @ w).tobytes() == (csr(mat) @ w).tobytes(), (mode, n)
+            X = rng.standard_normal((pencil.dim, 64))
+            for forms in (pencil.energy_forms, pencil.dissipation_forms):
+                F = csr(forms.F)
+                P = F @ X
+                P *= P
+                ref = np.array([P[forms._rows(part)].sum(axis=0) for part in forms.names])
+                assert forms.values(X).tobytes() == ref.tobytes(), (mode, n)
+                gram = forms.F.gram()
+                assert gram.toarray().tobytes() == (F.T @ F).toarray().tobytes(), (mode, n)
+                assert np.count_nonzero(gram.val) == gram.nnz == (F.T @ F).nnz, (mode, n)
+            G = pencil.G.toarray()
+            assert G.tobytes() == pencil.energy_forms.F.gram().toarray().tobytes()
+            assert (G == G.T).all(), (mode, n)
 
 
 def test_definiteness_check_names_the_indefinite_matrix():
     pencil = make_pencil(CELLS["exp_rho_gamma"], n=12, mode=1)
     with pytest.raises(AssemblyError, match="^G is not positive definite for mode 1$"):
-        gram_factor(dataclasses.replace(pencil, G=-pencil.G, _cache={}))
+        gram_factor(dataclasses.replace(
+            pencil, G=dataclasses.replace(pencil.G, val=-pencil.G.val), _cache={}))
     # a pencil that never went through assembly fails with the same named error
     with pytest.raises(AssemblyError, match="^G is not positive definite for mode 0$"):
         gram_factor(fake_pencil(np.eye(3), G=-np.eye(3)))
@@ -163,8 +191,8 @@ def test_gram_is_banded_in_the_dof_order(name):
             assert U.shape == (3, pencil.dim), (n, mode)
             k, j = np.nonzero(U)
             Us = sparse.csr_array((U[k, j], (j + k - 2, j)), shape=(pencil.dim,) * 2)
-            err = abs(Us.T @ Us - pencil.G).max()
-            assert err <= 1e-14 * abs(pencil.G).max(), (n, mode, err)
+            err = abs(Us.T @ Us - csr(pencil.G)).max()
+            assert err <= 1e-14 * abs(pencil.G.val).max(), (n, mode, err)
 
 
 def test_energy_forms_sum_to_gram():
@@ -174,21 +202,21 @@ def test_energy_forms_sum_to_gram():
     rep = energy(pencil, w)
     assert abs(sum(rep.breakdown.values()) - rep.total) <= 1e-13 * rep.total
     assert abs(0.5 * (w @ (pencil.G @ w)) - rep.total) <= 1e-13 * rep.total
-    # each family is one CSR factor over the pencil's dofs whose forms are
+    # each family is one sparse factor over the pencil's dofs whose forms are
     # row ranges, each reading fewer than half of the dofs
     for forms, names in ((pencil.energy_forms, ENERGY_PARTS),
                          (pencil.dissipation_forms, DISSIPATION_CHANNELS)):
         assert forms.names == names
-        assert sparse.issparse(forms.F) and forms.F.format == "csr"
+        assert isinstance(forms.F, TripletMatrix)
         assert forms.F.shape[1] == pencil.dim
         assert forms.starts[0] == 0 and np.all(np.diff(forms.starts) > 0)
         blocks = [forms[name] for name in names]
         assert sum(F.shape[0] for F in blocks) == forms.F.shape[0]
         for name, F in zip(names, blocks):
-            assert F.format == "csr" and F.shape[1] == pencil.dim, name
-            assert len(np.unique(F.indices)) < pencil.dim // 2, name
+            assert isinstance(F, TripletMatrix) and F.shape[1] == pencil.dim, name
+            assert len(np.unique(F.col)) < pencil.dim // 2, name
     u, v = pencil.block("u"), pencil.block("v")
-    np.testing.assert_array_equal(np.unique(pencil.energy_forms["E_mem_pot"].indices),
+    np.testing.assert_array_equal(np.unique(pencil.energy_forms["E_mem_pot"].col),
                                   np.sort(np.r_[u.start, u.start + 1, np.arange(v.start, v.stop)]))
 
 
@@ -241,7 +269,7 @@ def test_a_and_m_are_the_weighted_duals_of_the_forms(name):
             F = pencil.dissipation_forms.F
             WA = w[:, None] * pencil.A.toarray()[sub]
             WM = w[:, None] * pencil.M.toarray()[sub]
-            for got, ref in ((0.5 * (WA + WA.T), -(F.T @ F).toarray()[sub]),
+            for got, ref in ((0.5 * (WA + WA.T), -F.gram().toarray()[sub]),
                              (WM, pencil.G.toarray()[sub])):
                 err = np.abs(got - ref).max()
                 assert err <= 1e-15 * np.abs(ref).max(), (mode, n, err)
@@ -259,12 +287,12 @@ def test_factors_match_the_dense_reference_forms(name):
             ref = dense_forms_reference(pencil)
             for forms in (pencil.energy_forms, pencil.dissipation_forms):
                 for part in forms.names:
-                    FtF = (forms[part].T @ forms[part]).toarray()
+                    FtF = forms[part].gram().toarray()
                     err = np.abs(FtF - ref[part]).max()
                     assert err <= 1e-15 * np.abs(ref[part]).max(), (part, mode, n, err)
             for part in ("E_kin_plate", "E_thermal", "E_mem_kin", "D_membrane"):
                 forms = pencil.energy_forms if part.startswith("E") else pencil.dissipation_forms
-                FtF = (forms[part].T @ forms[part]).toarray()
+                FtF = forms[part].gram().toarray()
                 np.testing.assert_array_equal(FtF - np.diag(np.diag(FtF)), 0.0)
                 np.testing.assert_array_equal(ref[part] - np.diag(np.diag(ref[part])), 0.0)
             G = pencil.G.toarray()
@@ -441,7 +469,7 @@ def test_a_pencil_reads_its_mode_from_its_grid():
 ])
 def test_band_lu_raises_on_a_singular_or_non_finite_factor(rows):
     with pytest.raises(np.linalg.LinAlgError, match="singular band matrix"):
-        pencil_module.band_lu(sparse.csr_array(np.array(rows)))
+        pencil_module.band_lu(triplets(rows))
 
 
 @pytest.mark.parametrize("mode", [0, 1, 3])
@@ -449,7 +477,7 @@ def test_gram_factor_matches_scipys_cholesky_banded_bit_for_bit(mode):
     from scipy.linalg import cholesky_banded
 
     pencil = make_pencil(CELLS["poly"], n=32, mode=mode)
-    ref = cholesky_banded(pencil_module._band_storage(sparse.triu(pencil.G))[0])
+    ref = cholesky_banded(pencil_module._band_storage(triplets(np.triu(pencil.G.toarray())))[0])
     got = gram_factor(pencil)
     assert got.tobytes() == ref.tobytes() and got.flags.f_contiguous == ref.flags.f_contiguous
 

@@ -6,10 +6,11 @@ from platemem import (AnnulusGeometry, PhysicalParams, assemble_mode_pencil,
                       resolvent_norm, resolvent_scan, spectral_abscissa_sweep,
                       zero_in_resolvent)
 from platemem import spectral
-from platemem.pencil import flapack
+from platemem.pencil import band_lu, flapack, gram_factor
 
-from oracles import (bessel_j0, bessel_j0_zeros, fake_pencil, membrane_subpencil,
+from oracles import (bessel_j0, bessel_j0_zeros, csr, fake_pencil, membrane_subpencil,
                      resolvent_norm_dense_oracle)
+from test_pencil import CELLS
 
 GEO = AnnulusGeometry()
 # the f2py LAPACK wrappers spectral calls, patched in place below
@@ -363,7 +364,7 @@ def test_project_resolvable_removes_undamped_components():
 
 def test_non_finite_generator_is_named_before_the_schur_form():
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=0)
-    pencil.A.data[7] = np.nan
+    pencil.A.val[7] = np.nan
     with pytest.raises(ValueError, match="^M\\^-1 A is not finite for mode 0, dim 80$"):
         eigenvalues(pencil)
     assert "schur" not in pencil._cache
@@ -422,6 +423,27 @@ def test_resolvent_norm_names_a_failed_tridiagonal_eigensolve(monkeypatch):
     with pytest.raises(RuntimeError, match="^Lanczos eigensolve failed \\(dstev info 1\\) for "
                                            "mode 1, lambda 0.5$"):
         resolvent_norm(pencil, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_similarity_matches_its_csr_construction_bit_for_bit(name):
+    # the product with the banded U sums each row in column order from zero,
+    # as the CSR Us did, so dgees factors the same B
+    from scipy import sparse
+
+    for mode in (0, 3):
+        for n in (16, 64):
+            pencil = make_pencil(CELLS[name], n=n, mode=mode)
+            U, solve_M, dim = gram_factor(pencil), band_lu(pencil.M), pencil.dim
+            k, j = np.nonzero(U)
+            Us = sparse.csr_array((U[k, j], (j + k - len(U) + 1, j)), shape=(dim, dim))
+            A = csr(pencil.A).tocsc()
+            ref = np.empty((dim, dim), order="F")
+            for c in range(0, dim, 32):
+                ref[:, c:c + 32] = Us @ solve_M(A[:, c:c + 32].toarray())
+            for r in range(0, dim, 32):
+                ref[r:r + 32] = lapack.dtbtrs(U, ref[r:r + 32].T, trans="T")[0].T
+            assert spectral._similarity(pencil).tobytes() == ref.tobytes(), (mode, n)
 
 
 @pytest.mark.parametrize("vectors", [False, True])
