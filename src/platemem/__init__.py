@@ -9,9 +9,8 @@ from .model import (AnnulusGeometry, PhysicalParams, RegimeLabel, ValidationErro
                     check_geometric_condition, classify_regime, validate_params)
 from .grid import RadialGrid, build_radial_grid, laplacian_mode
 from .pencil import Forms, ModePencil, assemble_mode_pencil
-from .semigroup import (FormReport, SimulationTrace, default_dt, dissipation, energy,
-                        graph_norm, make_initial_data, pencil_dissipation, simulate,
-                        step_crank_nicolson)
+from .semigroup import (SimulationTrace, default_dt, dissipation, energy, graph_norm,
+                        make_initial_data, pencil_dissipation, simulate, step_crank_nicolson)
 from .spectral import (ResolventScan, eigenvalues, membrane_band_edge,
                        project_resolvable, resolved_abscissa, resolvent_norm,
                        resolvent_scan, spectral_abscissa_sweep, zero_in_resolvent)
@@ -26,7 +25,7 @@ __all__ = [
     "check_geometric_condition", "classify_regime", "validate_params",
     "RadialGrid", "build_radial_grid", "laplacian_mode",
     "Forms", "ModePencil", "assemble_mode_pencil",
-    "FormReport", "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
+    "SimulationTrace", "default_dt", "dissipation", "energy", "graph_norm",
     "make_initial_data", "pencil_dissipation", "simulate", "step_crank_nicolson",
     "ResolventScan", "eigenvalues", "membrane_band_edge",
     "project_resolvable", "resolved_abscissa", "resolvent_norm",

@@ -28,12 +28,13 @@ from .util import fmt, output_file, parallel_map, write_csv
 TRACE_HEADER = ("t", *TRACE_ROWS, "residual")
 RENDER_N_THETA = 128
 
-# The interpreter's teardown collects every object still tracked, scipy's
-# modules included.  Frozen, they are skipped: main's return to process end
-# on the simulate-m1 config took 22-24 ms against 58-105 ms (10 runs each,
-# 2 vCPUs).  A collection first would cost 14-18 ms for 9 ms less teardown.
-# The freeze runs at exit, not in main, so a process that calls main many
-# times still frees each call's garbage.
+# The interpreter's teardown collects every object still tracked.  Frozen,
+# they are skipped: main's return to process end on the simulate-m1 config
+# took 6.0-11.5 ms (median 6.5) against 21.3-29.1 ms (24.1) without the
+# freeze, and 10.9-19.9 ms (12.9) with a collection before it (12
+# alternating runs each, one BLAS thread, 2 vCPUs).  The freeze runs at
+# exit, not in main, so a process that calls main many times still frees
+# each call's garbage.
 atexit.register(gc.freeze)
 
 
@@ -53,7 +54,7 @@ def _initial(pencil, cfg: RunConfig) -> np.ndarray:
     w = np.zeros(pencil.dim)
     for profile in cfg.profiles:
         w += make_initial_data(pencil, profile, seed=cfg.seed)
-    e0 = energy(pencil, w).total
+    e0 = sum(energy(pencil, w).values())
     if e0 <= 0.0:
         raise ValidationError("configured profiles sum to a zero-energy state")
     return w / math.sqrt(2.0 * e0)

@@ -177,31 +177,39 @@ class TripletMatrix:
         return out.reshape(self.shape[0], *X.shape[1:])
 
 
+def lookup(table: dict, name: str, what: str):
+    """table[name], or a KeyError naming what was asked for and the known names."""
+    if name not in table:
+        raise KeyError(f"unknown {what} {name!r}; expected one of {tuple(table)}")
+    return table[name]
+
+
+def _layout(names, sizes) -> dict[str, slice]:
+    """{name: slice} of consecutive blocks of the sizes, in order: a pencil's
+    fields over its dofs, and a Forms' forms over its factor's rows."""
+    stops = np.cumsum(sizes)
+    return {name: slice(int(b - n), int(b)) for name, n, b in zip(names, sizes, stops)}
+
+
 @dataclass(frozen=True)
 class Forms:
-    """Named forms ||F_k w||^2 over a pencil's dofs, F_k the rows of the sparse
-    factor F from starts[k] to the next start: F^T F is their sum."""
+    """Named forms ||F_k w||^2 over a pencil's dofs, F_k the rows rows[k] of
+    the sparse factor F: F^T F is their sum."""
 
-    names: tuple[str, ...]
     F: TripletMatrix
-    starts: np.ndarray
-
-    def _rows(self, name: str) -> slice:
-        if name not in self.names:
-            raise KeyError(f"unknown form {name!r}; expected one of {self.names}")
-        k = self.names.index(name)
-        return slice(self.starts[k], self.starts[k + 1] if k + 1 < len(self.starts) else None)
+    rows: dict[str, slice]
 
     def __getitem__(self, name: str) -> TripletMatrix:
-        start, stop, _ = self._rows(name).indices(self.F.shape[0])
-        F, k = self.F, slice(*np.searchsorted(self.F.row, [start, stop]))
-        return TripletMatrix(F.row[k] - start, F.col[k], F.val[k], (stop - start, F.shape[1]))
+        rows, F = lookup(self.rows, name, "form"), self.F
+        k = slice(*np.searchsorted(F.row, [rows.start, rows.stop]))
+        return TripletMatrix(F.row[k] - rows.start, F.col[k], F.val[k],
+                             (rows.stop - rows.start, F.shape[1]))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """||F_k w||^2 per form (rows) and state w (columns of X, or one 1-D w)."""
         P = self.F @ X
         P *= P
-        return np.array([P[self._rows(name)].sum(axis=0) for name in self.names])
+        return np.array([P[rows].sum(axis=0) for rows in self.rows.values()])
 
 
 def _stack_forms(forms: dict[str, list], n: int) -> Forms:
@@ -209,10 +217,11 @@ def _stack_forms(forms: dict[str, list], n: int) -> Forms:
     one row more than its largest row, and none without triplets."""
     counts = np.array([1 + max((np.max(r) for r, _, _ in triplets), default=-1)
                        for triplets in forms.values()])
-    starts = np.cumsum(counts) - counts
-    F = TripletMatrix.of([(np.asarray(r) + a, c, v) for a, triplets in zip(starts, forms.values())
+    rows = _layout(forms, counts)
+    F = TripletMatrix.of([(np.asarray(r) + block.start, c, v)
+                          for block, triplets in zip(rows.values(), forms.values())
                           for r, c, v in triplets], (int(counts.sum()), n))
-    return Forms(tuple(forms), F, starts)
+    return Forms(F, rows)
 
 
 @dataclass
@@ -223,7 +232,7 @@ class ModePencil:
     M: TripletMatrix
     A: TripletMatrix
     G: TripletMatrix
-    dof_layout: tuple[tuple[str, int, int], ...]
+    dof_layout: dict[str, slice]        # each field's block of dofs, in FIELDS order
     grid: RadialGrid
     params: PhysicalParams
     energy_forms: Forms
@@ -239,18 +248,7 @@ class ModePencil:
         return self.A.shape[0]
 
     def block(self, name: str) -> slice:
-        for fname, a, b in self.dof_layout:
-            if fname == name:
-                return slice(a, b)
-        names = tuple(fname for fname, _, _ in self.dof_layout)
-        raise KeyError(f"unknown field {name!r}; expected one of {names}")
-
-
-def _layout(grid: RadialGrid) -> tuple[tuple[str, int, int], ...]:
-    """(name, start, stop) of each field's contiguous block, in FIELDS order."""
-    sizes = [grid.n_mem if name in MEMBRANE_FIELDS else grid.n_plate for name in FIELDS]
-    stops = np.cumsum(sizes)
-    return tuple((name, int(b - n), int(b)) for name, n, b in zip(FIELDS, sizes, stops))
+        return lookup(self.dof_layout, name, "field")
 
 
 def _band(rows: np.ndarray, cols: np.ndarray, D: np.ndarray):
@@ -276,9 +274,9 @@ def assemble_mode_pencil(p: PhysicalParams, grid: RadialGrid) -> ModePencil:
     rho0 W) is positive definite once validate_params passes."""
     validate_params(p, AnnulusGeometry(grid.r_interface, grid.r_outer))   # forms are sums of squares
     np_ = grid.n_plate
-    layout = _layout(grid)
-    n = layout[-1][2]
-    index = {name: np.arange(a, b) for name, a, b in layout}
+    sizes = [grid.n_mem if name in MEMBRANE_FIELDS else np_ for name in FIELDS]
+    layout, n = _layout(FIELDS, sizes), sum(sizes)
+    index = {name: np.arange(n)[block] for name, block in layout.items()}
     u, ut, th, v, vt = (index[name] for name in ("u", "u_t", "theta", "v", "v_t"))
     closures = make_closures(p, grid)
     Wp, Wm = grid.plate_weights, grid.membrane_weights
@@ -402,7 +400,7 @@ def node_order(pencil: ModePencil) -> np.ndarray:
     u[0] as it does in G.  A generator couples nodes at most two apart, so
     M - dt/2 A is banded in this order with bandwidths (7, 5) at every n.
     Fields not in the layout are skipped."""
-    blocks = {name: np.arange(a, b) for name, a, b in pencil.dof_layout}
+    blocks = {name: np.arange(pencil.dim)[block] for name, block in pencil.dof_layout.items()}
     groups = [[blocks[f] for f in fields if f in blocks]
               for fields in (("v_t", "v"), ("u", "u_t", "theta"))]
     return np.concatenate([np.column_stack(group).ravel() for group in groups if group])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pencil import (DISSIPATION_CHANNELS, ENERGY_PARTS, ModePencil, TripletMatrix, band_lu,
-                     node_order)
+                     lookup, node_order)
 
 MAX_DEFAULT_STEPS = 20000
 MAX_STEPS = 10**6               # a trace holds 13 doubles per step: 104 MB at the cap
@@ -48,17 +48,6 @@ TRACE_ROWS = ("energy", *ENERGY_PARTS, *DISSIPATION_CHANNELS)
 
 
 @dataclass
-class FormReport:
-    """A sum of named forms at one state: its total and each part by name."""
-    total: float
-    breakdown: dict[str, float]
-
-    @classmethod
-    def of(cls, names: tuple[str, ...], parts: np.ndarray) -> "FormReport":
-        return cls(total=sum(parts.tolist()), breakdown=dict(zip(names, parts.tolist())))
-
-
-@dataclass
 class SimulationTrace:
     """Per-step bookkeeping: values[k] is TRACE_ROWS[k] at each of the times."""
     times: np.ndarray
@@ -70,9 +59,7 @@ class SimulationTrace:
         return self.values[0]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if name not in TRACE_ROWS:
-            raise KeyError(f"unknown trace row {name!r}; expected one of {TRACE_ROWS}")
-        return self.values[TRACE_ROWS.index(name)]
+        return lookup(dict(zip(TRACE_ROWS, self.values)), name, "trace row")
 
 
 def check_state(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
@@ -162,15 +149,16 @@ def _trace_rows(pencil: ModePencil, X: np.ndarray) -> np.ndarray:
     return np.vstack((parts.sum(axis=0), parts, pencil.dissipation_forms.values(X)))
 
 
-def energy(pencil: ModePencil, w: np.ndarray) -> FormReport:
-    """Total energy w^T G w / 2 as the sum of its ENERGY_PARTS."""
-    return FormReport.of(ENERGY_PARTS, 0.5 * pencil.energy_forms.values(check_state(pencil, w)))
+def energy(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
+    """{part: value} of the ENERGY_PARTS, whose sum is the energy w^T G w / 2."""
+    forms = pencil.energy_forms
+    return dict(zip(forms.rows, (0.5 * forms.values(check_state(pencil, w))).tolist()))
 
 
-def dissipation(pencil: ModePencil, w: np.ndarray) -> FormReport:
-    """The physical dissipation as the sum of its DISSIPATION_CHANNELS."""
-    return FormReport.of(DISSIPATION_CHANNELS,
-                         pencil.dissipation_forms.values(check_state(pencil, w)))
+def dissipation(pencil: ModePencil, w: np.ndarray) -> dict[str, float]:
+    """{channel: value} of the DISSIPATION_CHANNELS, whose sum is the physical dissipation."""
+    forms = pencil.dissipation_forms
+    return dict(zip(forms.rows, forms.values(check_state(pencil, w)).tolist()))
 
 
 def pencil_dissipation(pencil: ModePencil, w: np.ndarray) -> float:
@@ -312,7 +300,7 @@ def make_initial_data(pencil: ModePencil, profile: str, seed: int = 0) -> np.nda
     else:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 
-    e0 = energy(pencil, w).total
+    e0 = sum(energy(pencil, w).values())
     if e0 <= 0.0 or not np.isfinite(e0):
         raise ValueError(f"profile {profile!r} has zero energy after construction")
     return w / np.sqrt(2.0 * e0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import build_radial_grid
+from .grid import RadialGrid, build_radial_grid
 from .model import AnnulusGeometry, PhysicalParams, validate_params
 from .pencil import ModePencil, TripletMatrix, assemble_mode_pencil, band_lu, flapack, gram_factor
 from .semigroup import check_state
@@ -66,9 +66,9 @@ class ResolventScan:
     growth_exponent: float
 
 
-def membrane_band_edge(pencil: ModePencil) -> float:
-    p = pencil.params
-    return 2.0 * np.sqrt(p.beta2 / p.rho2) / pencil.grid.h_mem
+def membrane_band_edge(p: PhysicalParams, grid: RadialGrid) -> float:
+    """2 sqrt(beta2/rho2)/h_mem, the top of the membrane grid's frequency band."""
+    return 2.0 * np.sqrt(p.beta2 / p.rho2) / grid.h_mem
 
 
 def _similarity(pencil: ModePencil) -> np.ndarray:
@@ -215,6 +215,10 @@ def project_resolvable(pencil: ModePencil, w: np.ndarray) -> np.ndarray:
         T, lam, Z = _schur(pencil, vectors=True)
         bad = _undamped(lam)
         if not bad.any():
+            # not only a shortcut: scipy's f2py dtbtrs on an empty right side,
+            # Zs[:, :0], returns info 0 and then corrupts the heap (SIGSEGV or
+            # a glibc abort later in the process), so no empty selection may
+            # reach dtrsen or dtbtrs
             pencil._cache[key] = None
         else:
             _, Zs, _, _, k, _, _, info = lapack.dtrsen(bad, T, Z, job="N", overwrite_q=True)

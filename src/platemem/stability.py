@@ -33,6 +33,8 @@ SHRINK_FACTOR = 2.0           # band abscissa shrink on doubling
 POLY_R2_MIN = 0.95
 GROWTH_EXP_CEILING = 24.0     # weak sanity ceiling on the fitted exponent
 EXP_FIT_TAIL = 0.5            # exponential fits read the trailing half of the trace
+# the resolvent scans' window: from a fixed bottom to a share of the band edge
+SCAN_BOTTOM, SCAN_TOP = 0.25, 0.9
 
 
 class FitError(ValueError):
@@ -133,16 +135,22 @@ def run_regime_experiment(p: PhysicalParams, g: AnnulusGeometry, resolution: int
         lines.append("x0 enters no operator: on these concentric circles this cell runs the "
                      f"operator of {RegimeLabel.NOT_EXPONENTIAL_POLYNOMIAL.value}")
     mode_list = list(modes)
+    # the scans read the first mode in the coarse grid's window; an empty
+    # range has a start too, and the sweep names it
+    grid0 = build_radial_grid(g, resolution, resolution, modes.start)
+    edge = membrane_band_edge(p, grid0)
+    lam_max = SCAN_TOP * edge
+    if not lam_max > SCAN_BOTTOM:
+        raise ValueError(f"the resolvent scans run from {SCAN_BOTTOM} to {SCAN_TOP} x the membrane "
+                         f"band edge 2 sqrt(beta2/rho2)/h_mem, which is {edge:.6g} at "
+                         f"n={resolution}: the window is empty")
     try:
         spectra, spectra_fine = spectral_abscissa_sweep(p, g, resolution, modes)
-        grid0 = build_radial_grid(g, resolution, resolution, mode_list[0])
         pencil0 = assemble_mode_pencil(p, grid0)
-        # scan the lowest configured mode up to 90% of the membrane band edge
-        lam_max = 0.9 * membrane_band_edge(pencil0)
-        scan = resolvent_scan(pencil0, 0.25, lam_max, 160)
+        scan = resolvent_scan(pencil0, SCAN_BOTTOM, lam_max, 160)
         grid0f = build_radial_grid(g, 2 * resolution, 2 * resolution, mode_list[0])
         pencil0f = assemble_mode_pencil(p, grid0f)
-        scan_fine = resolvent_scan(pencil0f, 0.25, lam_max, 160)
+        scan_fine = resolvent_scan(pencil0f, SCAN_BOTTOM, lam_max, 160)
 
         if dt is None:
             dt = default_dt(pencil0, t_end)

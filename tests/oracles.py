@@ -228,7 +228,7 @@ def fake_pencil(A, M=None, G=None):
 
     eye = np.eye(len(A))
     return ModePencil(M=triplets(eye if M is None else M), A=triplets(A),
-                      G=triplets(eye if G is None else G), dof_layout=(("v", 0, len(A)),),
+                      G=triplets(eye if G is None else G), dof_layout={"v": slice(0, len(A))},
                       grid=build_radial_grid(AnnulusGeometry(), 8, 8, 0), params=PhysicalParams(),
                       energy_forms=None, dissipation_forms=None)
 
@@ -248,15 +248,16 @@ def membrane_subpencil(p, grid):
     from platemem.pencil import MEMBRANE_FIELDS
 
     pencil = assemble_mode_pencil(p, grid)
-    blocks = [(name, a, b) for name, a, b in pencil.dof_layout if name in MEMBRANE_FIELDS]
-    s = np.concatenate([np.arange(a, b) for _, a, b in blocks])
-    stops = np.cumsum([b - a for _, a, b in blocks])
+    blocks = {name: np.arange(pencil.dim)[block] for name, block in pencil.dof_layout.items()
+              if name in MEMBRANE_FIELDS}
+    s = np.concatenate(list(blocks.values()))
+    stops = np.cumsum([len(dofs) for dofs in blocks.values()])
     sub = lambda X: triplets(X.toarray()[np.ix_(s, s)])
     columns = lambda forms: replace(forms, F=triplets(forms.F.toarray()[:, s]))
     return ModePencil(
         M=sub(pencil.M), A=sub(pencil.A), G=sub(pencil.G),
-        dof_layout=tuple((name, int(stop - (b - a)), int(stop))
-                         for (name, a, b), stop in zip(blocks, stops)),
+        dof_layout={name: slice(int(stop - len(dofs)), int(stop))
+                    for (name, dofs), stop in zip(blocks.items(), stops)},
         grid=grid, params=p,
         energy_forms=columns(pencil.energy_forms),
         dissipation_forms=columns(pencil.dissipation_forms),
@@ -279,7 +280,7 @@ def quadrature_weights(pencil) -> np.ndarray:
     grid = pencil.grid
     return layout_state(pencil, {
         name: grid.membrane_weights if name in MEMBRANE_FIELDS else grid.plate_weights
-        for name, _, _ in pencil.dof_layout})
+        for name in pencil.dof_layout})
 
 
 def pencil_closures(pencil):

@@ -78,7 +78,7 @@ def all_profile_state(pencil, seed=7):
     w = np.zeros(pencil.dim)
     for profile in ("plate_bump", "membrane_bump", "thermal_pulse", "rough"):
         w += make_initial_data(pencil, profile, seed=seed)
-    return w / np.sqrt(2.0 * energy(pencil, w).total)
+    return w / np.sqrt(2.0 * sum(energy(pencil, w).values()))
 
 
 def combined_trace(p, geo, res, modes, profiles, dt, t_end, filter_undamped=False):
@@ -90,7 +90,7 @@ def combined_trace(p, geo, res, modes, profiles, dt, t_end, filter_undamped=Fals
             w += make_initial_data(pencil, profile, seed=7)
         if filter_undamped:
             w = project_resolvable(pencil, w)
-        w /= np.sqrt(2.0 * energy(pencil, w).total)
+        w /= np.sqrt(2.0 * sum(energy(pencil, w).values()))
         traces.append(simulate(pencil, w, dt, t_end))
     return SimulationTrace(times=traces[0].times,
                            values=np.sum([t.values for t in traces], axis=0),

@@ -791,6 +791,24 @@ def test_cli_regimes_rejects_unequal_grids(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_regimes_with_an_empty_scan_window_names_the_band_edge(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 0.9 x the band edge 2 sqrt(beta2/rho2)/h_mem = 0.032 is below the scans'
+    # fixed bottom of 0.25 on this valid config; the window is checked before
+    # the sweep runs
+    def sweep(*args):
+        raise AssertionError("the sweep ran before the scan window was checked")
+
+    monkeypatch.setattr(stability, "spectral_abscissa_sweep", sweep)
+    path = write_cfg(tmp_path, "beta2 = 1e-6\nm = 1\nrho = 1\nn_plate = 16\nn_mem = 16\n"
+                               "mode_max = 1\ndt = 0.05\nt_end = 10")
+    assert main(["regimes", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: the resolvent scans run from 0.25 to 0.9 x the membrane band edge "
+        "2 sqrt(beta2/rho2)/h_mem, which is 0.032 at n=16: the window is empty\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("t", [0.0015, 1e-4])
 def test_cli_render_lands_on_requested_time(tmp_path, t):
     # the heuristic step is 1e-3 at n=64; neither time is a multiple of it,

@@ -128,8 +128,8 @@ def test_dimension_mismatch_rejected():
 def test_energy_zero_state():
     pencil = make_pencil()
     rep = energy(pencil, np.zeros(pencil.dim))
-    assert rep.total == 0.0
-    assert all(v == 0.0 for v in rep.breakdown.values())
+    assert sum(rep.values()) == 0.0
+    assert all(v == 0.0 for v in rep.values())
 
 
 def test_energy_theta_only_state():
@@ -139,9 +139,9 @@ def test_energy_theta_only_state():
     w[th] = 1.0
     rep = energy(pencil, w)
     expect = 0.5 * pencil.params.rho0 * float(pencil.grid.plate_weights.sum())
-    assert rep.total == pytest.approx(expect, rel=1e-13)
-    assert rep.breakdown["E_thermal"] == pytest.approx(expect, rel=1e-13)
-    for k, v in rep.breakdown.items():
+    assert sum(rep.values()) == pytest.approx(expect, rel=1e-13)
+    assert rep["E_thermal"] == pytest.approx(expect, rel=1e-13)
+    for k, v in rep.items():
         if k != "E_thermal":
             assert v == 0.0
 
@@ -151,18 +151,18 @@ def test_energy_components_sum_and_gamma_zero_has_no_rotational_term():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(pencil.dim)
     rep = energy(pencil, w)
-    assert rep.breakdown["E_rot"] == 0.0
-    assert sum(rep.breakdown.values()) == pytest.approx(rep.total, rel=1e-12)
+    assert rep["E_rot"] == 0.0
+    assert sum(rep.values()) == pytest.approx(0.5 * (w @ (pencil.G @ w)), rel=1e-12)
 
 
 def test_dissipation_channels_zero_cases():
     pencil = make_pencil(PhysicalParams(rho_damp=0.0, m_damp=0.0, mu=1.0))
     rng = np.random.default_rng(1)
     w = rng.standard_normal(pencil.dim)
-    ch = dissipation(pencil, w).breakdown
+    ch = dissipation(pencil, w)
     assert ch["D_struct"] == 0.0 and ch["D_membrane"] == 0.0
     zero = dissipation(pencil, np.zeros(pencil.dim))
-    assert list(zero.breakdown.values()) == [0.0, 0.0, 0.0, 0.0] and zero.total == 0.0
+    assert list(zero.values()) == [0.0, 0.0, 0.0, 0.0] and sum(zero.values()) == 0.0
 
 
 def test_dissipation_linear_theta_profile_heats_bulk_and_boundary():
@@ -170,7 +170,7 @@ def test_dissipation_linear_theta_profile_heats_bulk_and_boundary():
     w = np.zeros(pencil.dim)
     th = pencil.block("theta")
     w[th] = pencil.grid.plate_nodes - pencil.grid.r_interface  # vanishes at interface
-    ch = dissipation(pencil, w).breakdown
+    ch = dissipation(pencil, w)
     assert ch["D_thermal_bulk"] > 0.0
     assert ch["D_thermal_bdry"] > 0.0
     # direct quadrature of beta0 |grad theta|^2 = beta0 * 2 pi (r_out^2-r_in^2)/2
@@ -190,7 +190,7 @@ def test_dissipation_channels_match_pencil_form_exactly():
         w = rng.standard_normal(pencil.dim)
         channels = dissipation(pencil, w)
         scale = max(abs(pencil_dissipation(pencil, w)), 1.0)
-        assert abs(pencil_dissipation(pencil, w) - channels.total) <= 1e-10 * scale
+        assert abs(pencil_dissipation(pencil, w) - sum(channels.values())) <= 1e-10 * scale
 
 
 def test_dissipation_evaluations_agree_along_refined_trajectories():
@@ -204,10 +204,10 @@ def test_dissipation_evaluations_agree_along_refined_trajectories():
         for _ in range(40):
             nxt = step_crank_nicolson(pencil, st, dt)
             mid = 0.5 * (st + nxt)
-            mismatch = abs(pencil_dissipation(pencil, mid) - dissipation(pencil, mid).total)
+            mismatch = abs(pencil_dissipation(pencil, mid) - sum(dissipation(pencil, mid).values()))
             worst = max(worst, mismatch)
             st = nxt
-        assert worst <= 1e-10 * energy(pencil, st).total / dt + 1e-13
+        assert worst <= 1e-10 * sum(energy(pencil, st).values()) / dt + 1e-13
 
 
 def test_simulate_residual_identity_and_monotonicity():
@@ -228,13 +228,13 @@ def test_simulate_residual_identity_and_monotonicity():
         states.append(step_crank_nicolson(pencil, states[-1], dt))
     reports = [energy(pencil, st) for st in states]
     channels = [dissipation(pencil, st) for st in states]
-    d_mid = [dissipation(pencil, 0.5 * (a + b)).total for a, b in zip(states, states[1:])]
+    d_mid = [sum(dissipation(pencil, 0.5 * (a + b)).values()) for a, b in zip(states, states[1:])]
     assert trace.values.shape == (len(TRACE_ROWS), steps + 1)
     np.testing.assert_array_equal(trace["energy"], trace.energy)
-    columns = [(trace.energy, [r.total for r in reports]),
+    columns = [(trace.energy, [sum(r.values()) for r in reports]),
                (trace.residuals[1:] - np.diff(trace.energy) / dt, d_mid)]
-    columns += [(trace[k], [r.breakdown[k] for r in reports]) for k in ENERGY_PARTS]
-    columns += [(trace[k], [c.breakdown[k] for c in channels]) for k in DISSIPATION_CHANNELS]
+    columns += [(trace[k], [r[k] for r in reports]) for k in ENERGY_PARTS]
+    columns += [(trace[k], [c[k] for c in channels]) for k in DISSIPATION_CHANNELS]
     # relative to each column's largest value: a decayed state's forms lose
     # digits to the conditioning of the stiffness blocks, not to the batching
     for got, want in columns:
@@ -373,7 +373,7 @@ def test_final_state_matches_last_simulated_energy():
     pencil = make_pencil(n=10)
     state = make_initial_data(pencil, "plate_bump")
     trace = simulate(pencil, state, 1e-2, 0.5)
-    last = energy(pencil, final_state(pencil, state, 1e-2, 0.5)).total
+    last = sum(energy(pencil, final_state(pencil, state, 1e-2, 0.5)).values())
     assert last == pytest.approx(trace.energy[-1], rel=1e-12)
 
 
@@ -523,7 +523,7 @@ def test_initial_data_unit_energy_and_support():
     pencil = make_pencil(n=16)
     for profile in ("plate_bump", "membrane_bump", "thermal_pulse", "rough"):
         st = make_initial_data(pencil, profile, seed=1)
-        assert energy(pencil, st).total == pytest.approx(0.5, rel=1e-12)
+        assert sum(energy(pencil, st).values()) == pytest.approx(0.5, rel=1e-12)
     st = make_initial_data(pencil, "plate_bump")
     assert np.all(st[pencil.block("v")] == 0.0)
     assert np.all(st[pencil.block("theta")] == 0.0)
@@ -535,7 +535,7 @@ def test_rough_initial_data_is_seeded_noise_at_unit_energy(n, seed):
     pencil = make_pencil(n=n, mode=1)
     x = np.random.default_rng(seed).standard_normal(pencil.dim)
     np.testing.assert_array_equal(make_initial_data(pencil, "rough", seed),
-                                  x / np.sqrt(2.0 * energy(pencil, x).total))
+                                  x / np.sqrt(2.0 * sum(energy(pencil, x).values())))
 
 
 def test_initial_data_rough_deterministic():

@@ -362,6 +362,34 @@ def test_project_resolvable_removes_undamped_components():
     np.testing.assert_array_equal(project_resolvable(pencil2, w2), w2)
 
 
+def test_projection_passes_lapack_no_empty_selection(monkeypatch):
+    # scipy's f2py dtbtrs on an n x 0 right side returns info 0 and then
+    # corrupts the heap, so an all-damped pencil must reach neither dtrsen
+    # nor the projection's dtbtrs with nothing selected; the stubs refuse one
+    calls = []
+
+    def recording(name, real, selected):
+        def call(*args, **kwargs):
+            calls.append(name)
+            assert selected(*args), f"{name} received an empty selection"
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lapack, "dtrsen", recording("dtrsen", lapack.dtrsen,
+                                                    lambda select, *_: np.any(select)))
+    monkeypatch.setattr(lapack, "dtbtrs", recording("dtbtrs", lapack.dtbtrs,
+                                                    lambda U, b: b.size > 0))
+    pencil = make_pencil(PhysicalParams(m_damp=1.0, rho_damp=1.0), n=16, mode=1)
+    w = np.random.default_rng(9).standard_normal(pencil.dim)
+    np.testing.assert_array_equal(project_resolvable(pencil, w), w)
+    assert calls and set(calls) == {"dtbtrs"}          # the similarity's solves only
+    # with undamped modes the projection's own calls pass through the stubs
+    calls.clear()
+    pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=32, mode=2)
+    project_resolvable(pencil, np.random.default_rng(9).standard_normal(pencil.dim))
+    assert "dtrsen" in calls and calls[-1] == "dtbtrs"
+
+
 def test_non_finite_generator_is_named_before_the_schur_form():
     pencil = make_pencil(PhysicalParams(rho_damp=1.0), n=16, mode=0)
     pencil.A.val[7] = np.nan
